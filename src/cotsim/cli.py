@@ -14,6 +14,7 @@ import numpy as np
 from cotsim.config import (ARCHITECTURES, CampaignConfig, load_campaign,
                            make_architecture)
 from cotsim.crc import crc16_ccitt
+from cotsim.ecc import secded_decode, secded_encode
 from cotsim.fpga import InvariantViolation, tmr_vote
 from cotsim.frame_link import PixelFrame, decode_frame, encode_frame
 from cotsim.harness import emit_matrix, emit_vpu_table, run_fpga, run_matrix, \
@@ -101,7 +102,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify(_args) -> int:
-    """Quick oracle checks: checksum, codec round-trip, voter table."""
+    """Quick oracle checks: checksum, codec round-trip, voter table, SECDED."""
     failures = []
 
     def check(name, ok):
@@ -127,15 +128,22 @@ def cmd_verify(_args) -> int:
         for b in range(4):
             for c in range(4):
                 out, status = tmr_vote([a], [b], [c])
-                votes = sorted([a, b, c])
                 if a == b or a == c:
                     ok &= out[0] == a
                 elif b == c:
                     ok &= out[0] == b
                 else:
                     ok &= out[0] == a and status[0] == 2
-                del votes
     check("majority voter truth table", ok)
+
+    word = 0xDEADBEEF
+    parity = secded_encode(word)
+    check("secded single-bit correction", all(
+        secded_decode(word ^ (1 << bit), parity) == (word, "corrected")
+        for bit in range(32)))
+    check("secded double-bit detection", all(
+        secded_decode(word ^ (1 << b1) ^ (1 << b2), parity)[1] == "double"
+        for b1 in range(32) for b2 in range(b1 + 1, 32)))
 
     return EXIT_OK if not failures else EXIT_INVARIANT
 

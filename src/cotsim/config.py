@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, asdict
 FRAME_BYTES = 404
 DPR_BYTES_PER_US = 67  # 67 MB/s reload throughput
 
+SCRUB_MODES = ("replace", "enhanced_repair")
+
 ARCHITECTURES = (
     "No-FT",
     "TMR",
@@ -26,6 +28,13 @@ ARCHITECTURES = (
     "CMS+DPR+TMR",
     "CMS+DPR+TMR+WD",
 )
+
+
+def _require_positive(cfg, *keys: str) -> None:
+    for key in keys:
+        value = getattr(cfg, key)
+        if value <= 0:
+            raise ValueError(f"{key} must be positive, got {value}")
 
 
 @dataclass
@@ -57,6 +66,16 @@ class ArchConfig:
     app_down_fraction: float = 0.92
     fir_coeffs: tuple = (1, 2, 3, 2, 1)
     window_samples: int = 32
+
+    def __post_init__(self):
+        if self.scrub_mode not in SCRUB_MODES:
+            raise ValueError(f"unknown scrub_mode {self.scrub_mode!r}; "
+                             f"choose from {', '.join(SCRUB_MODES)}")
+        _require_positive(self, "scan_period_us", "dpr_blind_period_us")
+        # the watchdog checks every wd_timeout_us // 2 microseconds
+        if self.wd_timeout_us < 2:
+            raise ValueError(f"wd_timeout_us must be at least 2, "
+                             f"got {self.wd_timeout_us}")
 
     def fir_components(self) -> list[str]:
         if self.tmr:
@@ -98,19 +117,16 @@ def make_architecture(name: str, **overrides) -> ArchConfig:
     dpr = "DPR" in techniques
     tmr = "TMR" in techniques
     wd = "WD" in techniques
-    cfg = ArchConfig(
-        name=name, cms=cms, dpr=dpr, tmr=tmr, wd=wd,
-        components=_default_components(tmr, cms, dpr, wd),
-    )
+    values = dict(name=name, cms=cms, dpr=dpr, tmr=tmr, wd=wd,
+                  components=_default_components(tmr, cms, dpr, wd))
     # WD architectures keep the boot flash free, so the scrubber must
     # repair algorithmically instead of reloading stored data
     if wd:
-        cfg.scrub_mode = "enhanced_repair"
-    for key, value in overrides.items():
-        if not hasattr(cfg, key):
+        values["scrub_mode"] = "enhanced_repair"
+    for key in overrides:
+        if key not in ArchConfig.__dataclass_fields__:
             raise ValueError(f"unknown ArchConfig field {key!r}")
-        setattr(cfg, key, value)
-    return cfg
+    return ArchConfig(**{**values, **overrides})
 
 
 @dataclass
@@ -126,6 +142,13 @@ class CampaignConfig:
     target_mode: str = "utilized_area"
     target_components: list[str] = field(default_factory=list)
     window_us: int = 4_000  # evaluation window for the functionality timeline
+
+    def __post_init__(self):
+        _require_positive(self, "duration_us", "period_us", "window_us")
+        if self.duration_us % self.window_us:
+            raise ValueError(
+                f"duration_us ({self.duration_us}) must be a whole number "
+                f"of windows of window_us ({self.window_us})")
 
     def n_events(self) -> int:
         return self.duration_us // self.period_us

@@ -2,37 +2,36 @@
 
 Used by the scrubber's algorithmic repair mode: one flipped bit per word
 is correctable, two flipped bits are detected but not correctable.
+
+Data bit i sits at code position _DATA_POSITIONS[i].  The Hamming check
+at position 2**j covers every position with bit j set, so it is the
+parity of the word ANDed with a precomputed column mask.
 """
 
 from __future__ import annotations
 
 _PARITY_POSITIONS = (1, 2, 4, 8, 16, 32)
 _DATA_POSITIONS = [p for p in range(1, 40) if p & (p - 1)][:32]
+_DATA_INDEX = {pos: i for i, pos in enumerate(_DATA_POSITIONS)}
+_CHECK_MASKS = tuple(
+    sum(1 << i for i, pos in enumerate(_DATA_POSITIONS) if pos & k)
+    for k in _PARITY_POSITIONS)
+_WORD_MASK = (1 << 32) - 1
 
 
-def _word_to_codebits(word: int) -> dict[int, int]:
-    bits = {}
-    for i, pos in enumerate(_DATA_POSITIONS):
-        bits[pos] = (word >> i) & 1
-    return bits
+def _checks(word: int) -> int:
+    """The six Hamming check bits of a word, check j in bit j."""
+    checks = 0
+    for j, mask in enumerate(_CHECK_MASKS):
+        checks |= ((word & mask).bit_count() & 1) << j
+    return checks
 
 
 def secded_encode(word: int) -> int:
     """Parity byte for a 32-bit word: bits 0..5 = Hamming checks, bit 6 = overall."""
-    bits = _word_to_codebits(word)
-    parity = 0
-    for i, k in enumerate(_PARITY_POSITIONS):
-        p = 0
-        for pos, b in bits.items():
-            if pos & k:
-                p ^= b
-        bits[k] = p
-        parity |= p << i
-    overall = 0
-    for b in bits.values():
-        overall ^= b
-    parity |= overall << 6
-    return parity
+    checks = _checks(word)
+    overall = ((word & _WORD_MASK).bit_count() + checks.bit_count()) & 1
+    return checks | overall << 6
 
 
 def secded_decode(word: int, parity: int) -> tuple[int, str]:
@@ -41,22 +40,10 @@ def secded_decode(word: int, parity: int) -> tuple[int, str]:
     Returns (corrected word, status) with status one of:
     "ok", "corrected" (single-bit error fixed), "double" (uncorrectable).
     """
-    bits = _word_to_codebits(word)
-    for i, k in enumerate(_PARITY_POSITIONS):
-        bits[k] = (parity >> i) & 1
-    stored_overall = (parity >> 6) & 1
-
-    syndrome = 0
-    for k in _PARITY_POSITIONS:
-        check = 0
-        for pos, b in bits.items():
-            if pos & k:
-                check ^= b
-        if check:
-            syndrome |= k
-    overall = stored_overall
-    for b in bits.values():
-        overall ^= b
+    # check j fails iff the code position 2**j is in the syndrome
+    syndrome = _checks(word) ^ (parity & 0x3F)
+    overall = ((word & _WORD_MASK).bit_count()
+               + (parity & 0x7F).bit_count()) & 1
 
     if syndrome == 0:
         # overall != 0 means the overall parity bit itself flipped
@@ -65,8 +52,8 @@ def secded_decode(word: int, parity: int) -> tuple[int, str]:
         return word, "double"
     if syndrome in _PARITY_POSITIONS:
         return word, "corrected"
-    if syndrome not in _DATA_POSITIONS:
+    idx = _DATA_INDEX.get(syndrome)
+    if idx is None:
         # multi-bit error aliasing onto an unused code position
         return word, "double"
-    idx = _DATA_POSITIONS.index(syndrome)
     return word ^ (1 << idx), "corrected"

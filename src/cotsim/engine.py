@@ -4,12 +4,27 @@ Time is an integer number of microseconds since simulation start.  All
 hardware latencies modeled elsewhere (4 ms injection period, 18 ms frame
 repair, reload durations) are exact multiples of 1 us, so the clock never
 accumulates floating-point drift.
+
+Events fire in order of the key (fire time, time the event was scheduled,
+order slot, seq).  seq counts schedule calls, and an ordinary event's
+order slot is its own seq, so ordinary events fire by (fire time, seq):
+equal fire times break ties in scheduling order.
+
+A periodic process whose ticks rarely do anything need not be an event
+on every tick.  It registers as a watcher and keeps `watch_key` at the
+key its next tick would have had as an event; before handling any event
+that sorts after that key, the engine calls the watcher's
+`advance(bound)` with the event's key, so the watcher accounts for its
+ticks at the point in the event order where they would have run.  An
+order slot taken there with `reserve_slot` sorts exactly like the seq of
+an event that tick would have scheduled.  See `cotsim.fpga.Scrubber`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -22,7 +37,7 @@ class SchedulingError(Exception):
 
 @dataclass(frozen=True)
 class Event:
-    """A scheduled occurrence.  Equal fire_at ties break on ascending seq."""
+    """A scheduled occurrence; see the module docstring for firing order."""
 
     fire_at: int
     target: str
@@ -77,8 +92,10 @@ class SimEngine:
         self.seed = seed
         self.now = 0
         self.processed = 0
-        self._heap: list[tuple[int, int, Event]] = []
+        # (fire_at, scheduled_at, order slot, seq, event)
+        self._heap: list[tuple[int, int, int, int, Event]] = []
         self._seq = 0
+        self._watchers: list = []
         self._cancelled: set[int] = set()
         self._handlers: dict[str, Callable[[Event], None]] = {}
         self.event_log: Optional[list[str]] = [] if log_events else None
@@ -95,26 +112,46 @@ class SimEngine:
         self._handlers[target] = handler
 
     def schedule(self, fire_at: int, target: str, kind: str,
-                 params: tuple = ()) -> int:
-        """Enqueue an event; returns an id usable for cancellation."""
+                 params: tuple = (),
+                 order: Optional[tuple[int, int]] = None) -> int:
+        """Enqueue an event; returns an id usable for cancellation.
+
+        order = (scheduled_at, slot) replaces the key's (now, seq) part.
+        """
         if fire_at < self.now:
             raise SchedulingError(
                 f"cannot schedule at t={fire_at} us (clock is {self.now} us)")
         seq = self._seq
         self._seq += 1
+        scheduled_at, slot = (self.now, seq) if order is None else order
         ev = Event(fire_at, target, kind, params, seq)
-        heapq.heappush(self._heap, (fire_at, seq, ev))
+        heapq.heappush(self._heap, (fire_at, scheduled_at, slot, seq, ev))
         return seq
 
     def schedule_in(self, delay: int, target: str, kind: str,
                     params: tuple = ()) -> int:
         return self.schedule(self.now + delay, target, kind, params)
 
+    def reserve_slot(self) -> int:
+        """An order slot that sorts like an event scheduled right now."""
+        seq = self._seq
+        self._seq += 1
+        return seq
+
+    def add_watcher(self, watcher) -> None:
+        """Call `watcher.advance(bound)` whenever the next event's key
+        `bound` (or (t_end, inf, inf) at the end of `run_until`) sorts
+        after `watcher.watch_key`; None means nothing to watch.  advance
+        may schedule events, and must leave watch_key at or above the
+        key of the next event it wants to see handled."""
+        self._watchers.append(watcher)
+
     def cancel(self, event_id: int) -> None:
         self._cancelled.add(event_id)
 
     def pending(self) -> int:
-        return sum(1 for _, s, _e in self._heap if s not in self._cancelled)
+        return sum(1 for *_key, s, _e in self._heap
+                   if s not in self._cancelled)
 
     # -- execution ----------------------------------------------------------
 
@@ -124,19 +161,31 @@ class SimEngine:
             raise SchedulingError(
                 f"run_until({t_end}) is in the past (clock is {self.now})")
         count = 0
-        while self._heap and self._heap[0][0] <= t_end:
-            fire_at, seq, ev = heapq.heappop(self._heap)
-            if seq in self._cancelled:
-                self._cancelled.discard(seq)
-                continue
-            assert fire_at >= self.now, "clock would move backwards"
-            self.now = fire_at
-            if self.event_log is not None:
-                self.event_log.append(f"{ev.fire_at} {ev.target} {ev.kind}")
-            handler = self._handlers.get(ev.target)
-            if handler is not None:
-                handler(ev)
-            count += 1
+        heap = self._heap
+        end = (t_end, math.inf, math.inf)
+        while True:
+            bound = heap[0][:3] if heap and heap[0][0] <= t_end else end
+            for watcher in self._watchers:
+                key = watcher.watch_key
+                if key is not None and key < bound:
+                    watcher.advance(bound)
+                    break  # it may have scheduled an event before bound
+            else:
+                if bound is end:
+                    break
+                fire_at, _at, _slot, seq, ev = heapq.heappop(heap)
+                if seq in self._cancelled:
+                    self._cancelled.discard(seq)
+                    continue
+                assert fire_at >= self.now, "clock would move backwards"
+                self.now = fire_at
+                if self.event_log is not None:
+                    self.event_log.append(
+                        f"{ev.fire_at} {ev.target} {ev.kind}")
+                handler = self._handlers.get(ev.target)
+                if handler is not None:
+                    handler(ev)
+                count += 1
         self.now = t_end
         self.processed += count
         return count

@@ -38,6 +38,10 @@ class InvariantViolation(Exception):
 # configuration memory
 
 
+def _no_hook() -> None:
+    pass
+
+
 def _golden_frame(index: int) -> bytes:
     return bytes((index * 131 + i * 7) & 0xFF for i in range(FRAME_BYTES))
 
@@ -47,7 +51,9 @@ class ConfigMemory:
 
     The flipped-bit sets are the source of truth for component health;
     the byte arrays are kept consistent with them so that CRC/ECC checks
-    operate on real content.
+    operate on real content.  `version` bumps whenever a flipped-essential
+    set changes, and every write ends by calling `after_write`, so the
+    scrubber can replan.
     """
 
     def __init__(self, components: list[ComponentSpec]):
@@ -80,6 +86,8 @@ class ConfigMemory:
         self.flipped_essential: dict[str, set] = {
             c.name: set() for c in components}
         self._parity: dict[int, list[int]] = {}  # lazy per-frame ECC store
+        self.version = 0
+        self.after_write = _no_hook
 
     # -- mutation -----------------------------------------------------------
 
@@ -100,16 +108,22 @@ class ConfigMemory:
                 marks.discard((frame, bit))
             else:
                 marks.add((frame, bit))
+            self.version += 1
+        self.after_write()
         return {"frame": frame, "bit": bit,
                 "component": self.frame_owner[frame],
                 "essential": comp is not None}
 
     def restore_frame(self, frame: int) -> None:
+        if frame not in self.flipped:
+            return  # the bytes already equal the golden frame
         self.frames[frame][:] = self.golden[frame]
-        for bit in self.flipped.pop(frame, set()):
+        for bit in self.flipped.pop(frame):
             comp = self._essential_owner.get((frame, bit))
             if comp is not None:
                 self.flipped_essential[comp].discard((frame, bit))
+                self.version += 1
+        self.after_write()
 
     def restore_component(self, name: str) -> None:
         for f in self.comp_frames[name]:
@@ -145,8 +159,10 @@ class ConfigMemory:
                         marks.add((frame, bit))
                     else:
                         marks.discard((frame, bit))
+                    self.version += 1
         if not bucket:
             del self.flipped[frame]
+        self.after_write()
 
     # -- queries ------------------------------------------------------------
 
@@ -296,28 +312,130 @@ class Scrubber:
     replace mode reloads the golden frame; enhanced_repair corrects up to
     one flipped bit per 32-bit word from the stored ECC and re-checks the
     frame CRC, reporting (but not fixing) multi-bit words.
+
+    The scan ticks every scan_period_us from the start of its chain (node
+    start, and each reset_done), but only a tick that finds damage is an
+    engine event (`step`).  As an event, tick k would have the key
+    (t_k, t_k - scan_period_us, slot): scheduled by tick k - 1, after
+    everything tick k - 1 scheduled itself.  The scrubber watches the
+    engine (`SimEngine.add_watcher`): just before each event, `advance`
+    accounts for the ticks that sort before it by arithmetic.  While the
+    controller is functional, each tick sends a heartbeat stamped with
+    its time and, while no repair is in progress, moves the pointer on by
+    one frame; nothing else those ticks read changes between two events.
+    The chain start, `advance` and `step` reserve the order slot of the
+    next tick at the point where the last tick would have scheduled it,
+    so a skipped tick sorts among same-time events exactly as a scheduled
+    one would: the first tick of a chain before a campaign injection at
+    the same time, a tick after a repair that the previous tick started
+    and that ends at the same time.
+
+    After every configuration write, finished repair, step and chain
+    start, `replan` picks the first tick whose frame is dirty with a
+    signature not already known to be uncorrectable, and cancels the
+    plan it replaces.  The planned tick becomes a cms_scan event once the
+    tick before it is accounted and its key is known.
     """
 
     def __init__(self, node: "FpgaNode"):
         self.node = node
         self.mem = node.mem
         self.mode = node.arch.scrub_mode
+        self.period = node.arch.scan_period_us
         self.pointer = 0
         self.repair_frame: int | None = None
         self.known_uncorrectable: dict[int, frozenset] = {}
         self.report = ScrubReport()
+        self.start: int | None = None  # tick 0 of the chain; None in reset
+        self.ticks_done = 0  # ticks of the chain accounted so far
+        self.watch_key: tuple | None = None  # key of tick ticks_done + 1
+        self.plan: int | None = None  # index of the tick that will find damage
+        self.plan_event: int | None = None  # its event id, once scheduled
+        self.mem.after_write = self.replan
+        node.engine.add_watcher(self)
 
     def functional(self) -> bool:
         return "cms_ctrl" not in self.mem.components or \
             self.mem.healthy("cms_ctrl")
 
-    def step(self) -> None:
-        """One scan tick: check the current frame, start a repair on damage."""
-        if not self.functional():
+    def start_chain(self) -> None:
+        self.start = self.node.engine.now
+        self.ticks_done = 0
+        self._next_tick()
+        self.replan()
+
+    def _next_tick(self) -> None:
+        """Key the next tick as if the last tick had just scheduled it."""
+        t = self.start + (self.ticks_done + 1) * self.period
+        self.watch_key = (t, t - self.period, self.node.engine.reserve_slot())
+        if self.plan == self.ticks_done + 1:
+            self._schedule_plan()
+
+    def _schedule_plan(self) -> None:
+        t, scheduled_at, slot = self.watch_key
+        self.plan_event = self.node.engine.schedule(
+            t, self.node.target, "cms_scan", (self.node.epoch,),
+            order=(scheduled_at, slot))
+
+    def advance(self, bound: tuple) -> None:
+        """Account every tick that sorts before the event keyed `bound`."""
+        fire_at, scheduled_at, _slot = bound
+        # a tick sorts before bound if it fires earlier, or at the same
+        # time and counts as scheduled (one period earlier) before bound
+        # was; if both times tie, its slot (reserved from now on) is
+        # above bound's.  The next tick keeps its older slot; the engine
+        # calls only when that tick sorts before bound.
+        last = (fire_at - self.start - 1) // self.period
+        if (fire_at - self.start) % self.period == 0 and \
+                fire_at - self.period < scheduled_at:
+            last += 1
+        last = max(last, self.ticks_done + 1)
+        if self.plan is not None:
+            last = min(last, self.plan - 1)
+        skipped = last - self.ticks_done
+        self.ticks_done = last
+        if self.functional():
+            self.node.heartbeat(self.start + last * self.period)
+            if self.repair_frame is None:
+                self.pointer = (self.pointer + skipped) % self.mem.n_frames
+        self._next_tick()
+
+    def replan(self) -> None:
+        """Plan the next tick that will find damage."""
+        plan = None
+        if (self.start is not None and self.repair_frame is None
+                and self.functional()):
+            n = self.mem.n_frames
+            ahead = min(((f - self.pointer) % n
+                         for f, bits in self.mem.flipped.items()
+                         if self.known_uncorrectable.get(f) != bits),
+                        default=None)
+            if ahead is not None:
+                plan = self.ticks_done + 1 + ahead
+        if plan == self.plan:
             return
-        self.node.heartbeat()
-        if self.repair_frame is not None:
-            return  # correction in progress; scan resumes afterwards
+        self._drop_plan()
+        self.plan = plan
+        if plan == self.ticks_done + 1:
+            self._schedule_plan()
+
+    def _drop_plan(self) -> None:
+        if self.plan_event is not None:
+            self.node.engine.cancel(self.plan_event)
+        self.plan = self.plan_event = None
+
+    def step(self) -> None:
+        """The planned scan tick: check the current frame, start a repair."""
+        self.ticks_done += 1
+        self.plan = self.plan_event = None
+        if self.functional():
+            self.node.heartbeat(self.node.engine.now)
+            if self.repair_frame is None:
+                self._scan_frame()
+        self._next_tick()
+        self.replan()
+
+    def _scan_frame(self) -> None:
         frame = self.pointer
         self.pointer = (self.pointer + 1) % self.mem.n_frames
         if not self.mem.frame_dirty(frame):
@@ -342,6 +460,7 @@ class Scrubber:
             self._enhanced_repair(frame)
         self.repair_frame = None
         self.node.icap.release("cms")
+        self.replan()
 
     def _enhanced_repair(self, frame: int) -> None:
         damaged_words = {bit // 32 for bit in self.mem.flipped.get(frame, ())}
@@ -362,6 +481,9 @@ class Scrubber:
             self.known_uncorrectable.pop(frame, None)
 
     def reset(self) -> None:
+        """End the tick chain; the node starts a new one at reset_done."""
+        self._drop_plan()
+        self.start = self.watch_key = None
         self.pointer = 0
         self.repair_frame = None
         self.known_uncorrectable.clear()
@@ -454,9 +576,6 @@ class Watchdog:
         self.last_heartbeat = 0
         self.resets = 0
 
-    def notify(self) -> None:
-        self.last_heartbeat = self.node.engine.now
-
     def check(self) -> None:
         node = self.node
         if node.in_reset:
@@ -489,6 +608,8 @@ class FpgaNode:
         self.window_input = (np.arange(arch.window_samples, dtype=np.int64)
                              % 23) + 1
         self.golden_output = fir_filter(self.window_input, arch.fir_coeffs)
+        # (mem.version, reload requests, output correct?, unhealthy state)
+        self._window: tuple | None = None
         engine.register(target, self._handle)
 
     # -- lifecycle ----------------------------------------------------------
@@ -501,8 +622,7 @@ class FpgaNode:
     def _schedule_periodic(self) -> None:
         ep = self.epoch
         if self.scrubber is not None:
-            self.engine.schedule_in(self.arch.scan_period_us, self.target,
-                                    "cms_scan", (ep,))
+            self.scrubber.start_chain()
         if self.dpr is not None:
             self.engine.schedule_in(self.arch.dpr_blind_period_us, self.target,
                                     "dpr_blind", (ep,))
@@ -514,10 +634,7 @@ class FpgaNode:
         if ev.params and ev.params[0] != self.epoch:
             return  # stale event from before a full reset
         if ev.kind == "cms_scan":
-            if not self.in_reset:
-                self.scrubber.step()
-            self.engine.schedule_in(self.arch.scan_period_us, self.target,
-                                    "cms_scan", (self.epoch,))
+            self.scrubber.step()
         elif ev.kind == "cms_repair_done":
             self.scrubber.finish_repair(ev.params[1])
         elif ev.kind == "dpr_blind":
@@ -534,12 +651,12 @@ class FpgaNode:
         elif ev.kind == "reset_done":
             self._finish_reset()
 
-    def heartbeat(self) -> None:
+    def heartbeat(self, at_us: int) -> None:
         if self.wd is None:
             return
         if "wd_link" in self.mem.components and not self.mem.healthy("wd_link"):
             return  # status channel itself corrupted: heartbeat lost
-        self.wd.notify()
+        self.wd.last_heartbeat = at_us
 
     # -- reset --------------------------------------------------------------
 
@@ -610,19 +727,26 @@ class FpgaNode:
 
         A wrong output maps to "down" (hang) or "erroneous" (garbage) as a
         deterministic pseudo-random function of the window time and the
-        current fault state, calibrated by arch.app_down_fraction.
+        current fault state, calibrated by arch.app_down_fraction.  The
+        datapath result depends only on the flipped essential bits, so it
+        is recomputed only when `mem.version` changes.
         """
         if self.in_reset:
             return "down"
-        output, requests = self.run_pipeline()
+        if self._window is None or self._window[0] != self.mem.version:
+            output, requests = self.run_pipeline()
+            correct = np.array_equal(output, self.golden_output)
+            state = None if correct else sorted(
+                (name, self.mem.corruption_tag(name))
+                for name in self.mem.components
+                if not self.mem.healthy(name))
+            self._window = (self.mem.version, requests, correct, state)
+        _version, requests, correct, state = self._window
         if self.dpr is not None:
             for comp in requests:
                 self.dpr.request_reload(comp)
-        if np.array_equal(output, self.golden_output):
+        if correct:
             return "correct"
-        state = sorted((name, self.mem.corruption_tag(name))
-                       for name in self.mem.components
-                       if not self.mem.healthy(name))
         digest = hashlib.blake2b(
             f"{state_seed}:{self.engine.now}:{state}".encode(),
             digest_size=8).digest()

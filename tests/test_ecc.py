@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cotsim.ecc import secded_encode, secded_decode
 
@@ -59,3 +59,75 @@ def test_encode_is_deterministic_and_seven_bits(word):
     parity = secded_encode(word)
     assert 0 <= parity < 128
     assert parity == secded_encode(word)
+
+
+# -- per-bit reference ------------------------------------------------------
+# The codec as first written: one dict entry per code position, each check
+# and the overall parity XORed bit by bit.  The mask-driven codec must agree
+# with it on every input.
+
+_REF_PARITY = (1, 2, 4, 8, 16, 32)
+_REF_DATA = [p for p in range(1, 40) if p & (p - 1)][:32]
+
+
+def ref_encode(word):
+    bits = {pos: (word >> i) & 1 for i, pos in enumerate(_REF_DATA)}
+    parity = 0
+    for i, k in enumerate(_REF_PARITY):
+        p = 0
+        for pos, b in list(bits.items()):
+            if pos & k:
+                p ^= b
+        bits[k] = p
+        parity |= p << i
+    overall = 0
+    for b in bits.values():
+        overall ^= b
+    return parity | overall << 6
+
+
+def ref_decode(word, parity):
+    bits = {pos: (word >> i) & 1 for i, pos in enumerate(_REF_DATA)}
+    for i, k in enumerate(_REF_PARITY):
+        bits[k] = (parity >> i) & 1
+    syndrome = 0
+    for k in _REF_PARITY:
+        check = 0
+        for pos, b in bits.items():
+            if pos & k:
+                check ^= b
+        if check:
+            syndrome |= k
+    overall = (parity >> 6) & 1
+    for b in bits.values():
+        overall ^= b
+    if syndrome == 0:
+        return word, "ok" if overall == 0 else "corrected"
+    if overall == 0:
+        return word, "double"
+    if syndrome in _REF_PARITY:
+        return word, "corrected"
+    if syndrome not in _REF_DATA:
+        return word, "double"
+    return word ^ (1 << _REF_DATA.index(syndrome)), "corrected"
+
+
+def _flip(word, parity, position):
+    """Flip bit `position` of the 39-bit (word, parity) codeword."""
+    if position < 32:
+        return word ^ (1 << position), parity
+    return word, parity ^ (1 << (position - 32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=(1 << 32) - 1))
+def test_codec_matches_per_bit_reference(word):
+    parity = secded_encode(word)
+    assert parity == ref_encode(word)
+    assert secded_decode(word, parity) == ref_decode(word, parity)
+    for b1 in range(39):
+        w1, p1 = _flip(word, parity, b1)
+        assert secded_decode(w1, p1) == ref_decode(w1, p1)
+        for b2 in range(b1 + 1, 39):
+            w2, p2 = _flip(w1, p1, b2)
+            assert secded_decode(w2, p2) == ref_decode(w2, p2)

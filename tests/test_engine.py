@@ -59,6 +59,47 @@ def test_cancellation_is_effective_and_lazy():
     assert keep != drop
 
 
+def test_order_override_sorts_as_if_scheduled_earlier():
+    eng = SimEngine()
+    seen = collect(eng)
+    slot = eng.reserve_slot()
+    eng.schedule(100, "t", "scheduled-at-0")
+    eng.run_until(50)
+    eng.schedule(100, "t", "scheduled-at-50")
+    eng.schedule(100, "t", "as-if-at-0", order=(0, slot))
+    eng.run_until(100)
+    assert [k for _, k in seen] == ["as-if-at-0", "scheduled-at-0",
+                                    "scheduled-at-50"]
+
+
+class Ticker:
+    """A 10 us tick that is never an event, only a watcher."""
+
+    def __init__(self, eng):
+        self.eng = eng
+        self.ticks = 0
+        self.watch_key = (10, 0, eng.reserve_slot())
+
+    def advance(self, _bound):
+        self.ticks += 1
+        t = 10 * (self.ticks + 1)
+        self.watch_key = (t, t - 10, self.eng.reserve_slot())
+
+
+def test_watcher_advances_where_its_ticks_would_have_fired():
+    eng = SimEngine()
+    ticker = Ticker(eng)
+    eng.add_watcher(ticker)
+    seen = []
+    eng.register("t", lambda ev: seen.append((eng.now, ticker.ticks)))
+    for t in (5, 25, 30):
+        eng.schedule(t, "t", "e")
+    assert eng.run_until(42) == 3
+    # the tick at 30 was scheduled at 20, after the event at 30
+    assert seen == [(5, 0), (25, 2), (30, 2)]
+    assert ticker.ticks == 4
+
+
 def test_cannot_schedule_in_the_past():
     eng = SimEngine()
     eng.run_until(100)

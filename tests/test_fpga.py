@@ -239,6 +239,31 @@ def test_enhanced_repair_flags_multibit_word_uncorrectable():
     assert node.scrubber.report.detections == 1
 
 
+def test_scrubber_keeps_the_tick_grid_but_is_an_event_only_on_damage():
+    eng, node = cms_node()
+    assert eng.run_until(1_000_000) == 0  # a clean memory needs no ticks
+    assert node.scrubber.pointer == 10_000 % node.mem.n_frames
+    frame = (node.scrubber.pointer + 5) % node.mem.n_frames
+    node.mem.flip_bit(frame, 3)
+    # the sixth tick after 1 s reaches the frame: one event, the detection
+    assert eng.run_until(1_000_600) == 1
+    assert node.scrubber.repair_frame == frame
+    assert node.scrubber.report.detections == 1
+
+
+def test_skipped_ticks_still_send_heartbeats():
+    eng = SimEngine()
+    node = FpgaNode(eng, make_architecture("CMS+DPR+TMR+WD"))
+    node.start()
+    eng.run_until(1_234)
+    node.wd.check()
+    assert node.wd.last_heartbeat == 1_200
+    node.mem.flip_bit(*sorted(node.mem.essential["wd_link"])[0])
+    eng.run_until(5_555)
+    node.wd.check()
+    assert node.wd.last_heartbeat == 1_200  # the status link is down
+
+
 def test_dead_controller_stops_scrubbing():
     eng, node = cms_node()
     for addr in sorted(node.mem.essential["cms_ctrl"])[:1]:
