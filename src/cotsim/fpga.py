@@ -68,7 +68,6 @@ class ConfigMemory:
         self.n_frames = start
         self.golden = [_golden_frame(i) for i in range(self.n_frames)]
         self.frames = [bytearray(g) for g in self.golden]
-        self.golden_crc = [crc16_ccitt(g) for g in self.golden]
         # evenly spread essential bits across each component's region
         self.essential: dict[str, frozenset] = {}
         self._essential_owner: dict[tuple[int, int], str] = {}
@@ -187,7 +186,8 @@ class ConfigMemory:
         return frame in self.flipped
 
     def frame_crc_ok(self, frame: int) -> bool:
-        return crc16_ccitt(bytes(self.frames[frame])) == self.golden_crc[frame]
+        return (crc16_ccitt(self.frames[frame])
+                == crc16_ccitt(self.golden[frame]))
 
     def healthy(self, name: str) -> bool:
         return not self.flipped_essential[name]

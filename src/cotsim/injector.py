@@ -1,9 +1,9 @@
 """Fault-injection campaigns: schedule generation and mutation execution.
 
 FPGA campaigns flip configuration-memory bits; VPU events corrupt DDR
-input, per-worker tile data, shared control words, or worker instruction
-images; link events flip bits of a frame in flight.  Every executed event
-yields exactly one mutation record (possibly an explicit no-op).
+input or worker instruction images; link events flip bits of a frame in
+flight.  Every executed event yields exactly one mutation record
+(possibly an explicit no-op).
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from cotsim.fpga import ConfigMemory, FRAME_BITS
 from cotsim.frame_link import Link, flip_wire_bit
 
 FPGA_KIND = "fpga_config_bit"
-VPU_KINDS = ("vpu_ddr_input", "vpu_worker_local", "vpu_shared_var",
-             "vpu_instr")
+VPU_KINDS = ("vpu_ddr_input", "vpu_instr")
 LINK_KIND = "link_bit"
 
 
@@ -156,22 +155,7 @@ def corrupt_vpu(event: InjectionEvent, vpu, rng: SeededRng) -> MutationRecord:
         for off, val in burst_offsets(rng, flat.size):
             flat[off] ^= val
         return MutationRecord(event.time_us, event.kind, event.address, "ddr")
-    if event.kind == "vpu_shared_var":
-        word = int(rng.integers(1, 1 << 32))
-        vpu.shared_fault = getattr(vpu, "shared_fault", 0) ^ word
-        return MutationRecord(event.time_us, event.kind, event.address,
-                              "shared")
-    if event.kind == "vpu_worker_local":
-        return MutationRecord(event.time_us, event.kind, event.address,
-                              f"worker_{worker}")
     raise CampaignError(f"unknown VPU injection kind {event.kind!r}")
-
-
-def corrupt_tile(tile, rng: SeededRng) -> None:
-    """Post-DMA tile-data corruption (the worker-local injection kind)."""
-    flat = tile.data.reshape(-1)
-    for off, val in burst_offsets(rng, flat.size):
-        flat[off] ^= val
 
 
 def corrupt_link_bit(link: Link, time_us: int, position: int,

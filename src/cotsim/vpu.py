@@ -165,7 +165,13 @@ def partition_workload(image: np.ndarray, workers: int, halo: int = 0,
 
 
 def _instr_image(worker_id: int) -> bytes:
-    return bytes((worker_id * 37 + i * 11) & 0xFF for i in range(INSTR_BYTES))
+    return ((worker_id * 37 + np.arange(INSTR_BYTES) * 11) & 0xFF
+            ).astype(np.uint8).tobytes()
+
+
+# golden worker code and its CRC baselines, the same for every node
+GOLDEN_INSTR = tuple(_instr_image(i) for i in range(N_WORKERS))
+INSTR_CRC_BASELINE = tuple(crc16_ccitt(g) for g in GOLDEN_INSTR)
 
 
 def _corruption_tag(payload: bytes) -> int:
@@ -185,7 +191,6 @@ def corrupt_stripe(stripe: np.ndarray, tag: int) -> np.ndarray:
 class WorkerCore:
     id: int
     instr_mem: bytearray
-    status: str = "functional"
 
 
 @dataclass
@@ -215,6 +220,8 @@ class VoteReport:
 class VpuNode:
     """Supervisor plus 12 workers with golden instruction/input copies.
 
+    The golden worker code is the immutable, module-wide `GOLDEN_INSTR`;
+    each node's workers run from fresh mutable copies of it.
     `golden_input` is the CRC-verified copy retained at reception; tile
     checksums are computed from it, so corruption of the working DDR copy
     or of a CMX tile is caught by the per-tile check.
@@ -224,10 +231,8 @@ class VpuNode:
         if kernel_name not in KERNELS:
             raise WorkloadError(f"unknown kernel {kernel_name!r}")
         self.kernel_name = kernel_name
-        self.workers = [WorkerCore(i, bytearray(_instr_image(i)))
-                        for i in range(N_WORKERS)]
-        self.golden_instr = [_instr_image(i) for i in range(N_WORKERS)]
-        self.instr_crc_baseline = [crc16_ccitt(g) for g in self.golden_instr]
+        self.workers = [WorkerCore(i, bytearray(g))
+                        for i, g in enumerate(GOLDEN_INSTR)]
         self.ddr_input = np.asarray(image, dtype=np.uint16).copy()
         self.golden_input = self.ddr_input.copy()
         if 2 * self.ddr_input.nbytes > CMX_BYTES:
@@ -241,12 +246,10 @@ class VpuNode:
             mem[off % INSTR_BYTES] ^= (val & 0xFF) or 0x01
 
     def worker_impaired(self, worker_id: int) -> bool:
-        return bytes(self.workers[worker_id].instr_mem) != \
-            self.golden_instr[worker_id]
+        return self.workers[worker_id].instr_mem != GOLDEN_INSTR[worker_id]
 
     def restore_instr(self, worker_id: int) -> None:
-        self.workers[worker_id].instr_mem[:] = self.golden_instr[worker_id]
-        self.workers[worker_id].status = "functional"
+        self.workers[worker_id].instr_mem[:] = GOLDEN_INSTR[worker_id]
 
     def dma_tiles(self) -> list[Tile]:
         """Partition the working DDR copy; checksums come from the
@@ -309,8 +312,7 @@ class VpuNode:
             tiles = self.dma_tiles()
         report = RecoveryReport()
         impaired = [w.id for w in self.workers
-                    if crc16_ccitt(bytes(w.instr_mem))
-                    != self.instr_crc_baseline[w.id]]
+                    if crc16_ccitt(w.instr_mem) != INSTR_CRC_BASELINE[w.id]]
         report.impaired = impaired
         functional = [w.id for w in self.workers if w.id not in impaired]
         base_latency = max(self._stripe_time_us(t) for t in tiles) + DMA_US

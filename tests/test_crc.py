@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cotsim.crc import crc16_ccitt
 
 
-def crc16_bit_serial(data: bytes) -> int:
-    """Bit-serial shift register: poly 0x1021, init 0, no reflection."""
-    reg = 0
+def crc16_bit_serial(data: bytes, init: int = 0) -> int:
+    """Bit-serial shift register: poly 0x1021, register seeded with
+    `init`, no reflection."""
+    reg = init
     for byte in data:
         for i in range(8):
             bit = (byte >> (7 - i)) & 1
@@ -45,6 +46,29 @@ def test_init_parameter():
     data = b"abcdefgh"
     mid = crc16_ccitt(data[:3])
     assert crc16_ccitt(data[3:], init=mid) == crc16_ccitt(data)
+
+
+@settings(deadline=None)
+@given(st.binary(max_size=4096), st.integers(0, 0xFFFF))
+def test_matches_bit_serial_oracle_for_any_init(data, init):
+    assert crc16_ccitt(data, init) == crc16_bit_serial(data, init)
+
+
+def test_init_must_be_sixteen_bits():
+    for bad in (-1, 0x10000, 0x1FFFF):
+        for data in (b"", b"123456789"):
+            with pytest.raises(ValueError):
+                crc16_ccitt(data, init=bad)
+    assert crc16_ccitt(b"", init=0xFFFF) == 0xFFFF
+
+
+def test_buffer_types_callers_pass_agree():
+    data = bytes(range(256)) * 3
+    want = crc16_ccitt(data)
+    assert crc16_ccitt(bytearray(data)) == want
+    assert crc16_ccitt(memoryview(data)) == want
+    assert crc16_ccitt(np.frombuffer(data, dtype=np.uint8)) == want
+    assert crc16_ccitt(np.frombuffer(data, dtype=np.uint8).copy()) == want
 
 
 @given(st.binary(max_size=128))

@@ -103,6 +103,32 @@ def test_tile_crc_detects_any_change():
     assert not tile.crc_ok()
 
 
+# -- golden worker code -------------------------------------------------------
+
+
+def instr_image_generator(worker_id):
+    """The original per-byte generator the numpy image must match."""
+    return bytes((worker_id * 37 + i * 11) & 0xFF
+                 for i in range(vpu.INSTR_BYTES))
+
+
+def test_instr_images_match_the_byte_generator():
+    for w in range(N_WORKERS):
+        assert vpu._instr_image(w) == instr_image_generator(w)
+        assert vpu.GOLDEN_INSTR[w] == instr_image_generator(w)
+        assert vpu.INSTR_CRC_BASELINE[w] == \
+            crc16_ccitt(instr_image_generator(w))
+
+
+def test_workers_get_fresh_mutable_copies():
+    a, b = make_node(), make_node()
+    a.corrupt_instr(4, [(7, 0xFF)])
+    assert a.worker_impaired(4) and not b.worker_impaired(4)
+    assert vpu.GOLDEN_INSTR[4] == instr_image_generator(4)
+    a.restore_instr(4)
+    assert not a.worker_impaired(4)
+
+
 # -- plain execution --------------------------------------------------------
 
 
