@@ -29,8 +29,12 @@ EXIT_INVARIANT = 2
 def _parse_seeds(spec: str) -> list[int]:
     if ":" in spec:
         lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(s) for s in spec.split(",") if s]
+        seeds = list(range(int(lo), int(hi)))
+    else:
+        seeds = [int(s) for s in spec.split(",") if s]
+    if not seeds:
+        raise ValueError(f"--seeds {spec!r} selects no seed")
+    return seeds
 
 
 def _campaign(args) -> CampaignConfig:
@@ -60,13 +64,14 @@ def cmd_matrix(args) -> int:
         else args.archs.split(",")
     for arch in archs:
         make_architecture(arch)  # validate early
-    result = run_matrix(archs, _parse_seeds(args.seeds), campaign)
+    seeds = _parse_seeds(args.seeds)
+    result = run_matrix(archs, seeds, campaign)
     written = emit_matrix(result, args.out)
     if args.vpu:
         written.append(emit_vpu_table(
             run_vpu_table(["conv2d", "binning2d"],
                           ["none", "imr", "dmr", "nmr"],
-                          [3, 6, 9, 12], _parse_seeds(args.seeds)),
+                          [3, 6, 9, 12], seeds),
             args.out))
     for row in result.rows:
         print(f"{row.architecture:18s} down={row.down_pct:6.2f}% "
@@ -182,7 +187,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CampaignError, FileNotFoundError) as exc:
+    except (ValueError, CampaignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InvariantViolation as exc:

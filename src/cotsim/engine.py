@@ -18,6 +18,14 @@ that sorts after that key, the engine calls the watcher's
 ticks at the point in the event order where they would have run.  An
 order slot taken there with `reserve_slot` sorts exactly like the seq of
 an event that tick would have scheduled.  See `cotsim.fpga.Scrubber`.
+
+A run that knows many events up front (a campaign's injections, the
+measurement windows) enqueues them with one `schedule_many` call.  It
+gives the events consecutive seqs in list order, so each gets exactly the
+key (fire time, now, seq, seq) that one `schedule` call per event, in the
+same order, would give it, and they fire in the same order among
+themselves and among all other events; only the heap is built once, by
+`heapify`, instead of by one push per event.
 """
 
 from __future__ import annotations
@@ -25,8 +33,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,8 +42,7 @@ class SchedulingError(Exception):
     """Raised when an event is scheduled in the past."""
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A scheduled occurrence; see the module docstring for firing order."""
 
     fire_at: int
@@ -47,10 +53,13 @@ class Event:
 
 
 class SeededRng:
-    """A named, independently seeded random stream.
+    """A seeded PCG64 random stream.
 
-    Identical (seed, label) pairs produce identical draw sequences on any
-    platform; distinct labels forked from the same root are independent.
+    The stream depends on `seed` alone: `label` is stored but does not
+    enter the stream, so two instances with the same seed and different
+    labels draw the same values.  For independent streams
+    per purpose, derive the seed from a label with `SimEngine.fork_rng`
+    (or `derive_stream_seed`).
     """
 
     def __init__(self, seed: int, label: str = ""):
@@ -128,6 +137,28 @@ class SimEngine:
         heapq.heappush(self._heap, (fire_at, scheduled_at, slot, seq, ev))
         return seq
 
+    def schedule_many(self, target: str, kind: str,
+                      timed_params: list[tuple[int, tuple]]) -> range:
+        """Enqueue one event per (fire_at, params), in list order.
+
+        The events get the keys, and the ids (returned as a range), that
+        one `schedule` call each would give them; the heap is rebuilt
+        once instead of pushed into per event.
+        """
+        now = self.now
+        first = self._seq
+        entries = []
+        for seq, (fire_at, params) in enumerate(timed_params, first):
+            if fire_at < now:
+                raise SchedulingError(
+                    f"cannot schedule at t={fire_at} us (clock is {now} us)")
+            entries.append((fire_at, now, seq, seq,
+                            Event(fire_at, target, kind, params, seq)))
+        self._seq = first + len(entries)
+        self._heap.extend(entries)
+        heapq.heapify(self._heap)
+        return range(first, self._seq)
+
     def schedule_in(self, delay: int, target: str, kind: str,
                     params: tuple = ()) -> int:
         return self.schedule(self.now + delay, target, kind, params)
@@ -161,11 +192,13 @@ class SimEngine:
             raise SchedulingError(
                 f"run_until({t_end}) is in the past (clock is {self.now})")
         count = 0
-        heap = self._heap
+        heap, watchers, cancelled = self._heap, self._watchers, self._cancelled
+        handlers, event_log = self._handlers, self.event_log
+        heappop = heapq.heappop
         end = (t_end, math.inf, math.inf)
         while True:
             bound = heap[0][:3] if heap and heap[0][0] <= t_end else end
-            for watcher in self._watchers:
+            for watcher in watchers:
                 key = watcher.watch_key
                 if key is not None and key < bound:
                     watcher.advance(bound)
@@ -173,16 +206,15 @@ class SimEngine:
             else:
                 if bound is end:
                     break
-                fire_at, _at, _slot, seq, ev = heapq.heappop(heap)
-                if seq in self._cancelled:
-                    self._cancelled.discard(seq)
+                fire_at, _at, _slot, seq, ev = heappop(heap)
+                if seq in cancelled:
+                    cancelled.discard(seq)
                     continue
                 assert fire_at >= self.now, "clock would move backwards"
                 self.now = fire_at
-                if self.event_log is not None:
-                    self.event_log.append(
-                        f"{ev.fire_at} {ev.target} {ev.kind}")
-                handler = self._handlers.get(ev.target)
+                if event_log is not None:
+                    event_log.append(f"{ev.fire_at} {ev.target} {ev.kind}")
+                handler = handlers.get(ev.target)
                 if handler is not None:
                     handler(ev)
                 count += 1

@@ -52,8 +52,10 @@ class ConfigMemory:
     The flipped-bit sets are the source of truth for component health;
     the byte arrays are kept consistent with them so that CRC/ECC checks
     operate on real content.  `version` bumps whenever a flipped-essential
-    set changes, and every write ends by calling `after_write`, so the
-    scrubber can replan.
+    set changes, and `changed[name]` is the version at the last change of
+    component `name`'s set, which is what its memoized corruption tag
+    (and the node's corruption mask) is keyed on.  Every write ends by
+    calling `after_write`, so the scrubber can replan.
     """
 
     def __init__(self, components: list[ComponentSpec]):
@@ -86,6 +88,8 @@ class ConfigMemory:
             c.name: set() for c in components}
         self._parity: dict[int, list[int]] = {}  # lazy per-frame ECC store
         self.version = 0
+        self.changed: dict[str, int] = {c.name: 0 for c in components}
+        self._tags: dict[str, tuple[int, int]] = {}  # name -> (changed, tag)
         self.after_write = _no_hook
 
     # -- mutation -----------------------------------------------------------
@@ -93,6 +97,42 @@ class ConfigMemory:
     def flip_bit(self, frame: int, bit: int) -> dict:
         """XOR one configuration bit; returns a mutation record."""
         self.frames[frame][bit // 8] ^= 1 << (bit % 8)
+        comp = self._toggled(frame, bit)
+        self.after_write()
+        return {"frame": frame, "bit": bit,
+                "component": self.frame_owner[frame],
+                "essential": comp is not None}
+
+    def restore_frame(self, frame: int) -> None:
+        if frame not in self.flipped:
+            return  # the bytes already equal the golden frame
+        self.frames[frame][:] = self.golden[frame]
+        for bit in list(self.flipped[frame]):
+            self._toggled(frame, bit)
+        self.after_write()
+
+    def restore_component(self, name: str) -> None:
+        for f in self.comp_frames[name]:
+            self.restore_frame(f)
+
+    def restore_all(self) -> None:
+        for f in range(self.n_frames):
+            self.restore_frame(f)
+
+    def write_word(self, frame: int, word: int, value: int) -> None:
+        """Write a 32-bit little-endian word, keeping flip tracking exact."""
+        base = word * WORD_BYTES
+        diff = self.read_word(frame, word) ^ value
+        self.frames[frame][base:base + WORD_BYTES] = value.to_bytes(4, "little")
+        # tracking is exact, so a bit's flip state toggles where it changed
+        while diff:
+            low = diff & -diff
+            diff ^= low
+            self._toggled(frame, base * 8 + low.bit_length() - 1)
+        self.after_write()
+
+    def _toggled(self, frame: int, bit: int) -> str | None:
+        """Track a bit whose bytes just toggled; returns its essential owner."""
         bucket = self.flipped.setdefault(frame, set())
         if bit in bucket:
             bucket.discard(bit)
@@ -108,60 +148,8 @@ class ConfigMemory:
             else:
                 marks.add((frame, bit))
             self.version += 1
-        self.after_write()
-        return {"frame": frame, "bit": bit,
-                "component": self.frame_owner[frame],
-                "essential": comp is not None}
-
-    def restore_frame(self, frame: int) -> None:
-        if frame not in self.flipped:
-            return  # the bytes already equal the golden frame
-        self.frames[frame][:] = self.golden[frame]
-        for bit in self.flipped.pop(frame):
-            comp = self._essential_owner.get((frame, bit))
-            if comp is not None:
-                self.flipped_essential[comp].discard((frame, bit))
-                self.version += 1
-        self.after_write()
-
-    def restore_component(self, name: str) -> None:
-        for f in self.comp_frames[name]:
-            self.restore_frame(f)
-
-    def restore_all(self) -> None:
-        for f in range(self.n_frames):
-            self.restore_frame(f)
-
-    def write_word(self, frame: int, word: int, value: int) -> None:
-        """Write a 32-bit little-endian word, keeping flip tracking exact."""
-        base = word * WORD_BYTES
-        self.frames[frame][base:base + WORD_BYTES] = value.to_bytes(4, "little")
-        golden = self.golden[frame][base:base + WORD_BYTES]
-        current = self.frames[frame][base:base + WORD_BYTES]
-        bucket = self.flipped.setdefault(frame, set())
-        for byte_i in range(WORD_BYTES):
-            diff = golden[byte_i] ^ current[byte_i]
-            for bit_i in range(8):
-                bit = (base + byte_i) * 8 + bit_i
-                now_flipped = bool(diff & (1 << bit_i))
-                was_flipped = bit in bucket
-                if now_flipped == was_flipped:
-                    continue
-                if now_flipped:
-                    bucket.add(bit)
-                else:
-                    bucket.discard(bit)
-                comp = self._essential_owner.get((frame, bit))
-                if comp is not None:
-                    marks = self.flipped_essential[comp]
-                    if now_flipped:
-                        marks.add((frame, bit))
-                    else:
-                        marks.discard((frame, bit))
-                    self.version += 1
-        if not bucket:
-            del self.flipped[frame]
-        self.after_write()
+            self.changed[comp] = self.version
+        return comp
 
     # -- queries ------------------------------------------------------------
 
@@ -193,10 +181,16 @@ class ConfigMemory:
         return not self.flipped_essential[name]
 
     def corruption_tag(self, name: str) -> int:
-        """Deterministic 63-bit tag of the component's flipped essential bits."""
-        marks = sorted(self.flipped_essential[name])
-        digest = hashlib.blake2b(repr(marks).encode(), digest_size=8).digest()
-        return int.from_bytes(digest, "big") >> 1
+        """Deterministic 63-bit tag of the component's flipped essential
+        bits, recomputed only after `changed[name]` moved."""
+        memo = self._tags.get(name)
+        if memo is None or memo[0] != self.changed[name]:
+            marks = sorted(self.flipped_essential[name])
+            digest = hashlib.blake2b(repr(marks).encode(),
+                                     digest_size=8).digest()
+            memo = self._tags[name] = (self.changed[name],
+                                       int.from_bytes(digest, "big") >> 1)
+        return memo[1]
 
     def total_bits(self) -> int:
         return self.n_frames * FRAME_BITS
@@ -608,7 +602,11 @@ class FpgaNode:
         self.window_input = (np.arange(arch.window_samples, dtype=np.int64)
                              % 23) + 1
         self.golden_output = fir_filter(self.window_input, arch.fir_coeffs)
-        # (mem.version, reload requests, output correct?, unhealthy state)
+        # corrupt_samples(zeros, tag) is the XOR mask of that tag
+        self._zeros = np.zeros(arch.window_samples, dtype=np.int64)
+        self._masks: dict[str, tuple[int, np.ndarray]] = {}  # (changed, mask)
+        # (mem.version, reload requests, output correct?, unhealthy state
+        # as the text the window hash formats)
         self._window: tuple | None = None
         engine.register(target, self._handle)
 
@@ -687,39 +685,42 @@ class FpgaNode:
 
     # -- datapath -----------------------------------------------------------
 
-    def _component_output(self, comp: str, samples: np.ndarray) -> np.ndarray:
-        correct = fir_filter(samples, self.arch.fir_coeffs)
+    def _through(self, comp: str, correct: np.ndarray) -> np.ndarray:
+        """What `comp` emits when its correct output is `correct`."""
         if self.mem.healthy(comp):
             return correct
-        return corrupt_samples(correct, self.mem.corruption_tag(comp))
+        memo = self._masks.get(comp)
+        if memo is None or memo[0] != self.mem.changed[comp]:
+            memo = self._masks[comp] = (
+                self.mem.changed[comp],
+                corrupt_samples(self._zeros, self.mem.corruption_tag(comp)))
+        return correct ^ memo[1]
 
-    def _pass_through(self, comp: str, data: np.ndarray) -> np.ndarray:
-        if self.mem.healthy(comp):
-            return data
-        return corrupt_samples(np.asarray(data, dtype=np.int64),
-                               self.mem.corruption_tag(comp))
-
-    def run_pipeline(self, samples: np.ndarray | None = None,
-                     ) -> tuple[np.ndarray, list[str]]:
-        """One accelerator pass; returns (output, repair requests raised).
+    def run_pipeline(self) -> tuple[np.ndarray, list[str]]:
+        """One accelerator pass over the window input; returns (output,
+        repair requests raised).
 
         With TMR the input is voted across three replicated paths, the
         three accelerator instances run, and the outputs are voted; a
         minority replica (or an uncorrectable vote) raises repair
-        requests by name.
+        requests by name.  The three instances filter the same voted
+        input, so the filter runs at most once, and not at all while the
+        input voter is healthy.
         """
-        if samples is None:
-            samples = self.window_input
         if not self.arch.tmr:
-            return self._component_output("fir_0", samples), []
-        voted_in = self._pass_through("voter_in", samples)
-        outs = [self._component_output(f"fir_{i}", voted_in) for i in range(3)]
+            return self._through("fir_0", self.golden_output), []
+        if self.mem.healthy("voter_in"):
+            correct = self.golden_output
+        else:
+            correct = fir_filter(self._through("voter_in", self.window_input),
+                                 self.arch.fir_coeffs)
+        outs = [self._through(f"fir_{i}", correct) for i in range(3)]
         voted, status = tmr_vote(*outs)
         requests = [f"fir_{i}" for i in range(3)
                     if not np.array_equal(outs[i], voted)]
         if np.any(status == VOTE_UNCORRECTABLE):
             requests = ["fir_0", "fir_1", "fir_2"]
-        final = self._pass_through("voter_out", voted)
+        final = self._through("voter_out", voted)
         return final, requests
 
     def evaluate_window(self, state_seed: int = 0) -> str:
@@ -736,10 +737,10 @@ class FpgaNode:
         if self._window is None or self._window[0] != self.mem.version:
             output, requests = self.run_pipeline()
             correct = np.array_equal(output, self.golden_output)
-            state = None if correct else sorted(
+            state = None if correct else str(sorted(
                 (name, self.mem.corruption_tag(name))
                 for name in self.mem.components
-                if not self.mem.healthy(name))
+                if not self.mem.healthy(name)))
             self._window = (self.mem.version, requests, correct, state)
         _version, requests, correct, state = self._window
         if self.dpr is not None:

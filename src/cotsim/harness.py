@@ -135,16 +135,14 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
 
     rng = engine.fork_rng("fpga-inj")
     schedule = build_fpga_campaign(campaign, node.mem, rng)
-    events_by_seq: dict[int, object] = {}
 
     def on_inject(ev):
-        inj = events_by_seq[ev.seq]
+        inj = ev.params[0]
         log.add(inject_config_bit(node.mem, inj.time_us, inj.address))
 
     engine.register("injector", on_inject)
-    for inj in schedule.events:
-        seq = engine.schedule(inj.time_us, "injector", "inject")
-        events_by_seq[seq] = inj
+    engine.schedule_many("injector", "inject",
+                         [(inj.time_us, (inj,)) for inj in schedule.events])
 
     classes: list[str] = []
 
@@ -153,8 +151,9 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
 
     engine.register("window", on_window)
     n_windows = campaign.duration_us // campaign.window_us
-    for k in range(n_windows):
-        engine.schedule((k + 1) * campaign.window_us, "window", "evaluate")
+    engine.schedule_many("window", "evaluate",
+                         [((k + 1) * campaign.window_us, ())
+                          for k in range(n_windows)])
 
     engine.run_until(campaign.duration_us)
 

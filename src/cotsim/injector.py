@@ -9,6 +9,7 @@ flight.  Every executed event yields exactly one mutation record
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from cotsim.config import CampaignConfig, FRAME_BYTES
 from cotsim.engine import SeededRng
@@ -24,8 +25,7 @@ class CampaignError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class InjectionEvent:
+class InjectionEvent(NamedTuple):
     time_us: int
     kind: str
     address: tuple
@@ -46,7 +46,7 @@ class MutationRecord:
     effect: str  # e.g. component name, "non_essential", "noop"
 
     def line(self) -> str:
-        addr = ":".join(str(a) for a in self.address)
+        addr = ":".join(map(str, self.address))
         return f"{self.time_us} {self.kind} {addr} {self.effect}"
 
 
@@ -72,9 +72,11 @@ def build_fpga_campaign(cfg: CampaignConfig, mem: ConfigMemory,
 
     utilized_area mode samples uniformly over every bit of the enabled
     components' frames; components mode samples uniformly over the
-    essential bits of the named components.
+    essential bits of the named components.  Event i fires at
+    (i + 1) * period_us.  The addresses come from one vectorised draw,
+    which yields the same values as one scalar `rng.integers(0, n)` per
+    event for these ranges (all below 2**32).
     """
-    campaign = InjectionCampaign(seed=rng.seed, duration_us=cfg.duration_us)
     if cfg.target_mode == "components":
         pool = []
         for name in cfg.target_components:
@@ -83,23 +85,21 @@ def build_fpga_campaign(cfg: CampaignConfig, mem: ConfigMemory,
             pool.extend(sorted(mem.essential[name]))
         if not pool:
             raise CampaignError("empty target set")
-        for i in range(cfg.n_events()):
-            t = (i + 1) * cfg.period_us
-            frame, bit = pool[int(rng.integers(0, len(pool)))]
-            campaign.events.append(
-                InjectionEvent(t, FPGA_KIND, (frame, bit)))
+        draws = rng.integers(0, len(pool), size=cfg.n_events()).tolist()
+        addresses = [pool[i] for i in draws]
     elif cfg.target_mode == "utilized_area":
         total = mem.total_bits()
         if total == 0:
             raise CampaignError("empty target set")
-        for i in range(cfg.n_events()):
-            t = (i + 1) * cfg.period_us
-            g = int(rng.integers(0, total))
-            campaign.events.append(
-                InjectionEvent(t, FPGA_KIND, (g // FRAME_BITS, g % FRAME_BITS)))
+        draws = rng.integers(0, total, size=cfg.n_events()).tolist()
+        addresses = [divmod(g, FRAME_BITS) for g in draws]
     else:
         raise CampaignError(f"unknown target mode {cfg.target_mode!r}")
-    return campaign
+    period = cfg.period_us
+    return InjectionCampaign(
+        seed=rng.seed, duration_us=cfg.duration_us,
+        events=[InjectionEvent((i + 1) * period, FPGA_KIND, address)
+                for i, address in enumerate(addresses)])
 
 
 def build_vpu_campaign(cfg: CampaignConfig, kinds: list[str],

@@ -71,3 +71,34 @@ def test_config_errors_exit_one(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["run", "--arch", "CMS", "--campaign", missing]) == 1
     capsys.readouterr()
+
+
+def test_report_on_a_file_is_an_error_line(tmp_path, capsys):
+    not_a_dir = tmp_path / "file.txt"
+    not_a_dir.write_text("x")
+    assert main(["report", "--in", str(not_a_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_out_that_is_an_existing_file_is_an_error_line(tmp_path, capsys):
+    campaign = small_campaign(tmp_path)
+    occupied = tmp_path / "occupied"
+    occupied.write_text("x")
+    assert main(["run", "--arch", "No-FT", "--campaign", campaign,
+                 "--out", str(occupied)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["matrix", "--archs", "No-FT", "--seeds", "0",
+                 "--campaign", campaign, "--out", str(occupied)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert occupied.read_text() == "x"
+
+
+def test_empty_seed_selection_is_rejected(tmp_path, capsys):
+    campaign = small_campaign(tmp_path)
+    for spec in ("5:2", ",", "3:3"):
+        assert main(["matrix", "--archs", "No-FT", "--seeds", spec,
+                     "--campaign", campaign,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seeds" in err
+    assert not (tmp_path / "out").exists()

@@ -1,6 +1,7 @@
 """Event queue ordering, cancellation and seeded stream tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cotsim.engine import SimEngine, SchedulingError, SeededRng, \
     derive_stream_seed
@@ -152,3 +153,60 @@ def test_derive_stream_seed_depends_on_both_inputs():
 def test_seeded_rng_reproducible():
     draws = SeededRng(99).random(size=5).tolist()
     assert draws == SeededRng(99).random(size=5).tolist()
+
+
+def test_schedule_many_matches_schedule_calls():
+    eng = SimEngine()
+    seen = collect(eng)
+    eng.run_until(5)
+    ids = eng.schedule_many("t", "batch", [(9, ("a",)), (5, ("b",))])
+    assert list(ids) == [0, 1]
+    assert eng.schedule(5, "t", "after") == 2
+    eng.run_until(9)
+    assert seen == [(5, "batch"), (5, "after"), (9, "batch")]
+    with pytest.raises(SchedulingError):
+        eng.schedule_many("t", "late", [(10, ()), (8, ())])
+    assert eng.schedule(10, "t", "next") == 3  # nothing was enqueued
+
+
+# one step of a scheduling script: (op, delays, index)
+STEPS = st.lists(st.tuples(
+    st.sampled_from(["one", "many", "order", "reserve", "cancel", "run"]),
+    st.lists(st.integers(0, 4), min_size=0, max_size=6),
+    st.integers(0, 50)), max_size=25)
+
+
+def play(steps, batched):
+    """Run a script; `batched` enqueues each "many" step with one
+    schedule_many call instead of one schedule call per event."""
+    eng = SimEngine()
+    seen = []
+    eng.register("t", lambda ev: seen.append((eng.now, ev.params)))
+    ids, slots = [], []
+    for n, (op, delays, index) in enumerate(steps):
+        times = [eng.now + d for d in delays]
+        if op == "one" and times:
+            ids.append(eng.schedule(times[0], "t", "e", (n,)))
+        elif op == "many":
+            timed = [(t, (n, i)) for i, t in enumerate(times)]
+            if batched:
+                ids.extend(eng.schedule_many("t", "e", timed))
+            else:
+                ids.extend(eng.schedule(t, "t", "e", p) for t, p in timed)
+        elif op == "order" and times and slots:
+            ids.append(eng.schedule(times[0], "t", "e", (n,),
+                                    order=slots[index % len(slots)]))
+        elif op == "reserve":
+            slots.append((eng.now, eng.reserve_slot()))
+        elif op == "cancel" and ids:
+            eng.cancel(ids[index % len(ids)])
+        elif op == "run":
+            eng.run_until(eng.now + (delays[0] if delays else 0))
+    eng.run_until(eng.now + 10)
+    return seen, ids, eng.processed
+
+
+@settings(max_examples=300, deadline=None)
+@given(STEPS)
+def test_schedule_many_fires_like_schedule_calls(steps):
+    assert play(steps, batched=True) == play(steps, batched=False)

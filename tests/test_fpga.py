@@ -1,6 +1,8 @@
 """FPGA node tests: configuration memory semantics, FIR oracle, voting,
 scrubbing, partial reconfiguration, ICAP arbitration and watchdog reset."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +152,52 @@ def test_write_word_keeps_flip_tracking_exact():
     mem.write_word(0, 1, golden)
     assert not mem.frame_dirty(0)
     assert bytes(mem.frames[0]) == mem.golden[0]
+
+
+def fresh_tag(marks) -> int:
+    """corruption_tag computed from scratch, without the memo."""
+    digest = hashlib.blake2b(repr(sorted(marks)).encode(),
+                             digest_size=8).digest()
+    return int.from_bytes(digest, "big") >> 1
+
+
+# every 8th bit is essential; writes and flips stay in words 0-1 so that
+# they collide, toggle back and restore each other's bits
+DENSE = [ComponentSpec("app", frames=2, essential_bits=2 * FRAME_BYTES),
+         ComponentSpec("ctrl", frames=1, essential_bits=FRAME_BYTES)]
+MEMORY_OPS = st.lists(st.one_of(
+    st.tuples(st.just("flip_bit"), st.integers(0, 2), st.integers(0, 63)),
+    st.tuples(st.just("write"), st.integers(0, 2), st.integers(0, 1),
+              st.one_of(st.integers(0, 255), st.integers(0, 2**32 - 1)),
+              st.booleans()),
+    st.tuples(st.just("restore_frame"), st.integers(0, 2)),
+    st.tuples(st.just("restore_component"), st.sampled_from(["app", "ctrl"])),
+    st.tuples(st.just("restore_all"))), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MEMORY_OPS)
+def test_config_memory_tracking_and_tag_memo(ops):
+    mem = ConfigMemory(DENSE)
+    for op, *args in ops:
+        if op == "write":
+            frame, word, mask, from_golden = args
+            base = mem.golden_word if from_golden else mem.read_word
+            mem.write_word(frame, word, base(frame, word) ^ mask)
+        else:
+            getattr(mem, op)(*args)
+        for name in mem.components:
+            marks = mem.flipped_essential[name]
+            assert marks == {(f, b) for f, b in mem.essential[name]
+                             if b in mem.flipped.get(f, ())}
+            assert mem.corruption_tag(name) == fresh_tag(marks)
+            assert mem.healthy(name) == (not marks)
+        for frame in range(mem.n_frames):
+            expected = bytearray(mem.golden[frame])
+            for bit in mem.flipped.get(frame, ()):
+                expected[bit // 8] ^= 1 << (bit % 8)
+            assert mem.frames[frame] == expected
+            assert mem.flipped.get(frame, True)  # no empty flip sets
 
 
 # -- ICAP arbitration -------------------------------------------------------
@@ -343,6 +391,46 @@ def test_tmr_two_bad_replicas_not_maskable():
     out, requests = node.run_pipeline()
     assert not np.array_equal(out, node.golden_output)
     assert set(requests) == {"fir_0", "fir_1", "fir_2"}
+
+
+def reference_pipeline(node):
+    """run_pipeline from scratch: every filter run, every mask drawn."""
+    mem, coeffs = node.mem, node.arch.fir_coeffs
+
+    def through(name, data):
+        if mem.healthy(name):
+            return data
+        return corrupt_samples(np.asarray(data, dtype=np.int64),
+                               fresh_tag(mem.flipped_essential[name]))
+
+    if not node.arch.tmr:
+        return through("fir_0", fir_filter(node.window_input, coeffs)), []
+    voted_in = through("voter_in", node.window_input)
+    outs = [through(f"fir_{i}", fir_filter(voted_in, coeffs))
+            for i in range(3)]
+    voted, status = tmr_vote(*outs)
+    requests = [f"fir_{i}" for i in range(3)
+                if not np.array_equal(outs[i], voted)]
+    if np.any(status == VOTE_UNCORRECTABLE):
+        requests = ["fir_0", "fir_1", "fir_2"]
+    return through("voter_out", voted), requests
+
+
+DATAPATH = ["voter_in", "fir_0", "fir_1", "fir_2", "voter_out"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["No-FT", "TMR"]),
+       st.lists(st.tuples(st.sampled_from(DATAPATH), st.integers(0, 3)),
+                max_size=20))
+def test_memoized_pipeline_matches_reference(arch, flips):
+    node = FpgaNode(SimEngine(), make_architecture(arch))
+    for comp, k in flips:
+        if comp in node.mem.essential:
+            node.mem.flip_bit(*sorted(node.mem.essential[comp])[k])
+        out, requests = node.run_pipeline()
+        ref_out, ref_requests = reference_pipeline(node)
+        assert np.array_equal(out, ref_out) and requests == ref_requests
 
 
 # -- watchdog ---------------------------------------------------------------

@@ -7,7 +7,8 @@ from cotsim.config import CampaignConfig, ComponentSpec, make_architecture
 from cotsim.engine import SeededRng, SimEngine
 from cotsim.fpga import FRAME_BITS, ConfigMemory
 from cotsim.frame_link import Link, PixelFrame, decode_frame, encode_frame
-from cotsim.injector import (CampaignError, MutationLog, build_fpga_campaign,
+from cotsim.injector import (FPGA_KIND, CampaignError, InjectionEvent,
+                             MutationLog, build_fpga_campaign,
                              build_vpu_campaign, burst_offsets,
                              corrupt_link_bit, inject_config_bit)
 
@@ -118,3 +119,37 @@ def test_vpu_campaign_kinds_and_times():
                                   SeededRng(6))
     assert len(campaign.events) == 5
     assert {e.kind for e in campaign.events} <= {"vpu_instr", "vpu_ddr_input"}
+
+
+def scalar_campaign(cfg, mem, rng):
+    """The campaign as one scalar draw per event."""
+    pool = [addr for name in cfg.target_components
+            for addr in sorted(mem.essential[name])]
+    events = []
+    for i in range(cfg.n_events()):
+        if cfg.target_mode == "components":
+            address = pool[int(rng.integers(0, len(pool)))]
+        else:
+            g = int(rng.integers(0, mem.total_bits()))
+            address = (g // FRAME_BITS, g % FRAME_BITS)
+        events.append(InjectionEvent((i + 1) * cfg.period_us, FPGA_KIND,
+                                     address))
+    return events
+
+
+@pytest.mark.parametrize("frames,essential", [
+    (1, 1), (1, 2), (1, 255), (1, 256), (1, 257), (3, 1000), (40, 65_537)])
+@pytest.mark.parametrize("mode", ["components", "utilized_area"])
+def test_vectorised_draw_matches_scalar_draws(frames, essential, mode):
+    """One rng.integers(size=n) call must draw what n scalar calls draw."""
+    mem = ConfigMemory([
+        ComponentSpec("app", frames=frames, essential_bits=essential),
+        ComponentSpec("ctrl", frames=1, essential_bits=3),
+    ])
+    cfg = CampaignConfig(duration_us=300_000, period_us=1_000,
+                         target_mode=mode, target_components=["app"])
+    for seed in (0, 1, 7, 2**40 + 3):
+        campaign = build_fpga_campaign(cfg, mem, SeededRng(seed))
+        assert campaign.events == scalar_campaign(cfg, mem, SeededRng(seed))
+        assert all(type(f) is int and type(b) is int
+                   for f, b in (e.address for e in campaign.events))
