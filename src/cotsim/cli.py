@@ -45,8 +45,8 @@ def _campaign(args) -> CampaignConfig:
 
 def cmd_run(args) -> int:
     campaign = _campaign(args)
+    os.makedirs(args.out, exist_ok=True)  # fail before the run, not after
     report, log = run_fpga(args.arch, campaign, args.seed)
-    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w") as fh:
         fh.write(report.to_json())
     with open(os.path.join(args.out, "mutations.log"), "w") as fh:
@@ -65,6 +65,7 @@ def cmd_matrix(args) -> int:
     for arch in archs:
         make_architecture(arch)  # validate early
     seeds = _parse_seeds(args.seeds)
+    os.makedirs(args.out, exist_ok=True)  # fail before the run, not after
     result = run_matrix(archs, seeds, campaign)
     written = emit_matrix(result, args.out)
     if args.vpu:

@@ -71,7 +71,16 @@ class ArchConfig:
         if self.scrub_mode not in SCRUB_MODES:
             raise ValueError(f"unknown scrub_mode {self.scrub_mode!r}; "
                              f"choose from {', '.join(SCRUB_MODES)}")
-        _require_positive(self, "scan_period_us", "dpr_blind_period_us")
+        _require_positive(self, "scan_period_us", "dpr_blind_period_us",
+                          "window_samples")
+        if len(self.fir_coeffs) == 0:
+            raise ValueError("fir_coeffs must not be empty")
+        if self.frame_repair_latency_us < 0:
+            raise ValueError(f"frame_repair_latency_us must not be negative, "
+                             f"got {self.frame_repair_latency_us}")
+        if not 0 <= self.app_down_fraction <= 1:
+            raise ValueError(f"app_down_fraction must be in [0, 1], "
+                             f"got {self.app_down_fraction}")
         # the watchdog checks every wd_timeout_us // 2 microseconds
         if self.wd_timeout_us < 2:
             raise ValueError(f"wd_timeout_us must be at least 2, "

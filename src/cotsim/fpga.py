@@ -6,12 +6,18 @@ Fault semantics: a component is healthy iff none of its essential
 configuration bits is currently flipped.  An unhealthy component's output
 is the correct output XORed with a pseudo-random mask seeded by a
 deterministic tag of the flipped-bit set, so replays are exact and
-corruption is detectable by voting.
+corruption is detectable by voting.  The mask draws every sample from
+[1, 2**31), so it is nonzero in every sample: an unhealthy component never
+emits its correct output in any sample of a window (which has at least
+one), and a lone faulty TMR replica is outvoted in every sample.  Window
+verdicts rely on this to follow from component health alone wherever
+they can (see `FpgaNode._datapath`).
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -42,8 +48,12 @@ def _no_hook() -> None:
     pass
 
 
+_FRAME_RAMP = np.arange(FRAME_BYTES, dtype=np.int64) * 7
+
+
 def _golden_frame(index: int) -> bytes:
-    return bytes((index * 131 + i * 7) & 0xFF for i in range(FRAME_BYTES))
+    """Byte i of frame `index` is (index * 131 + i * 7) mod 256."""
+    return ((_FRAME_RAMP + index * 131) & 0xFF).astype(np.uint8).tobytes()
 
 
 class ConfigMemory:
@@ -54,8 +64,10 @@ class ConfigMemory:
     operate on real content.  `version` bumps whenever a flipped-essential
     set changes, and `changed[name]` is the version at the last change of
     component `name`'s set, which is what its memoized corruption tag
-    (and the node's corruption mask) is keyed on.  Every write ends by
-    calling `after_write`, so the scrubber can replan.
+    (and the node's corruption mask) is keyed on.  Each component's marks
+    are also kept sorted, next to their `repr` texts, so a tag never
+    sorts or formats the whole set.  Every write ends by calling
+    `after_write`, so the scrubber can replan.
     """
 
     def __init__(self, components: list[ComponentSpec]):
@@ -74,18 +86,20 @@ class ConfigMemory:
         self.essential: dict[str, frozenset] = {}
         self._essential_owner: dict[tuple[int, int], str] = {}
         for comp in components:
-            region_bits = comp.frames * FRAME_BITS
-            addrs = set()
-            for i in range(comp.essential_bits):
-                g = i * region_bits // comp.essential_bits
-                addr = (self.comp_frames[comp.name].start + g // FRAME_BITS,
-                        g % FRAME_BITS)
-                addrs.add(addr)
-                self._essential_owner[addr] = comp.name
-            self.essential[comp.name] = frozenset(addrs)
+            g = (np.arange(comp.essential_bits, dtype=np.int64)
+                 * (comp.frames * FRAME_BITS) // comp.essential_bits)
+            frames, bits = divmod(g, FRAME_BITS)
+            frames += self.comp_frames[comp.name].start
+            addrs = frozenset(zip(frames.tolist(), bits.tolist()))
+            self.essential[comp.name] = addrs
+            self._essential_owner.update(dict.fromkeys(addrs, comp.name))
         self.flipped: dict[int, set[int]] = {}
         self.flipped_essential: dict[str, set] = {
             c.name: set() for c in components}
+        # the same marks sorted, and the repr of each, for corruption_tag
+        self._sorted_marks: dict[str, list] = {c.name: [] for c in components}
+        self._mark_texts: dict[str, list[str]] = {
+            c.name: [] for c in components}
         self._parity: dict[int, list[int]] = {}  # lazy per-frame ECC store
         self.version = 0
         self.changed: dict[str, int] = {c.name: 0 for c in components}
@@ -140,13 +154,20 @@ class ConfigMemory:
                 del self.flipped[frame]
         else:
             bucket.add(bit)
-        comp = self._essential_owner.get((frame, bit))
+        addr = (frame, bit)
+        comp = self._essential_owner.get(addr)
         if comp is not None:
             marks = self.flipped_essential[comp]
-            if (frame, bit) in marks:
-                marks.discard((frame, bit))
+            ordered = self._sorted_marks[comp]
+            i = bisect_left(ordered, addr)
+            if addr in marks:
+                marks.discard(addr)
+                del ordered[i]
+                del self._mark_texts[comp][i]
             else:
-                marks.add((frame, bit))
+                marks.add(addr)
+                ordered.insert(i, addr)
+                self._mark_texts[comp].insert(i, repr(addr))
             self.version += 1
             self.changed[comp] = self.version
         return comp
@@ -182,12 +203,12 @@ class ConfigMemory:
 
     def corruption_tag(self, name: str) -> int:
         """Deterministic 63-bit tag of the component's flipped essential
-        bits, recomputed only after `changed[name]` moved."""
+        bits (blake2b of `repr(sorted(marks))`), recomputed only after
+        `changed[name]` moved."""
         memo = self._tags.get(name)
         if memo is None or memo[0] != self.changed[name]:
-            marks = sorted(self.flipped_essential[name])
-            digest = hashlib.blake2b(repr(marks).encode(),
-                                     digest_size=8).digest()
+            text = "[" + ", ".join(self._mark_texts[name]) + "]"
+            digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
             memo = self._tags[name] = (self.changed[name],
                                        int.from_bytes(digest, "big") >> 1)
         return memo[1]
@@ -723,6 +744,27 @@ class FpgaNode:
         final = self._through("voter_out", voted)
         return final, requests
 
+    def _datapath(self) -> tuple[bool, list[str]]:
+        """(output correct?, repair requests) of one `run_pipeline` pass.
+
+        Exact without running the pipeline where component health alone
+        decides: a mask is nonzero in every sample (see the module
+        docstring), so without TMR the output is correct iff fir_0 is
+        healthy, and with TMR, a healthy input voter and at most one
+        faulty replica, that replica is outvoted in every sample and
+        alone requested, and the output is correct iff the output voter
+        is healthy.  Every other state runs the pipeline.
+        """
+        healthy = self.mem.healthy
+        if not self.arch.tmr:
+            return healthy("fir_0"), []
+        if healthy("voter_in"):
+            faulty = [f"fir_{i}" for i in range(3) if not healthy(f"fir_{i}")]
+            if len(faulty) <= 1:
+                return healthy("voter_out"), faulty
+        output, requests = self.run_pipeline()
+        return np.array_equal(output, self.golden_output), requests
+
     def evaluate_window(self, state_seed: int = 0) -> str:
         """Classify the node's current functionality: down/erroneous/correct.
 
@@ -735,8 +777,7 @@ class FpgaNode:
         if self.in_reset:
             return "down"
         if self._window is None or self._window[0] != self.mem.version:
-            output, requests = self.run_pipeline()
-            correct = np.array_equal(output, self.golden_output)
+            correct, requests = self._datapath()
             state = None if correct else str(sorted(
                 (name, self.mem.corruption_tag(name))
                 for name in self.mem.components

@@ -3,6 +3,7 @@
 import json
 import os
 
+from cotsim import cli
 from cotsim.cli import main
 from cotsim.config import CampaignConfig, save_campaign
 
@@ -80,7 +81,14 @@ def test_report_on_a_file_is_an_error_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_out_that_is_an_existing_file_is_an_error_line(tmp_path, capsys):
+def test_out_that_is_an_existing_file_is_an_error_line(tmp_path, capsys,
+                                                      monkeypatch):
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    # the output directory is checked before anything is simulated
+    monkeypatch.setattr(cli, "run_fpga", must_not_run)
+    monkeypatch.setattr(cli, "run_matrix", must_not_run)
     campaign = small_campaign(tmp_path)
     occupied = tmp_path / "occupied"
     occupied.write_text("x")

@@ -43,10 +43,34 @@ def test_valid_campaign_still_runs(tmp_path, capsys):
     # wd_timeout_us // 2 == 0 would reschedule wd_check at the same
     # microsecond forever, so this is only validated, never run
     ({"wd_timeout_us": 1}, "wd_timeout_us must be at least 2"),
+    # a window verdict needs at least one sample; the node build used to
+    # fail inside numpy ("a cannot be empty")
+    ({"window_samples": 0}, "window_samples must be positive"),
+    ({"window_samples": -3}, "window_samples must be positive"),
+    ({"fir_coeffs": ()}, "fir_coeffs must not be empty"),
+    # used to end mid-run in a SchedulingError traceback on CMS
+    ({"frame_repair_latency_us": -5}, "frame_repair_latency_us must not be"),
+    # 1.5 used to turn every wrong window into "down" without a word
+    ({"app_down_fraction": 1.5}, "app_down_fraction must be in"),
+    ({"app_down_fraction": -0.1}, "app_down_fraction must be in"),
+    ({"app_down_fraction": float("nan")}, "app_down_fraction must be in"),
 ])
 def test_bad_architecture_is_rejected_when_built(overrides, message):
     with pytest.raises(ValueError, match=message):
         make_architecture("CMS+DPR+TMR+WD", **overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"window_samples": 1},
+    {"fir_coeffs": (3,)},
+    {"frame_repair_latency_us": 0},
+    {"app_down_fraction": 0.0},
+    {"app_down_fraction": 1.0},
+])
+def test_boundary_architecture_values_are_accepted(overrides):
+    arch = make_architecture("CMS+DPR+TMR+WD", **overrides)
+    for key, value in overrides.items():
+        assert getattr(arch, key) == value
 
 
 def test_architecture_overrides_still_apply():

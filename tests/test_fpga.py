@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cotsim.config import FRAME_BYTES, ComponentSpec, make_architecture
+from cotsim.config import (ARCHITECTURES, FRAME_BYTES, ComponentSpec,
+                           make_architecture)
 from cotsim.engine import SimEngine
 from cotsim.fpga import (FRAME_BITS, ConfigMemory, FpgaNode, IcapArbiter,
                          IcapError, InvariantViolation, Scrubber,
@@ -152,6 +153,41 @@ def test_write_word_keeps_flip_tracking_exact():
     mem.write_word(0, 1, golden)
     assert not mem.frame_dirty(0)
     assert bytes(mem.frames[0]) == mem.golden[0]
+
+
+def old_essential(components):
+    """The per-bit loop that used to place the essential bits."""
+    essential, start = {}, 0
+    for comp in components:
+        region_bits = comp.frames * FRAME_BITS
+        essential[comp.name] = frozenset(
+            (start + g // FRAME_BITS, g % FRAME_BITS)
+            for g in (i * region_bits // comp.essential_bits
+                      for i in range(comp.essential_bits)))
+        start += comp.frames
+    return essential
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_golden_frames_and_essential_bits_match_the_old_generators(arch):
+    components = make_architecture(arch).components
+    mem = ConfigMemory(components)
+    assert mem.golden == [
+        bytes((index * 131 + i * 7) & 0xFF for i in range(FRAME_BYTES))
+        for index in range(mem.n_frames)]
+    assert all(isinstance(g, bytes) for g in mem.golden)
+    assert mem.frames == [bytearray(g) for g in mem.golden]
+    assert mem.essential == old_essential(components)
+    assert all(mem._essential_owner[addr] == name
+               for name, addrs in mem.essential.items() for addr in addrs)
+    assert len(mem._essential_owner) == sum(map(len, mem.essential.values()))
+
+
+def test_essential_bits_match_the_old_generator_on_odd_sizes():
+    components = [ComponentSpec("a", frames=3, essential_bits=7),
+                  ComponentSpec("b", frames=1, essential_bits=FRAME_BITS),
+                  ComponentSpec("c", frames=2, essential_bits=1)] + DENSE
+    assert ConfigMemory(components).essential == old_essential(components)
 
 
 def fresh_tag(marks) -> int:
@@ -431,6 +467,63 @@ def test_memoized_pipeline_matches_reference(arch, flips):
         out, requests = node.run_pipeline()
         ref_out, ref_requests = reference_pipeline(node)
         assert np.array_equal(out, ref_out) and requests == ref_requests
+
+
+def flip_first(node, *names):
+    for name in names:
+        node.mem.flip_bit(*sorted(node.mem.essential[name])[0])
+
+
+def pipeline_verdict(node):
+    output, requests = node.run_pipeline()
+    return np.array_equal(output, node.golden_output), requests
+
+
+ALL_FIRS = ["fir_0", "fir_1", "fir_2"]
+
+
+@pytest.mark.parametrize("arch, faulty, verdict, decided_by_health", [
+    ("No-FT", [], (True, []), True),
+    ("No-FT", ["fir_0"], (False, []), True),
+    ("TMR", [], (True, []), True),
+    ("TMR", ["fir_1"], (True, ["fir_1"]), True),
+    ("TMR", ["fir_2", "voter_out"], (False, ["fir_2"]), True),
+    ("TMR", ["voter_out"], (False, []), True),
+    ("TMR", ["fir_0", "fir_2"], (False, ALL_FIRS), False),
+    ("TMR", ALL_FIRS, (False, ALL_FIRS), False),
+    ("TMR", ["voter_in"], (False, []), False),
+    ("TMR", ["voter_in", "fir_1"], (False, ["fir_1"]), False),
+])
+def test_datapath_verdict_per_branch(arch, faulty, verdict, decided_by_health):
+    node = FpgaNode(SimEngine(), make_architecture(arch))
+    flip_first(node, *faulty)
+    assert pipeline_verdict(node) == verdict
+    runs = []
+    run_pipeline = node.run_pipeline
+    node.run_pipeline = lambda: runs.append(1) or run_pipeline()
+    assert node._datapath() == verdict
+    assert runs == ([] if decided_by_health else [1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["No-FT", "TMR"]),
+       st.lists(st.one_of(
+           st.tuples(st.just("flip"), st.sampled_from(DATAPATH),
+                     st.integers(0, 2)),
+           st.tuples(st.just("restore"), st.sampled_from(DATAPATH)),
+           st.tuples(st.just("restore_all"))), max_size=25))
+def test_datapath_matches_the_pipeline(arch, ops):
+    node = FpgaNode(SimEngine(), make_architecture(arch))
+    mem = node.mem
+    for op, *args in ops:
+        if op == "restore_all":
+            mem.restore_all()
+        elif args[0] in mem.essential:
+            if op == "flip":
+                mem.flip_bit(*sorted(mem.essential[args[0]])[args[1]])
+            else:
+                mem.restore_component(args[0])
+        assert node._datapath() == pipeline_verdict(node)
 
 
 # -- watchdog ---------------------------------------------------------------
