@@ -83,11 +83,24 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_report(args) -> int:
-    reports = []
+    reports, rows = [], []
     for name in sorted(os.listdir(args.inp)):
         if name.startswith("run_") and name.endswith(".json"):
-            with open(os.path.join(args.inp, name)) as fh:
-                reports.append(json.load(fh))
+            path = os.path.join(args.inp, name)
+            try:
+                with open(path) as fh:
+                    rep = json.load(fh)
+                if not isinstance(rep, dict):
+                    raise TypeError("not a JSON object")
+                rows.append([rep["architecture"], rep["seed"],
+                             f"{rep['down_pct']:.3f}",
+                             f"{rep['erroneous_pct']:.3f}",
+                             f"{rep['correct_pct']:.3f}", rep["lam_per_s"]])
+            except KeyError as exc:
+                raise ValueError(f"{path}: missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+            reports.append(rep)
     if not reports:
         print("no run reports found", file=sys.stderr)
         return EXIT_CONFIG
@@ -98,12 +111,7 @@ def cmd_report(args) -> int:
         writer = csv.writer(sys.stdout)
         writer.writerow(["architecture", "seed", "down_pct", "erroneous_pct",
                          "correct_pct", "lambda_per_s"])
-        for rep in reports:
-            writer.writerow([rep["architecture"], rep["seed"],
-                             f"{rep['down_pct']:.3f}",
-                             f"{rep['erroneous_pct']:.3f}",
-                             f"{rep['correct_pct']:.3f}",
-                             rep["lam_per_s"]])
+        writer.writerows(rows)
     return EXIT_OK
 
 

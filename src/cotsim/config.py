@@ -86,14 +86,6 @@ class ArchConfig:
             raise ValueError(f"wd_timeout_us must be at least 2, "
                              f"got {self.wd_timeout_us}")
 
-    def fir_components(self) -> list[str]:
-        if self.tmr:
-            return ["fir_0", "fir_1", "fir_2"]
-        return ["fir_0"]
-
-    def total_frames(self) -> int:
-        return sum(c.frames for c in self.components)
-
 
 def _default_components(tmr: bool, cms: bool, dpr: bool, wd: bool,
                         ) -> list[ComponentSpec]:
@@ -142,7 +134,6 @@ def make_architecture(name: str, **overrides) -> ArchConfig:
 class CampaignConfig:
     """Schedule of fault events for one run."""
 
-    seed: int = 0
     duration_us: int = 4_000_000
     period_us: int = 4_000
     # "utilized_area": uniform over every configuration bit owned by the
@@ -153,6 +144,11 @@ class CampaignConfig:
     window_us: int = 4_000  # evaluation window for the functionality timeline
 
     def __post_init__(self):
+        for key in ("duration_us", "period_us", "window_us"):
+            # the clock counts whole microseconds
+            if type(getattr(self, key)) is not int:
+                raise ValueError(f"{key} must be a whole number of "
+                                 f"microseconds, got {getattr(self, key)!r}")
         _require_positive(self, "duration_us", "period_us", "window_us")
         if self.duration_us % self.window_us:
             raise ValueError(

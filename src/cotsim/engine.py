@@ -70,14 +70,8 @@ class SeededRng:
     def integers(self, low, high=None, size=None):
         return self.gen.integers(low, high, size=size)
 
-    def random(self, size=None):
-        return self.gen.random(size)
-
     def choice(self, seq, size=None, replace=True):
         return self.gen.choice(seq, size=size, replace=replace)
-
-    def shuffle(self, seq):
-        self.gen.shuffle(seq)
 
 
 def derive_stream_seed(root_seed: int, label: str) -> int:
@@ -97,7 +91,7 @@ class SimEngine:
     not counted.
     """
 
-    def __init__(self, seed: int = 0, log_events: bool = False):
+    def __init__(self, seed: int = 0):
         self.seed = seed
         self.now = 0
         self.processed = 0
@@ -107,7 +101,6 @@ class SimEngine:
         self._watchers: list = []
         self._cancelled: set[int] = set()
         self._handlers: dict[str, Callable[[Event], None]] = {}
-        self.event_log: Optional[list[str]] = [] if log_events else None
 
     # -- randomness ---------------------------------------------------------
 
@@ -180,10 +173,6 @@ class SimEngine:
     def cancel(self, event_id: int) -> None:
         self._cancelled.add(event_id)
 
-    def pending(self) -> int:
-        return sum(1 for *_key, s, _e in self._heap
-                   if s not in self._cancelled)
-
     # -- execution ----------------------------------------------------------
 
     def run_until(self, t_end: int) -> int:
@@ -193,7 +182,7 @@ class SimEngine:
                 f"run_until({t_end}) is in the past (clock is {self.now})")
         count = 0
         heap, watchers, cancelled = self._heap, self._watchers, self._cancelled
-        handlers, event_log = self._handlers, self.event_log
+        handlers = self._handlers
         heappop = heapq.heappop
         end = (t_end, math.inf, math.inf)
         while True:
@@ -212,8 +201,6 @@ class SimEngine:
                     continue
                 assert fire_at >= self.now, "clock would move backwards"
                 self.now = fire_at
-                if event_log is not None:
-                    event_log.append(f"{ev.fire_at} {ev.target} {ev.kind}")
                 handler = handlers.get(ev.target)
                 if handler is not None:
                     handler(ev)

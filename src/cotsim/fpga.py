@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cotsim.config import ArchConfig, ComponentSpec, FRAME_BYTES, DPR_BYTES_PER_US
-from cotsim.crc import crc16_ccitt
+# unused here, but the benchmark's tracer looks the name up in this module
+from cotsim.crc import crc16_ccitt  # noqa: F401
 from cotsim.ecc import secded_encode, secded_decode
 from cotsim.engine import SimEngine, Event
 
@@ -57,17 +58,18 @@ def _golden_frame(index: int) -> bytes:
 
 
 class ConfigMemory:
-    """Configuration frames plus a pristine golden copy and flip tracking.
+    """Configuration frames plus a pristine golden copy.
 
-    The flipped-bit sets are the source of truth for component health;
-    the byte arrays are kept consistent with them so that CRC/ECC checks
-    operate on real content.  `version` bumps whenever a flipped-essential
-    set changes, and `changed[name]` is the version at the last change of
-    component `name`'s set, which is what its memoized corruption tag
-    (and the node's corruption mask) is keyed on.  Each component's marks
-    are also kept sorted, next to their `repr` texts, so a tag never
-    sorts or formats the whole set.  Every write ends by calling
-    `after_write`, so the scrubber can replan.
+    The frame bytes are the one source of truth.  Every write ends in
+    `_update`, which keeps two derived views in step with them: `dirty`,
+    the frames whose bytes differ from golden, and `flipped_essential`,
+    each component's flipped essential bits as a sorted list of
+    (frame, bit) marks, next to their `repr` texts so a tag never sorts
+    or formats the whole set.  `version` bumps whenever a component's
+    marks change, and `changed[name]` is the version at the last change
+    of component `name`'s marks, which is what its memoized corruption
+    tag (and the node's corruption mask) is keyed on.  `_update` ends by
+    calling `after_write`, so the scrubber can replan.
     """
 
     def __init__(self, components: list[ComponentSpec]):
@@ -82,22 +84,24 @@ class ConfigMemory:
         self.n_frames = start
         self.golden = [_golden_frame(i) for i in range(self.n_frames)]
         self.frames = [bytearray(g) for g in self.golden]
-        # evenly spread essential bits across each component's region
+        # evenly spread essential bits across each component's region;
+        # essential_mask[f] has frame f's essential bits set, bit b being
+        # bit b % 8 of byte b // 8 as in flip_bit
         self.essential: dict[str, frozenset] = {}
-        self._essential_owner: dict[tuple[int, int], str] = {}
+        mask = np.zeros((self.n_frames, FRAME_BYTES), dtype=np.uint8)
         for comp in components:
             g = (np.arange(comp.essential_bits, dtype=np.int64)
                  * (comp.frames * FRAME_BITS) // comp.essential_bits)
             frames, bits = divmod(g, FRAME_BITS)
             frames += self.comp_frames[comp.name].start
-            addrs = frozenset(zip(frames.tolist(), bits.tolist()))
-            self.essential[comp.name] = addrs
-            self._essential_owner.update(dict.fromkeys(addrs, comp.name))
-        self.flipped: dict[int, set[int]] = {}
-        self.flipped_essential: dict[str, set] = {
-            c.name: set() for c in components}
-        # the same marks sorted, and the repr of each, for corruption_tag
-        self._sorted_marks: dict[str, list] = {c.name: [] for c in components}
+            self.essential[comp.name] = frozenset(
+                zip(frames.tolist(), bits.tolist()))
+            np.bitwise_or.at(mask, (frames, bits // 8),
+                             (1 << (bits % 8)).astype(np.uint8))
+        self.essential_mask = [row.tobytes() for row in mask]
+        self.dirty: set[int] = set()
+        self.flipped_essential: dict[str, list] = {
+            c.name: [] for c in components}
         self._mark_texts: dict[str, list[str]] = {
             c.name: [] for c in components}
         self._parity: dict[int, list[int]] = {}  # lazy per-frame ECC store
@@ -110,20 +114,19 @@ class ConfigMemory:
 
     def flip_bit(self, frame: int, bit: int) -> dict:
         """XOR one configuration bit; returns a mutation record."""
-        self.frames[frame][bit // 8] ^= 1 << (bit % 8)
-        comp = self._toggled(frame, bit)
-        self.after_write()
+        byte, value = bit // 8, 1 << (bit % 8)
+        self.frames[frame][byte] ^= value
+        toggled = self.essential_mask[frame][byte] & value
+        self._update(frame, byte * 8, toggled)
         return {"frame": frame, "bit": bit,
                 "component": self.frame_owner[frame],
-                "essential": comp is not None}
+                "essential": toggled != 0}
 
     def restore_frame(self, frame: int) -> None:
-        if frame not in self.flipped:
+        if frame not in self.dirty:
             return  # the bytes already equal the golden frame
         self.frames[frame][:] = self.golden[frame]
-        for bit in list(self.flipped[frame]):
-            self._toggled(frame, bit)
-        self.after_write()
+        self._update(frame)
 
     def restore_component(self, name: str) -> None:
         for f in self.comp_frames[name]:
@@ -134,43 +137,47 @@ class ConfigMemory:
             self.restore_frame(f)
 
     def write_word(self, frame: int, word: int, value: int) -> None:
-        """Write a 32-bit little-endian word, keeping flip tracking exact."""
+        """Write a 32-bit little-endian word."""
         base = word * WORD_BYTES
         diff = self.read_word(frame, word) ^ value
         self.frames[frame][base:base + WORD_BYTES] = value.to_bytes(4, "little")
-        # tracking is exact, so a bit's flip state toggles where it changed
-        while diff:
-            low = diff & -diff
-            diff ^= low
-            self._toggled(frame, base * 8 + low.bit_length() - 1)
-        self.after_write()
+        essential = int.from_bytes(
+            self.essential_mask[frame][base:base + WORD_BYTES], "little")
+        self._update(frame, base * 8, diff & essential)
 
-    def _toggled(self, frame: int, bit: int) -> str | None:
-        """Track a bit whose bytes just toggled; returns its essential owner."""
-        bucket = self.flipped.setdefault(frame, set())
-        if bit in bucket:
-            bucket.discard(bit)
-            if not bucket:
-                del self.flipped[frame]
+    def _update(self, frame: int, base: int = 0, toggled=None) -> None:
+        """Bring the derived views in step after a write to `frame` that
+        toggled essential bit base + k for each bit k set in `toggled`
+        (None: the frame was restored to golden, clearing its marks)."""
+        if self.frames[frame] == self.golden[frame]:
+            self.dirty.discard(frame)
         else:
-            bucket.add(bit)
-        addr = (frame, bit)
-        comp = self._essential_owner.get(addr)
-        if comp is not None:
+            self.dirty.add(frame)
+        if toggled != 0:  # a restore, or some essential bits toggled
+            comp = self.frame_owner[frame]
             marks = self.flipped_essential[comp]
-            ordered = self._sorted_marks[comp]
-            i = bisect_left(ordered, addr)
-            if addr in marks:
-                marks.discard(addr)
-                del ordered[i]
-                del self._mark_texts[comp][i]
+            texts = self._mark_texts[comp]
+            if toggled is None:
+                lo = bisect_left(marks, (frame, 0))
+                hi = bisect_left(marks, (frame + 1, 0))
+                del marks[lo:hi], texts[lo:hi]
+                changed = lo < hi
             else:
-                marks.add(addr)
-                ordered.insert(i, addr)
-                self._mark_texts[comp].insert(i, repr(addr))
-            self.version += 1
-            self.changed[comp] = self.version
-        return comp
+                changed = True
+                while toggled:
+                    low = toggled & -toggled
+                    toggled ^= low
+                    addr = (frame, base + low.bit_length() - 1)
+                    i = bisect_left(marks, addr)
+                    if i < len(marks) and marks[i] == addr:
+                        del marks[i], texts[i]
+                    else:
+                        marks.insert(i, addr)
+                        texts.insert(i, repr(addr))
+            if changed:
+                self.version += 1
+                self.changed[comp] = self.version
+        self.after_write()
 
     # -- queries ------------------------------------------------------------
 
@@ -192,11 +199,7 @@ class ConfigMemory:
         return self._parity[frame]
 
     def frame_dirty(self, frame: int) -> bool:
-        return frame in self.flipped
-
-    def frame_crc_ok(self, frame: int) -> bool:
-        return (crc16_ccitt(self.frames[frame])
-                == crc16_ccitt(self.golden[frame]))
+        return frame in self.dirty
 
     def healthy(self, name: str) -> bool:
         return not self.flipped_essential[name]
@@ -215,9 +218,6 @@ class ConfigMemory:
 
     def total_bits(self) -> int:
         return self.n_frames * FRAME_BITS
-
-    def total_bytes(self) -> int:
-        return self.n_frames * FRAME_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +325,8 @@ class Scrubber:
     """Cyclic frame scan with per-frame repair through the ICAP.
 
     replace mode reloads the golden frame; enhanced_repair corrects up to
-    one flipped bit per 32-bit word from the stored ECC and re-checks the
-    frame CRC, reporting (but not fixing) multi-bit words.
+    one flipped bit per 32-bit word from the stored ECC, then compares
+    the frame with golden, reporting (but not fixing) multi-bit words.
 
     The scan ticks every scan_period_us from the start of its chain (node
     start, and each reset_done), but only a tick that finds damage is an
@@ -346,8 +346,8 @@ class Scrubber:
     and that ends at the same time.
 
     After every configuration write, finished repair, step and chain
-    start, `replan` picks the first tick whose frame is dirty with a
-    signature not already known to be uncorrectable, and cancels the
+    start, `replan` picks the first tick whose frame is dirty with
+    contents not already known to be uncorrectable, and cancels the
     plan it replaces.  The planned tick becomes a cms_scan event once the
     tick before it is accounted and its key is known.
     """
@@ -359,7 +359,8 @@ class Scrubber:
         self.period = node.arch.scan_period_us
         self.pointer = 0
         self.repair_frame: int | None = None
-        self.known_uncorrectable: dict[int, frozenset] = {}
+        # frame -> its bytes when enhanced repair last left it dirty
+        self.known_uncorrectable: dict[int, bytes] = {}
         self.report = ScrubReport()
         self.start: int | None = None  # tick 0 of the chain; None in reset
         self.ticks_done = 0  # ticks of the chain accounted so far
@@ -420,10 +421,9 @@ class Scrubber:
         plan = None
         if (self.start is not None and self.repair_frame is None
                 and self.functional()):
-            n = self.mem.n_frames
-            ahead = min(((f - self.pointer) % n
-                         for f, bits in self.mem.flipped.items()
-                         if self.known_uncorrectable.get(f) != bits),
+            n, frames = self.mem.n_frames, self.mem.frames
+            ahead = min(((f - self.pointer) % n for f in self.mem.dirty
+                         if self.known_uncorrectable.get(f) != frames[f]),
                         default=None)
             if ahead is not None:
                 plan = self.ticks_done + 1 + ahead
@@ -453,10 +453,8 @@ class Scrubber:
     def _scan_frame(self) -> None:
         frame = self.pointer
         self.pointer = (self.pointer + 1) % self.mem.n_frames
-        if not self.mem.frame_dirty(frame):
-            return
-        signature = frozenset(self.mem.flipped[frame])
-        if self.known_uncorrectable.get(frame) == signature:
+        if not self.mem.frame_dirty(frame) or \
+                self.known_uncorrectable.get(frame) == self.mem.frames[frame]:
             return
         self.report.detections += 1
         self.repair_frame = frame
@@ -478,19 +476,23 @@ class Scrubber:
         self.replan()
 
     def _enhanced_repair(self, frame: int) -> None:
-        damaged_words = {bit // 32 for bit in self.mem.flipped.get(frame, ())}
+        # golden never changes, so the words that differ from it are
+        # exactly the words with flipped bits
+        damaged_words = np.flatnonzero(
+            np.frombuffer(self.mem.frames[frame], "<u4")
+            != np.frombuffer(self.mem.golden[frame], "<u4")).tolist()
         parity = self.mem.parity_store(frame)
-        for w in sorted(damaged_words):
+        for w in damaged_words:
             value, status = secded_decode(self.mem.read_word(frame, w),
                                           parity[w])
             if status == "corrected":
                 self.mem.write_word(frame, w, value)
                 self.report.corrected_bits += 1
         if self.mem.frame_dirty(frame):
-            # CRC re-check fails: some word had more than one flipped bit
+            # still differs from golden: some word had more than one
+            # flipped bit
             self.report.uncorrectable += 1
-            self.known_uncorrectable[frame] = frozenset(
-                self.mem.flipped[frame])
+            self.known_uncorrectable[frame] = bytes(self.mem.frames[frame])
         else:
             self.report.repairs += 1
             self.known_uncorrectable.pop(frame, None)
@@ -680,7 +682,7 @@ class FpgaNode:
     # -- reset --------------------------------------------------------------
 
     def reset_duration_us(self) -> int:
-        return reload_duration_us(self.mem.total_bytes())
+        return reload_duration_us(self.mem.n_frames * FRAME_BYTES)
 
     def full_reset(self, reason: str) -> None:
         """Reboot from stored configuration: node is down for the reload."""

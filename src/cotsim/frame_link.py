@@ -1,4 +1,4 @@
-"""Fault-tolerant pixel-frame link: CRC-16 footer codec and FIFO link model.
+"""Fault-tolerant pixel-frame link: the CRC-16 footer codec.
 
 A wire frame is the active image rows plus one footer row whose first
 pixel(s) carry the CRC-16 of the serialized active area; the remaining
@@ -8,12 +8,11 @@ with per-pixel big-endian bytes (1, 2 or 3 bytes for depths 8/16/24).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from cotsim.crc import crc16_ccitt
-from cotsim.engine import SimEngine
 
 SUPPORTED_DEPTHS = (8, 16, 24)
 
@@ -56,11 +55,8 @@ class FrameWire:
     depth: int
     rows: np.ndarray  # shape (height + 1, width), dtype uint32
 
-    def total_pixels(self) -> int:
-        return (self.height + 1) * self.width
-
     def total_bits(self) -> int:
-        return self.total_pixels() * self.depth
+        return (self.height + 1) * self.width * self.depth
 
 
 @dataclass
@@ -168,52 +164,3 @@ def dump_wire(wire: FrameWire) -> str:
     for row in wire.rows:
         lines.append(" ".join(f"{int(p):0{digits}x}" for p in row))
     return "\n".join(lines) + "\n"
-
-
-@dataclass
-class InFlightFrame:
-    wire: FrameWire
-    deliver_at: int
-
-
-class Link:
-    """Ordered lossless pixel link (CIF or LCD direction) on the sim engine.
-
-    Delivery latency is total wire pixels divided by the pixel clock, one
-    pixel per clock; back-to-back frames queue FIFO behind the link's
-    busy time.  The fault injector may flip bits of frames in flight.
-    """
-
-    def __init__(self, engine: SimEngine, name: str, pixel_rate_hz: int,
-                 on_deliver=None):
-        self.engine = engine
-        self.name = name
-        self.pixel_rate_hz = pixel_rate_hz
-        self.on_deliver = on_deliver
-        self.in_flight: list[InFlightFrame] = []
-        self.delivered: list[FrameWire] = []
-        self._busy_until = 0
-        engine.register(f"link:{name}", self._handle)
-
-    def latency_us(self, wire: FrameWire) -> int:
-        # ceil to whole microseconds
-        return -(-wire.total_pixels() * 1_000_000 // self.pixel_rate_hz)
-
-    def transmit(self, wire: FrameWire) -> int:
-        """Schedule delivery after the link latency; returns delivery time."""
-        if wire.total_pixels() == 0:
-            raise FrameError("zero-size payload")
-        start = max(self.engine.now, self._busy_until)
-        deliver_at = start + self.latency_us(wire)
-        self._busy_until = deliver_at
-        self.in_flight.append(InFlightFrame(wire, deliver_at))
-        self.engine.schedule(deliver_at, f"link:{self.name}", "deliver")
-        return deliver_at
-
-    def _handle(self, event) -> None:
-        if event.kind != "deliver":
-            return
-        frame = self.in_flight.pop(0)
-        self.delivered.append(frame.wire)
-        if self.on_deliver is not None:
-            self.on_deliver(frame.wire)

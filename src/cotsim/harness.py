@@ -87,12 +87,19 @@ def fit_lambda(timeline: FunctionalityTimeline,
         raise FitError("no correct operation observed; rate undefined")
     lam = failures / (correct_us / 1e6)
     horizon = timeline.duration_us() / 1e6 or 1.0
-    times = [horizon * i / (curve_points - 1) for i in range(curve_points)]
-    return ReliabilityModel(lam, times, [math.exp(-lam * t) for t in times])
+    return ReliabilityModel(lam, *reliability_curve(lam, horizon,
+                                                    curve_points))
 
 
 def reliability(lam_per_s: float, t_s: float) -> float:
     return math.exp(-lam_per_s * t_s)
+
+
+def reliability_curve(lam_per_s: float, horizon_s: float,
+                      points: int = 101) -> tuple[list[float], list[float]]:
+    """R(t) = exp(-lambda t) at `points` evenly spaced t in [0, horizon]."""
+    times = [horizon_s * i / (points - 1) for i in range(points)]
+    return times, [reliability(lam_per_s, t) for t in times]
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +141,7 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
     golden_before = _golden_digest(node)
 
     rng = engine.fork_rng("fpga-inj")
-    schedule = build_fpga_campaign(campaign, node.mem, rng)
+    injections = build_fpga_campaign(campaign, node.mem, rng)
 
     def on_inject(ev):
         inj = ev.params[0]
@@ -142,7 +149,7 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
 
     engine.register("injector", on_inject)
     engine.schedule_many("injector", "inject",
-                         [(inj.time_us, (inj,)) for inj in schedule.events])
+                         [(inj.time_us, (inj,)) for inj in injections])
 
     classes: list[str] = []
 
@@ -376,10 +383,8 @@ def emit_matrix(result: MatrixResult, out_dir: str) -> list[str]:
             if row.lam_per_s is None:
                 continue
             horizon = result.reports[0].duration_us / 1e6
-            for i in range(101):
-                t = horizon * i / 100
-                writer.writerow([row.architecture, f"{t:.4f}",
-                                 f"{reliability(row.lam_per_s, t):.9f}"])
+            for t, r in zip(*reliability_curve(row.lam_per_s, horizon)):
+                writer.writerow([row.architecture, f"{t:.4f}", f"{r:.9f}"])
     written.append(path)
 
     for rep in result.reports:

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from cotsim import cli
 from cotsim.cli import main
 from cotsim.config import CampaignConfig, save_campaign
@@ -110,3 +112,35 @@ def test_empty_seed_selection_is_rejected(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--seeds" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_campaign_with_a_seed_is_a_config_error(tmp_path, capsys):
+    # the run seed comes from --seed; a campaign seed used to be ignored
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"seed": 5, "duration_us": 100_000}))
+    assert main(["run", "--arch", "CMS", "--campaign", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[1, 2]", "not a JSON object"),
+    ('"text"', "not a JSON object"),
+    ('{"architecture": "CMS", "seed": 0}', "missing field 'down_pct'"),
+    ('{"architecture": "CMS", "seed": 0, "down_pct": "x", '
+     '"erroneous_pct": 0, "correct_pct": 0, "lam_per_s": null}',
+     "Unknown format code"),
+    ("{not json", "Expecting property name"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_on_a_bad_run_file_is_an_error_line(tmp_path, capsys,
+                                                   content, message, fmt):
+    (tmp_path / "run_bad_s0.json").write_text(content)
+    assert main(["report", "--in", str(tmp_path), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    path = str(tmp_path / "run_bad_s0.json")
+    assert captured.err.startswith(f"error: {path}: ")
+    assert message in captured.err
+    assert captured.out == ""

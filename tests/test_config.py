@@ -29,6 +29,22 @@ def test_bad_campaign_is_a_config_error(tmp_path, capsys, fields, message):
     assert err.startswith("error:") and message in err
 
 
+# the clock counts whole microseconds; 2000.5 used to end in a numpy
+# TypeError traceback from build_fpga_campaign
+@pytest.mark.parametrize("fields", [
+    {"period_us": 2000.5},
+    {"period_us": 4000.0},
+    {"duration_us": 4e6},
+    {"window_us": "4000"},
+    {"window_us": True},
+])
+def test_non_integer_times_are_a_config_error(tmp_path, capsys, fields):
+    code, err = run_with_campaign(tmp_path, capsys, **fields)
+    key = next(iter(fields))
+    assert code == 1
+    assert err.startswith(f"error: {key} must be a whole number")
+
+
 def test_valid_campaign_still_runs(tmp_path, capsys):
     code, err = run_with_campaign(tmp_path, capsys, duration_us=12_000,
                                   window_us=3_000, period_us=1_000)

@@ -105,12 +105,12 @@ def test_flip_tracking_and_health():
     assert info["essential"] and info["component"] == "app"
     assert not mem.healthy("app")
     assert mem.frame_dirty(frame)
-    assert not mem.frame_crc_ok(frame)
+    assert mem.frames[frame] != mem.golden[frame]
     # flipping the same bit back heals the component
     mem.flip_bit(frame, bit)
     assert mem.healthy("app")
     assert not mem.frame_dirty(frame)
-    assert mem.frame_crc_ok(frame)
+    assert mem.frames[frame] == mem.golden[frame]
 
 
 def test_non_essential_flip_dirties_without_breaking():
@@ -178,9 +178,12 @@ def test_golden_frames_and_essential_bits_match_the_old_generators(arch):
     assert all(isinstance(g, bytes) for g in mem.golden)
     assert mem.frames == [bytearray(g) for g in mem.golden]
     assert mem.essential == old_essential(components)
-    assert all(mem._essential_owner[addr] == name
-               for name, addrs in mem.essential.items() for addr in addrs)
-    assert len(mem._essential_owner) == sum(map(len, mem.essential.values()))
+    assert all(len(row) == FRAME_BYTES for row in mem.essential_mask)
+    assert len(mem.essential_mask) == mem.n_frames
+    assert set(set_bits(mem.essential_mask, mem.n_frames)) == \
+        set().union(*mem.essential.values())
+    assert all(mem.frame_owner[frame] == name
+               for name, addrs in mem.essential.items() for frame, _ in addrs)
 
 
 def test_essential_bits_match_the_old_generator_on_odd_sizes():
@@ -190,6 +193,14 @@ def test_essential_bits_match_the_old_generator_on_odd_sizes():
     assert ConfigMemory(components).essential == old_essential(components)
 
 
+def set_bits(rows, n_frames) -> list[tuple[int, int]]:
+    """Every (frame, bit) set in per-frame byte strings, in sorted order;
+    bit b of a frame is bit b % 8 of its byte b // 8."""
+    bits = np.unpackbits(np.frombuffer(b"".join(rows), np.uint8),
+                         bitorder="little").reshape(n_frames, FRAME_BITS)
+    return [(int(f), int(b)) for f, b in zip(*np.nonzero(bits))]
+
+
 def fresh_tag(marks) -> int:
     """corruption_tag computed from scratch, without the memo."""
     digest = hashlib.blake2b(repr(sorted(marks)).encode(),
@@ -197,10 +208,11 @@ def fresh_tag(marks) -> int:
     return int.from_bytes(digest, "big") >> 1
 
 
-# every 8th bit is essential; writes and flips stay in words 0-1 so that
-# they collide, toggle back and restore each other's bits
-DENSE = [ComponentSpec("app", frames=2, essential_bits=2 * FRAME_BYTES),
-         ComponentSpec("ctrl", frames=1, essential_bits=FRAME_BYTES)]
+# about every 5th bit is essential, at every position within a byte;
+# writes and flips stay in words 0-1 so that they collide, toggle back
+# and restore each other's bits
+DENSE = [ComponentSpec("app", frames=2, essential_bits=1200),
+         ComponentSpec("ctrl", frames=1, essential_bits=600)]
 MEMORY_OPS = st.lists(st.one_of(
     st.tuples(st.just("flip_bit"), st.integers(0, 2), st.integers(0, 63)),
     st.tuples(st.just("write"), st.integers(0, 2), st.integers(0, 1),
@@ -214,26 +226,30 @@ MEMORY_OPS = st.lists(st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(MEMORY_OPS)
 def test_config_memory_tracking_and_tag_memo(ops):
+    """After every op, the derived views equal views recomputed from the
+    frame bytes and golden alone."""
     mem = ConfigMemory(DENSE)
     for op, *args in ops:
         if op == "write":
             frame, word, mask, from_golden = args
             base = mem.golden_word if from_golden else mem.read_word
             mem.write_word(frame, word, base(frame, word) ^ mask)
+        elif op == "flip_bit":
+            frame, bit = args
+            info = mem.flip_bit(frame, bit)
+            assert info["essential"] == any(
+                (frame, bit) in addrs for addrs in mem.essential.values())
         else:
             getattr(mem, op)(*args)
+        flipped = set_bits([bytes(a ^ b for a, b in zip(f, g))
+                            for f, g in zip(mem.frames, mem.golden)],
+                           mem.n_frames)
+        assert mem.dirty == {f for f, _ in flipped}
         for name in mem.components:
-            marks = mem.flipped_essential[name]
-            assert marks == {(f, b) for f, b in mem.essential[name]
-                             if b in mem.flipped.get(f, ())}
+            marks = [addr for addr in flipped if addr in mem.essential[name]]
+            assert mem.flipped_essential[name] == marks  # sorted
             assert mem.corruption_tag(name) == fresh_tag(marks)
             assert mem.healthy(name) == (not marks)
-        for frame in range(mem.n_frames):
-            expected = bytearray(mem.golden[frame])
-            for bit in mem.flipped.get(frame, ()):
-                expected[bit // 8] ^= 1 << (bit % 8)
-            assert mem.frames[frame] == expected
-            assert mem.flipped.get(frame, True)  # no empty flip sets
 
 
 # -- ICAP arbitration -------------------------------------------------------

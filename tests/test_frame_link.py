@@ -1,13 +1,12 @@
-"""Frame codec and link model tests: round trips, bit flips, bursts,
-serialization format and transport timing."""
+"""Frame codec tests: round trips, bit flips, bursts and serialization
+format."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cotsim.crc import crc16_ccitt
-from cotsim.engine import SimEngine
-from cotsim.frame_link import (FrameError, Link, PixelFrame, decode_frame,
+from cotsim.frame_link import (FrameError, PixelFrame, decode_frame,
                                dump_wire, encode_frame, flip_wire_bit,
                                serialize_pixels, serialize_wire)
 
@@ -150,44 +149,3 @@ def test_double_flip_of_same_bit_restores_frame():
     flip_wire_bit(wire, 37)
     assert decode_frame(wire).crc_ok
     assert serialize_wire(wire) == serialize_wire(encode_frame(frame))
-
-
-# -- link timing ------------------------------------------------------------
-
-
-def test_link_latency_one_pixel_per_clock():
-    eng = SimEngine()
-    link = Link(eng, "cif", pixel_rate_hz=50_000_000)
-    frame = PixelFrame(1024, 1024, 8, np.zeros((1024, 1024)))
-    wire = encode_frame(frame)
-    # 1025 rows x 1024 pixels at 50 MHz
-    assert link.latency_us(wire) == 20_992
-    deliver_at = link.transmit(wire)
-    assert deliver_at == 20_992
-    eng.run_until(deliver_at)
-    assert len(link.delivered) == 1
-
-
-def test_back_to_back_frames_queue_fifo():
-    eng = SimEngine()
-    order = []
-    link = Link(eng, "lcd", pixel_rate_hz=1_000_000,
-                on_deliver=lambda w: order.append(w.height))
-    first = encode_frame(PixelFrame(10, 1, 16, np.zeros((1, 10))))
-    second = encode_frame(PixelFrame(10, 2, 16, np.zeros((2, 10))))
-    t1 = link.transmit(first)   # 20 pixels -> 20 us
-    t2 = link.transmit(second)  # queued behind: 20 + 30
-    assert (t1, t2) == (20, 50)
-    eng.run_until(100)
-    assert order == [1, 2]
-    assert not link.in_flight
-
-
-def test_zero_size_payload_rejected():
-    eng = SimEngine()
-    link = Link(eng, "cif", pixel_rate_hz=1_000_000)
-    wire = encode_frame(PixelFrame(2, 1, 16, np.zeros((1, 2))))
-    wire.rows = wire.rows[:0]
-    wire.height = -1
-    with pytest.raises(FrameError):
-        link.transmit(wire)
