@@ -34,6 +34,8 @@ def _parse_seeds(spec: str) -> list[int]:
         seeds = [int(s) for s in spec.split(",") if s]
     if not seeds:
         raise ValueError(f"--seeds {spec!r} selects no seed")
+    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ValueError(f"--seeds {spec!r}: seeds must be distinct and >= 0")
     return seeds
 
 

@@ -11,7 +11,7 @@ it.  Both are exposed here rather than hardcoded in the models.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 FRAME_BYTES = 404
 DPR_BYTES_PER_US = 67  # 67 MB/s reload throughput
@@ -166,9 +166,3 @@ def load_campaign(path: str) -> CampaignConfig:
         return CampaignConfig(**raw)
     except TypeError as exc:
         raise ValueError(f"bad campaign spec {path}: {exc}") from exc
-
-
-def save_campaign(cfg: CampaignConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")

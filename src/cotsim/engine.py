@@ -19,13 +19,13 @@ ticks at the point in the event order where they would have run.  An
 order slot taken there with `reserve_slot` sorts exactly like the seq of
 an event that tick would have scheduled.  See `cotsim.fpga.Scrubber`.
 
-A run that knows many events up front (a campaign's injections, the
-measurement windows) enqueues them with one `schedule_many` call.  It
-gives the events consecutive seqs in list order, so each gets exactly the
-key (fire time, now, seq, seq) that one `schedule` call per event, in the
-same order, would give it, and they fire in the same order among
-themselves and among all other events; only the heap is built once, by
-`heapify`, instead of by one push per event.
+Inputs known before a run starts (a campaign's injections, the
+measurement windows) are not events.  The caller applies them in time
+order, each after `run_until(t, scheduled_before=1)`, which handles every
+event keyed before (t, 1).  So an input at t sorts exactly like an event
+scheduled at time 0 after all the events then scheduled: after those
+that fire at t and were scheduled at time 0, before every event
+scheduled later.
 """
 
 from __future__ import annotations
@@ -49,29 +49,6 @@ class Event(NamedTuple):
     target: str
     kind: str
     params: tuple = ()
-    seq: int = -1
-
-
-class SeededRng:
-    """A seeded PCG64 random stream.
-
-    The stream depends on `seed` alone: `label` is stored but does not
-    enter the stream, so two instances with the same seed and different
-    labels draw the same values.  For independent streams
-    per purpose, derive the seed from a label with `SimEngine.fork_rng`
-    (or `derive_stream_seed`).
-    """
-
-    def __init__(self, seed: int, label: str = ""):
-        self.seed = seed
-        self.label = label
-        self.gen = np.random.Generator(np.random.PCG64(seed))
-
-    def integers(self, low, high=None, size=None):
-        return self.gen.integers(low, high, size=size)
-
-    def choice(self, seq, size=None, replace=True):
-        return self.gen.choice(seq, size=size, replace=replace)
 
 
 def derive_stream_seed(root_seed: int, label: str) -> int:
@@ -104,9 +81,9 @@ class SimEngine:
 
     # -- randomness ---------------------------------------------------------
 
-    def fork_rng(self, label: str) -> SeededRng:
+    def fork_rng(self, label: str) -> np.random.Generator:
         """Child stream deterministically derived from (root seed, label)."""
-        return SeededRng(derive_stream_seed(self.seed, label), label)
+        return np.random.default_rng(derive_stream_seed(self.seed, label))
 
     # -- scheduling ---------------------------------------------------------
 
@@ -126,31 +103,9 @@ class SimEngine:
         seq = self._seq
         self._seq += 1
         scheduled_at, slot = (self.now, seq) if order is None else order
-        ev = Event(fire_at, target, kind, params, seq)
+        ev = Event(fire_at, target, kind, params)
         heapq.heappush(self._heap, (fire_at, scheduled_at, slot, seq, ev))
         return seq
-
-    def schedule_many(self, target: str, kind: str,
-                      timed_params: list[tuple[int, tuple]]) -> range:
-        """Enqueue one event per (fire_at, params), in list order.
-
-        The events get the keys, and the ids (returned as a range), that
-        one `schedule` call each would give them; the heap is rebuilt
-        once instead of pushed into per event.
-        """
-        now = self.now
-        first = self._seq
-        entries = []
-        for seq, (fire_at, params) in enumerate(timed_params, first):
-            if fire_at < now:
-                raise SchedulingError(
-                    f"cannot schedule at t={fire_at} us (clock is {now} us)")
-            entries.append((fire_at, now, seq, seq,
-                            Event(fire_at, target, kind, params, seq)))
-        self._seq = first + len(entries)
-        self._heap.extend(entries)
-        heapq.heapify(self._heap)
-        return range(first, self._seq)
 
     def schedule_in(self, delay: int, target: str, kind: str,
                     params: tuple = ()) -> int:
@@ -164,8 +119,8 @@ class SimEngine:
 
     def add_watcher(self, watcher) -> None:
         """Call `watcher.advance(bound)` whenever the next event's key
-        `bound` (or (t_end, inf, inf) at the end of `run_until`) sorts
-        after `watcher.watch_key`; None means nothing to watch.  advance
+        `bound` (or, at the end of `run_until`, its bound) sorts after
+        `watcher.watch_key`; None means nothing to watch.  advance
         may schedule events, and must leave watch_key at or above the
         key of the next event it wants to see handled."""
         self._watchers.append(watcher)
@@ -175,8 +130,9 @@ class SimEngine:
 
     # -- execution ----------------------------------------------------------
 
-    def run_until(self, t_end: int) -> int:
-        """Process all events with fire_at <= t_end; clock ends at t_end."""
+    def run_until(self, t_end: int, scheduled_before: float = math.inf) -> int:
+        """Process every event keyed before (t_end, scheduled_before), by
+        default every event with fire_at <= t_end; the clock ends at t_end."""
         if t_end < self.now:
             raise SchedulingError(
                 f"run_until({t_end}) is in the past (clock is {self.now})")
@@ -184,9 +140,9 @@ class SimEngine:
         heap, watchers, cancelled = self._heap, self._watchers, self._cancelled
         handlers = self._handlers
         heappop = heapq.heappop
-        end = (t_end, math.inf, math.inf)
+        end = (t_end, scheduled_before, -math.inf)
         while True:
-            bound = heap[0][:3] if heap and heap[0][0] <= t_end else end
+            bound = heap[0][:3] if heap and heap[0] < end else end
             for watcher in watchers:
                 key = watcher.watch_key
                 if key is not None and key < bound:

@@ -69,7 +69,9 @@ class ConfigMemory:
     marks change, and `changed[name]` is the version at the last change
     of component `name`'s marks, which is what its memoized corruption
     tag (and the node's corruption mask) is keyed on.  `_update` ends by
-    calling `after_write`, so the scrubber can replan.
+    calling `after_write`, so the scrubber can replan.  The essential
+    bits themselves are kept once, as the per-frame byte masks
+    `essential_mask`; `essential_bits` decodes a component's addresses.
     """
 
     def __init__(self, components: list[ComponentSpec]):
@@ -87,15 +89,12 @@ class ConfigMemory:
         # evenly spread essential bits across each component's region;
         # essential_mask[f] has frame f's essential bits set, bit b being
         # bit b % 8 of byte b // 8 as in flip_bit
-        self.essential: dict[str, frozenset] = {}
         mask = np.zeros((self.n_frames, FRAME_BYTES), dtype=np.uint8)
         for comp in components:
             g = (np.arange(comp.essential_bits, dtype=np.int64)
                  * (comp.frames * FRAME_BITS) // comp.essential_bits)
             frames, bits = divmod(g, FRAME_BITS)
             frames += self.comp_frames[comp.name].start
-            self.essential[comp.name] = frozenset(
-                zip(frames.tolist(), bits.tolist()))
             np.bitwise_or.at(mask, (frames, bits // 8),
                              (1 << (bits % 8)).astype(np.uint8))
         self.essential_mask = [row.tobytes() for row in mask]
@@ -112,15 +111,13 @@ class ConfigMemory:
 
     # -- mutation -----------------------------------------------------------
 
-    def flip_bit(self, frame: int, bit: int) -> dict:
-        """XOR one configuration bit; returns a mutation record."""
+    def flip_bit(self, frame: int, bit: int) -> bool:
+        """XOR one configuration bit; returns whether it is essential."""
         byte, value = bit // 8, 1 << (bit % 8)
         self.frames[frame][byte] ^= value
         toggled = self.essential_mask[frame][byte] & value
         self._update(frame, byte * 8, toggled)
-        return {"frame": frame, "bit": bit,
-                "component": self.frame_owner[frame],
-                "essential": toggled != 0}
+        return toggled != 0
 
     def restore_frame(self, frame: int) -> None:
         if frame not in self.dirty:
@@ -197,6 +194,16 @@ class ConfigMemory:
                 secded_encode(self.golden_word(frame, w))
                 for w in range(FRAME_BYTES // WORD_BYTES)]
         return self._parity[frame]
+
+    def essential_bits(self, name: str) -> list[tuple[int, int]]:
+        """Component `name`'s essential (frame, bit) addresses, sorted,
+        decoded from `essential_mask`."""
+        frames = self.comp_frames[name]
+        bits = np.unpackbits(np.frombuffer(
+            b"".join(self.essential_mask[frames.start:frames.stop]),
+            np.uint8), bitorder="little").reshape(len(frames), FRAME_BITS)
+        rows, cols = np.nonzero(bits)
+        return list(zip((rows + frames.start).tolist(), cols.tolist()))
 
     def frame_dirty(self, frame: int) -> bool:
         return frame in self.dirty

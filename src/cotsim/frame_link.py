@@ -70,14 +70,10 @@ class DecodeResult:
 
 def serialize_pixels(frame: PixelFrame) -> bytes:
     """Row-major, per-pixel big-endian bytes of the active area only."""
-    return _serialize_rows(frame.pixels, frame.depth)
-
-
-def _serialize_rows(rows: np.ndarray, depth: int) -> bytes:
-    flat = np.asarray(rows, dtype=np.uint32).ravel()
-    if depth == 8:
+    flat = np.asarray(frame.pixels, dtype=np.uint32).ravel()
+    if frame.depth == 8:
         return flat.astype(np.uint8).tobytes()
-    if depth == 16:
+    if frame.depth == 16:
         return flat.astype(">u2").tobytes()
     # depth 24: three big-endian bytes per pixel
     out = np.empty((flat.size, 3), dtype=np.uint8)
@@ -138,11 +134,6 @@ def decode_frame(wire: FrameWire) -> DecodeResult:
     )
 
 
-def serialize_wire(wire: FrameWire) -> bytes:
-    """All rows including footer, canonical byte order (corruption domain)."""
-    return _serialize_rows(wire.rows, wire.depth)
-
-
 def flip_wire_bit(wire: FrameWire, bit_position: int) -> None:
     """Flip one bit of the canonical serialization, in place.
 
@@ -155,12 +146,3 @@ def flip_wire_bit(wire: FrameWire, bit_position: int) -> None:
     bit_in_pixel = wire.depth - 1 - (bit_position % wire.depth)
     r, c = divmod(pixel_idx, wire.width)
     wire.rows[r, c] = np.uint32(int(wire.rows[r, c]) ^ (1 << bit_in_pixel))
-
-
-def dump_wire(wire: FrameWire) -> str:
-    """Golden-test dump: header line then hex pixel rows, footer last."""
-    digits = wire.depth // 4
-    lines = [f"{wire.width} {wire.height} {wire.depth}"]
-    for row in wire.rows:
-        lines.append(" ".join(f"{int(p):0{digits}x}" for p in row))
-    return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ import numpy as np
 
 from cotsim.config import (ARCHITECTURES, ArchConfig, CampaignConfig,
                            make_architecture)
-from cotsim.engine import SimEngine, SeededRng
+from cotsim.engine import SimEngine
 from cotsim.fpga import FpgaNode, InvariantViolation
 from cotsim.injector import (MutationLog, build_fpga_campaign,
                              inject_config_bit)
@@ -131,7 +131,10 @@ class RunReport:
 
 def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
              seed: int) -> tuple[RunReport, MutationLog]:
-    """One architecture under one campaign; deterministic given (config, seed)."""
+    """One architecture under one campaign; deterministic given (config, seed).
+
+    One loop applies the injections and windows in time order, an
+    injection first at equal times, as inputs (see `cotsim.engine`)."""
     if isinstance(arch, str):
         arch = make_architecture(arch)
     engine = SimEngine(seed)
@@ -141,28 +144,20 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
     golden_before = _golden_digest(node)
 
     rng = engine.fork_rng("fpga-inj")
-    injections = build_fpga_campaign(campaign, node.mem, rng)
-
-    def on_inject(ev):
-        inj = ev.params[0]
-        log.add(inject_config_bit(node.mem, inj.time_us, inj.address))
-
-    engine.register("injector", on_inject)
-    engine.schedule_many("injector", "inject",
-                         [(inj.time_us, (inj,)) for inj in injections])
-
+    addresses = build_fpga_campaign(campaign, node.mem, rng)
+    end, period, window = (campaign.duration_us, campaign.period_us,
+                           campaign.window_us)
+    injections = [(t, 0, address) for t, address
+                  in zip(range(period, end + 1, period), addresses)]
+    windows = [(t, 1, None) for t in range(window, end + 1, window)]
     classes: list[str] = []
-
-    def on_window(_ev):
-        classes.append(node.evaluate_window(seed))
-
-    engine.register("window", on_window)
-    n_windows = campaign.duration_us // campaign.window_us
-    engine.schedule_many("window", "evaluate",
-                         [((k + 1) * campaign.window_us, ())
-                          for k in range(n_windows)])
-
-    engine.run_until(campaign.duration_us)
+    for t, is_window, address in sorted(injections + windows):
+        engine.run_until(t, scheduled_before=1)
+        if is_window:
+            classes.append(node.evaluate_window(seed))
+        else:
+            log.append(inject_config_bit(node.mem, t, address))
+    engine.run_until(end)
 
     if _golden_digest(node) != golden_before:
         raise InvariantViolation("golden configuration store was mutated")
@@ -261,11 +256,12 @@ class VpuTrialReport:
     flagged_pixels: int = 0
 
 
-def _random_image(rng: SeededRng, size: int) -> np.ndarray:
+def _random_image(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.integers(0, 1024, size=(size, size)).astype(np.uint16)
 
 
-def _impair_data(node: VpuNode, tiles, worker: int, rng: SeededRng) -> None:
+def _impair_data(node: VpuNode, tiles, worker: int,
+                 rng: np.random.Generator) -> None:
     """Corrupt a random contiguous span covering at least half the tile."""
     flat = tiles[worker].data.reshape(-1)
     span = int(rng.integers(flat.size // 2, flat.size + 1))
@@ -277,7 +273,7 @@ def _impair_data(node: VpuNode, tiles, worker: int, rng: SeededRng) -> None:
 def run_vpu_trial(kernel: str, ft: str, n_impaired: int, seed: int,
                   size: int = 256) -> VpuTrialReport:
     """One VPU benchmark execution with n_impaired randomly chosen cores."""
-    rng = SeededRng(seed, f"vpu-{kernel}-{ft}-{n_impaired}")
+    rng = np.random.default_rng(seed)
     image = _random_image(rng, size)
     node = VpuNode(image, kernel)
     golden = golden_output(node.golden_input, kernel)

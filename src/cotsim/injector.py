@@ -1,18 +1,20 @@
 """Fault-injection campaigns: schedule generation and mutation execution.
 
-A campaign flips configuration-memory bits of the FPGA node, one bit per
-event, and every executed event yields exactly one mutation record.  VPU
-trials corrupt their node directly (`cotsim.harness.run_vpu_trial`), and
-a frame on the link is corrupted with `cotsim.frame_link.flip_wire_bit`.
+A campaign flips configuration-memory bits of the FPGA node:
+`build_fpga_campaign` lists one (frame, bit) address per injection, and
+injection i fires at (i + 1) * period_us.  Each executed injection yields
+one mutation-log line, "<time_us> fpga_config_bit <frame>:<bit> <effect>",
+the effect being the owning component if the bit is essential, else
+"non_essential".  VPU trials corrupt their node directly
+(`cotsim.harness.run_vpu_trial`), and a frame on the link is corrupted
+with `cotsim.frame_link.flip_wire_bit`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+import numpy as np
 
 from cotsim.config import CampaignConfig
-from cotsim.engine import SeededRng
 from cotsim.fpga import ConfigMemory, FRAME_BITS
 
 FPGA_KIND = "fpga_config_bit"
@@ -22,34 +24,11 @@ class CampaignError(ValueError):
     pass
 
 
-class InjectionEvent(NamedTuple):
-    time_us: int
-    kind: str
-    address: tuple
-
-
-@dataclass
-class MutationRecord:
-    time_us: int
-    kind: str
-    address: tuple
-    effect: str  # component name or "non_essential"
-
-    def line(self) -> str:
-        addr = ":".join(map(str, self.address))
-        return f"{self.time_us} {self.kind} {addr} {self.effect}"
-
-
-class MutationLog:
-    def __init__(self):
-        self.records: list[MutationRecord] = []
-
-    def add(self, record: MutationRecord) -> None:
-        self.records.append(record)
+class MutationLog(list):
+    """The mutation-log lines of one run, in execution order."""
 
     def text(self) -> str:
-        return "\n".join(r.line() for r in self.records) + "\n" \
-            if self.records else ""
+        return "\n".join(self) + "\n" if self else ""
 
 
 # ---------------------------------------------------------------------------
@@ -57,37 +36,32 @@ class MutationLog:
 
 
 def build_fpga_campaign(cfg: CampaignConfig, mem: ConfigMemory,
-                        rng: SeededRng) -> list[InjectionEvent]:
-    """Resolve a schedule of configuration-bit addresses.
+                        rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Resolve the campaign's (frame, bit) addresses, in firing order.
 
     utilized_area mode samples uniformly over every bit of the enabled
     components' frames; components mode samples uniformly over the
-    essential bits of the named components.  Event i fires at
-    (i + 1) * period_us.  The addresses come from one vectorised draw,
-    which yields the same values as one scalar `rng.integers(0, n)` per
-    event for these ranges (all below 2**32).
+    essential bits of the named components.  The addresses come from one
+    vectorised draw, which yields the same values as one scalar
+    `rng.integers(0, n)` per injection for these ranges (all below 2**32).
     """
     if cfg.target_mode == "components":
         pool = []
         for name in cfg.target_components:
-            if name not in mem.essential:
+            if name not in mem.components:
                 raise CampaignError(f"unknown target component {name!r}")
-            pool.extend(sorted(mem.essential[name]))
+            pool.extend(mem.essential_bits(name))
         if not pool:
             raise CampaignError("empty target set")
         draws = rng.integers(0, len(pool), size=cfg.n_events()).tolist()
-        addresses = [pool[i] for i in draws]
-    elif cfg.target_mode == "utilized_area":
+        return [pool[i] for i in draws]
+    if cfg.target_mode == "utilized_area":
         total = mem.total_bits()
         if total == 0:
             raise CampaignError("empty target set")
         draws = rng.integers(0, total, size=cfg.n_events()).tolist()
-        addresses = [divmod(g, FRAME_BITS) for g in draws]
-    else:
-        raise CampaignError(f"unknown target mode {cfg.target_mode!r}")
-    period = cfg.period_us
-    return [InjectionEvent((i + 1) * period, FPGA_KIND, address)
-            for i, address in enumerate(addresses)]
+        return [divmod(g, FRAME_BITS) for g in draws]
+    raise CampaignError(f"unknown target mode {cfg.target_mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +69,11 @@ def build_fpga_campaign(cfg: CampaignConfig, mem: ConfigMemory,
 
 
 def inject_config_bit(mem: ConfigMemory, time_us: int,
-                      address: tuple) -> MutationRecord:
+                      address: tuple) -> str:
+    """Flip the bit at `address`; returns its mutation-log line."""
     frame, bit = address
     if not (0 <= frame < mem.n_frames and 0 <= bit < FRAME_BITS):
         raise CampaignError(f"address {address} outside configuration memory")
-    info = mem.flip_bit(frame, bit)
-    effect = info["component"] if info["essential"] else "non_essential"
-    return MutationRecord(time_us, FPGA_KIND, address, effect)
+    effect = mem.frame_owner[frame] if mem.flip_bit(frame, bit) \
+        else "non_essential"
+    return f"{time_us} {FPGA_KIND} {frame}:{bit} {effect}"

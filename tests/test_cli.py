@@ -7,13 +7,12 @@ import pytest
 
 from cotsim import cli
 from cotsim.cli import main
-from cotsim.config import CampaignConfig, save_campaign
 
 
 def small_campaign(tmp_path):
-    path = str(tmp_path / "campaign.json")
-    save_campaign(CampaignConfig(duration_us=100_000, period_us=4_000), path)
-    return path
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"duration_us": 100_000, "period_us": 4_000}))
+    return str(path)
 
 
 def test_verify_passes(capsys):
@@ -111,6 +110,22 @@ def test_empty_seed_selection_is_rejected(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--seeds" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec", ["0,0,1", "3,1,3", "-1:1", "-1,0", "2,-3"])
+def test_duplicate_or_negative_seeds_are_rejected_before_any_run(
+        tmp_path, capsys, monkeypatch, spec):
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("simulated before the seeds were checked")
+
+    monkeypatch.setattr(cli, "run_matrix", must_not_run)
+    monkeypatch.setattr(cli, "run_vpu_table", must_not_run)
+    assert main(["matrix", "--archs", "No-FT", f"--seeds={spec}", "--vpu",
+                 "--campaign", small_campaign(tmp_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seeds" in err
     assert not (tmp_path / "out").exists()
 
 

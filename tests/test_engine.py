@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cotsim.engine import SimEngine, SchedulingError, SeededRng, \
-    derive_stream_seed
+import numpy as np
+
+from cotsim.engine import SimEngine, SchedulingError, derive_stream_seed
 
 
 def collect(engine):
@@ -151,63 +152,86 @@ def test_derive_stream_seed_depends_on_both_inputs():
     assert derive_stream_seed(1, "x") != derive_stream_seed(1, "y")
 
 
-def test_seeded_rng_reproducible():
-    draws = SeededRng(99).integers(0, 1 << 30, size=5).tolist()
-    assert draws == SeededRng(99).integers(0, 1 << 30, size=5).tolist()
+def test_fork_rng_is_pcg64_of_the_derived_seed():
+    eng = SimEngine(seed=99)
+    ref = np.random.Generator(np.random.PCG64(derive_stream_seed(99, "x")))
+    rng = eng.fork_rng("x")
+    assert rng.integers(0, 1 << 30, size=5).tolist() == \
+        ref.integers(0, 1 << 30, size=5).tolist()
+    assert rng.choice(np.arange(16), size=4, replace=False).tolist() == \
+        ref.choice(np.arange(16), size=4, replace=False).tolist()
 
 
-def test_schedule_many_matches_schedule_calls():
+def test_run_until_scheduled_before_stops_at_later_scheduled_events():
     eng = SimEngine()
     seen = collect(eng)
-    eng.run_until(5)
-    ids = eng.schedule_many("t", "batch", [(9, ("a",)), (5, ("b",))])
-    assert list(ids) == [0, 1]
-    assert eng.schedule(5, "t", "after") == 2
-    eng.run_until(9)
-    assert seen == [(5, "batch"), (5, "after"), (9, "batch")]
-    with pytest.raises(SchedulingError):
-        eng.schedule_many("t", "late", [(10, ()), (8, ())])
-    assert eng.schedule(10, "t", "next") == 3  # nothing was enqueued
+    eng.schedule(5, "t", "at-0")
+    eng.run_until(2)
+    eng.schedule(5, "t", "at-2")
+    eng.schedule(4, "t", "early")
+    assert eng.run_until(5, scheduled_before=1) == 2
+    assert seen == [(4, "early"), (5, "at-0")]
+    assert eng.now == 5
+    assert eng.run_until(5) == 1
+    assert seen[-1] == (5, "at-2")
 
 
 # one step of a scheduling script: (op, delays, index)
-STEPS = st.lists(st.tuples(
-    st.sampled_from(["one", "many", "order", "reserve", "cancel", "run"]),
-    st.lists(st.integers(0, 4), min_size=0, max_size=6),
-    st.integers(0, 50)), max_size=25)
+STEP = st.tuples(
+    st.sampled_from(["one", "many", "order", "reserve", "cancel"]),
+    st.lists(st.integers(0, 12), min_size=0, max_size=6),
+    st.integers(0, 50))
+# inputs at t >= 1, like a campaign's injections and windows
+INPUTS = st.lists(st.tuples(st.integers(1, 45), STEP), max_size=25)
 
 
-def play(steps, batched):
-    """Run a script; `batched` enqueues each "many" step with one
-    schedule_many call instead of one schedule call per event."""
+def play(setup, inputs, as_events):
+    """Run `setup` at time 0, then apply `inputs` in time order (ties in
+    list order), each running one script step.  `as_events` schedules the
+    inputs as events at time 0 after the setup; otherwise each input is
+    applied after `run_until(t, scheduled_before=1)`.  Every event and
+    input records the clock and what the watcher has seen."""
     eng = SimEngine()
-    seen = []
-    eng.register("t", lambda ev: seen.append((eng.now, ev.params)))
-    ids, slots = [], []
-    for n, (op, delays, index) in enumerate(steps):
+    ticker = Ticker(eng)
+    eng.add_watcher(ticker)
+    seen, ids, slots = [], [], []
+    eng.register("t", lambda ev: seen.append(
+        (eng.now, ev.params, ticker.ticks)))
+
+    def apply(label, step):
+        op, delays, index = step
+        seen.append((eng.now, label, ticker.ticks))
         times = [eng.now + d for d in delays]
         if op == "one" and times:
-            ids.append(eng.schedule(times[0], "t", "e", (n,)))
+            ids.append(eng.schedule(times[0], "t", "e", (label,)))
         elif op == "many":
-            timed = [(t, (n, i)) for i, t in enumerate(times)]
-            if batched:
-                ids.extend(eng.schedule_many("t", "e", timed))
-            else:
-                ids.extend(eng.schedule(t, "t", "e", p) for t, p in timed)
+            ids.extend(eng.schedule(t, "t", "e", (label, i))
+                       for i, t in enumerate(times))
         elif op == "order" and times and slots:
-            ids.append(eng.schedule(times[0], "t", "e", (n,),
+            ids.append(eng.schedule(times[0], "t", "e", (label,),
                                     order=slots[index % len(slots)]))
         elif op == "reserve":
             slots.append((eng.now, eng.reserve_slot()))
         elif op == "cancel" and ids:
             eng.cancel(ids[index % len(ids)])
-        elif op == "run":
-            eng.run_until(eng.now + (delays[0] if delays else 0))
-    eng.run_until(eng.now + 10)
-    return seen, ids, eng.processed
+
+    for n, step in enumerate(setup):
+        apply(("setup", n), step)
+    inputs = sorted(inputs, key=lambda timed: timed[0])
+    if as_events:
+        eng.register("in", lambda ev: apply(*ev.params))
+        for n, (t, step) in enumerate(inputs):
+            eng.schedule(t, "in", "input", (("input", n), step))
+    else:
+        for n, (t, step) in enumerate(inputs):
+            eng.run_until(t, scheduled_before=1)
+            apply(("input", n), step)
+    eng.run_until(60)
+    return seen, ticker.ticks
 
 
 @settings(max_examples=300, deadline=None)
-@given(STEPS)
-def test_schedule_many_fires_like_schedule_calls(steps):
-    assert play(steps, batched=True) == play(steps, batched=False)
+@given(st.lists(STEP, max_size=8), INPUTS)
+def test_inputs_after_bounded_runs_fire_like_time_0_events(setup, inputs):
+    assert play(setup, inputs, as_events=False) == \
+        play(setup, inputs, as_events=True)

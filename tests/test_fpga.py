@@ -100,9 +100,9 @@ def test_vote_matches_counting_oracle(rows):
 def test_flip_tracking_and_health():
     mem = small_memory()
     assert mem.healthy("app") and mem.healthy("ctrl")
-    frame, bit = sorted(mem.essential["app"])[0]
-    info = mem.flip_bit(frame, bit)
-    assert info["essential"] and info["component"] == "app"
+    frame, bit = mem.essential_bits("app")[0]
+    assert mem.flip_bit(frame, bit)  # essential
+    assert mem.frame_owner[frame] == "app"
     assert not mem.healthy("app")
     assert mem.frame_dirty(frame)
     assert mem.frames[frame] != mem.golden[frame]
@@ -115,18 +115,17 @@ def test_flip_tracking_and_health():
 
 def test_non_essential_flip_dirties_without_breaking():
     mem = small_memory()
-    essential = mem.essential["app"]
+    essential = mem.essential_bits("app")
     frame = mem.comp_frames["app"].start
     bit = next(b for b in range(FRAME_BITS) if (frame, b) not in essential)
-    info = mem.flip_bit(frame, bit)
-    assert not info["essential"]
+    assert not mem.flip_bit(frame, bit)
     assert mem.healthy("app")
     assert mem.frame_dirty(frame)
 
 
 def test_restore_component_heals_all_frames():
     mem = small_memory()
-    for frame, bit in sorted(mem.essential["app"])[:5]:
+    for frame, bit in mem.essential_bits("app")[:5]:
         mem.flip_bit(frame, bit)
     mem.restore_component("app")
     assert mem.healthy("app")
@@ -136,7 +135,7 @@ def test_restore_component_heals_all_frames():
 
 def test_corruption_tag_tracks_flip_set():
     mem = small_memory()
-    bits = sorted(mem.essential["app"])[:2]
+    bits = mem.essential_bits("app")[:2]
     mem.flip_bit(*bits[0])
     tag1 = mem.corruption_tag("app")
     mem.flip_bit(*bits[1])
@@ -177,20 +176,30 @@ def test_golden_frames_and_essential_bits_match_the_old_generators(arch):
         for index in range(mem.n_frames)]
     assert all(isinstance(g, bytes) for g in mem.golden)
     assert mem.frames == [bytearray(g) for g in mem.golden]
-    assert mem.essential == old_essential(components)
-    assert all(len(row) == FRAME_BYTES for row in mem.essential_mask)
-    assert len(mem.essential_mask) == mem.n_frames
-    assert set(set_bits(mem.essential_mask, mem.n_frames)) == \
-        set().union(*mem.essential.values())
-    assert all(mem.frame_owner[frame] == name
-               for name, addrs in mem.essential.items() for frame, _ in addrs)
+    assert_essential_bits_match(mem, components)
 
 
 def test_essential_bits_match_the_old_generator_on_odd_sizes():
     components = [ComponentSpec("a", frames=3, essential_bits=7),
                   ComponentSpec("b", frames=1, essential_bits=FRAME_BITS),
                   ComponentSpec("c", frames=2, essential_bits=1)] + DENSE
-    assert ConfigMemory(components).essential == old_essential(components)
+    assert_essential_bits_match(ConfigMemory(components), components)
+
+
+def assert_essential_bits_match(mem, components):
+    """essential_bits gives the old generator's addresses, sorted; the
+    mask has exactly those bits set, and frame_owner agrees."""
+    old = old_essential(components)
+    assert {name: mem.essential_bits(name) for name in mem.components} == \
+        {name: sorted(addrs) for name, addrs in old.items()}
+    assert all(type(f) is int and type(b) is int
+               for name in mem.components for f, b in mem.essential_bits(name))
+    assert all(len(row) == FRAME_BYTES for row in mem.essential_mask)
+    assert len(mem.essential_mask) == mem.n_frames
+    assert set_bits(mem.essential_mask, mem.n_frames) == \
+        sorted(set().union(*old.values()))
+    assert all(mem.frame_owner[frame] == name
+               for name, addrs in old.items() for frame, _ in addrs)
 
 
 def set_bits(rows, n_frames) -> list[tuple[int, int]]:
@@ -229,6 +238,8 @@ def test_config_memory_tracking_and_tag_memo(ops):
     """After every op, the derived views equal views recomputed from the
     frame bytes and golden alone."""
     mem = ConfigMemory(DENSE)
+    essential = {name: set(mem.essential_bits(name))
+                 for name in mem.components}
     for op, *args in ops:
         if op == "write":
             frame, word, mask, from_golden = args
@@ -236,9 +247,8 @@ def test_config_memory_tracking_and_tag_memo(ops):
             mem.write_word(frame, word, base(frame, word) ^ mask)
         elif op == "flip_bit":
             frame, bit = args
-            info = mem.flip_bit(frame, bit)
-            assert info["essential"] == any(
-                (frame, bit) in addrs for addrs in mem.essential.values())
+            assert mem.flip_bit(frame, bit) == any(
+                (frame, bit) in addrs for addrs in essential.values())
         else:
             getattr(mem, op)(*args)
         flipped = set_bits([bytes(a ^ b for a, b in zip(f, g))
@@ -246,7 +256,7 @@ def test_config_memory_tracking_and_tag_memo(ops):
                            mem.n_frames)
         assert mem.dirty == {f for f, _ in flipped}
         for name in mem.components:
-            marks = [addr for addr in flipped if addr in mem.essential[name]]
+            marks = [addr for addr in flipped if addr in essential[name]]
             assert mem.flipped_essential[name] == marks  # sorted
             assert mem.corruption_tag(name) == fresh_tag(marks)
             assert mem.healthy(name) == (not marks)
@@ -358,7 +368,7 @@ def test_skipped_ticks_still_send_heartbeats():
     eng.run_until(1_234)
     node.wd.check()
     assert node.wd.last_heartbeat == 1_200
-    node.mem.flip_bit(*sorted(node.mem.essential["wd_link"])[0])
+    node.mem.flip_bit(*node.mem.essential_bits("wd_link")[0])
     eng.run_until(5_555)
     node.wd.check()
     assert node.wd.last_heartbeat == 1_200  # the status link is down
@@ -366,7 +376,7 @@ def test_skipped_ticks_still_send_heartbeats():
 
 def test_dead_controller_stops_scrubbing():
     eng, node = cms_node()
-    for addr in sorted(node.mem.essential["cms_ctrl"])[:1]:
+    for addr in node.mem.essential_bits("cms_ctrl")[:1]:
         node.mem.flip_bit(*addr)
     frame = node.mem.comp_frames["fir_0"].start
     node.mem.flip_bit(frame, 9)
@@ -389,7 +399,7 @@ def test_dpr_reload_restores_region_after_transfer():
     eng = SimEngine()
     node = FpgaNode(eng, make_architecture("DPR"))
     node.start()
-    frame, bit = sorted(node.mem.essential["fir_0"])[0]
+    frame, bit = node.mem.essential_bits("fir_0")[0]
     node.mem.flip_bit(frame, bit)
     node.dpr.request_reload("fir_0")
     duration = reload_duration_us(
@@ -405,7 +415,7 @@ def test_dpr_requests_dropped_when_controller_dead():
     eng = SimEngine()
     node = FpgaNode(eng, make_architecture("DPR"))
     node.start()
-    for addr in sorted(node.mem.essential["dpr_ctrl"])[:1]:
+    for addr in node.mem.essential_bits("dpr_ctrl")[:1]:
         node.mem.flip_bit(*addr)
     node.dpr.request_reload("fir_0")
     assert node.dpr.dropped == 1
@@ -427,7 +437,7 @@ def test_tmr_masks_single_replica_and_requests_repair():
     eng = SimEngine()
     node = FpgaNode(eng, make_architecture("TMR"))
     node.start()
-    frame, bit = sorted(node.mem.essential["fir_1"])[0]
+    frame, bit = node.mem.essential_bits("fir_1")[0]
     node.mem.flip_bit(frame, bit)
     out, requests = node.run_pipeline()
     assert np.array_equal(out, node.golden_output)
@@ -439,7 +449,7 @@ def test_tmr_two_bad_replicas_not_maskable():
     node = FpgaNode(eng, make_architecture("TMR"))
     node.start()
     for comp in ("fir_0", "fir_1"):
-        node.mem.flip_bit(*sorted(node.mem.essential[comp])[0])
+        node.mem.flip_bit(*node.mem.essential_bits(comp)[0])
     out, requests = node.run_pipeline()
     assert not np.array_equal(out, node.golden_output)
     assert set(requests) == {"fir_0", "fir_1", "fir_2"}
@@ -478,8 +488,8 @@ DATAPATH = ["voter_in", "fir_0", "fir_1", "fir_2", "voter_out"]
 def test_memoized_pipeline_matches_reference(arch, flips):
     node = FpgaNode(SimEngine(), make_architecture(arch))
     for comp, k in flips:
-        if comp in node.mem.essential:
-            node.mem.flip_bit(*sorted(node.mem.essential[comp])[k])
+        if comp in node.mem.components:
+            node.mem.flip_bit(*node.mem.essential_bits(comp)[k])
         out, requests = node.run_pipeline()
         ref_out, ref_requests = reference_pipeline(node)
         assert np.array_equal(out, ref_out) and requests == ref_requests
@@ -487,7 +497,7 @@ def test_memoized_pipeline_matches_reference(arch, flips):
 
 def flip_first(node, *names):
     for name in names:
-        node.mem.flip_bit(*sorted(node.mem.essential[name])[0])
+        node.mem.flip_bit(*node.mem.essential_bits(name)[0])
 
 
 def pipeline_verdict(node):
@@ -534,9 +544,9 @@ def test_datapath_matches_the_pipeline(arch, ops):
     for op, *args in ops:
         if op == "restore_all":
             mem.restore_all()
-        elif args[0] in mem.essential:
+        elif args[0] in mem.components:
             if op == "flip":
-                mem.flip_bit(*sorted(mem.essential[args[0]])[args[1]])
+                mem.flip_bit(*mem.essential_bits(args[0])[args[1]])
             else:
                 mem.restore_component(args[0])
         assert node._datapath() == pipeline_verdict(node)
@@ -549,7 +559,7 @@ def test_watchdog_resets_on_lost_heartbeat():
     eng = SimEngine()
     node = FpgaNode(eng, make_architecture("CMS+DPR+TMR+WD"))
     node.start()
-    for addr in sorted(node.mem.essential["cms_ctrl"]):
+    for addr in node.mem.essential_bits("cms_ctrl"):
         node.mem.flip_bit(*addr)
     eng.run_until(node.arch.wd_timeout_us * 2)
     assert node.resets == 1

@@ -74,7 +74,9 @@ def test_run_fpga_report_fields():
     assert len(report.window_classes) == 50
     assert report.down_pct + report.erroneous_pct + report.correct_pct \
         == pytest.approx(100.0)
-    assert len(log.records) == 50
+    # injection i fires at (i + 1) * period_us
+    assert [int(line.split()[0]) for line in log] == \
+        [4_000 * (i + 1) for i in range(50)]
     payload = json.loads(report.to_json())
     assert payload["seed"] == 1
 
