@@ -27,11 +27,15 @@ EXIT_INVARIANT = 2
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        seeds = list(range(int(lo), int(hi)))
-    else:
-        seeds = [int(s) for s in spec.split(",") if s]
+    try:
+        if ":" in spec:
+            lo, hi = spec.split(":", 1)
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = [int(s) for s in spec.split(",") if s]
+    except ValueError as exc:
+        raise ValueError(f"--seeds {spec!r} is not lo:hi or a comma list "
+                         f"of integers ({exc})") from None
     if not seeds:
         raise ValueError(f"--seeds {spec!r} selects no seed")
     if min(seeds) < 0 or len(set(seeds)) < len(seeds):

@@ -647,6 +647,17 @@ class FpgaNode:
         if self.wd is not None:
             self.wd.last_heartbeat = self.engine.now
 
+    def close(self) -> None:
+        """Drop the references that close cycles (node -> engine -> handler
+        and watcher -> node, parts -> node, memory hook -> scrubber), so a
+        finished run is freed as soon as it is dropped.  The node's counts
+        and reports stay readable; it cannot run again."""
+        self.engine = None
+        self.mem.after_write = _no_hook
+        for part in (self.scrubber, self.dpr, self.wd):
+            if part is not None:
+                part.node = None
+
     def _schedule_periodic(self) -> None:
         ep = self.epoch
         if self.scrubber is not None:

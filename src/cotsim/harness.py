@@ -139,25 +139,28 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
         arch = make_architecture(arch)
     engine = SimEngine(seed)
     node = FpgaNode(engine, arch)
-    node.start()
-    log = MutationLog()
-    golden_before = _golden_digest(node)
+    try:
+        node.start()
+        log = MutationLog()
+        golden_before = _golden_digest(node)
 
-    rng = engine.fork_rng("fpga-inj")
-    addresses = build_fpga_campaign(campaign, node.mem, rng)
-    end, period, window = (campaign.duration_us, campaign.period_us,
-                           campaign.window_us)
-    injections = [(t, 0, address) for t, address
-                  in zip(range(period, end + 1, period), addresses)]
-    windows = [(t, 1, None) for t in range(window, end + 1, window)]
-    classes: list[str] = []
-    for t, is_window, address in sorted(injections + windows):
-        engine.run_until(t, scheduled_before=1)
-        if is_window:
-            classes.append(node.evaluate_window(seed))
-        else:
-            log.append(inject_config_bit(node.mem, t, address))
-    engine.run_until(end)
+        rng = engine.fork_rng("fpga-inj")
+        addresses = build_fpga_campaign(campaign, node.mem, rng)
+        end, period, window = (campaign.duration_us, campaign.period_us,
+                               campaign.window_us)
+        injections = [(t, 0, address) for t, address
+                      in zip(range(period, end + 1, period), addresses)]
+        windows = [(t, 1, None) for t in range(window, end + 1, window)]
+        classes: list[str] = []
+        for t, is_window, address in sorted(injections + windows):
+            engine.run_until(t, scheduled_before=1)
+            if is_window:
+                classes.append(node.evaluate_window(seed))
+            else:
+                log.append(inject_config_bit(node.mem, t, address))
+        engine.run_until(end)
+    finally:
+        node.close()
 
     if _golden_digest(node) != golden_before:
         raise InvariantViolation("golden configuration store was mutated")
@@ -275,8 +278,8 @@ def run_vpu_trial(kernel: str, ft: str, n_impaired: int, seed: int,
     """One VPU benchmark execution with n_impaired randomly chosen cores."""
     rng = np.random.default_rng(seed)
     image = _random_image(rng, size)
-    node = VpuNode(image, kernel)
-    golden = golden_output(node.golden_input, kernel)
+    golden = golden_output(image, kernel)
+    node = VpuNode(image, kernel, golden)
     impaired = sorted(int(w) for w in rng.choice(
         np.arange(vpu_mod.N_WORKERS), size=n_impaired, replace=False))
 

@@ -5,6 +5,16 @@ N-modular redundancy.
 Workers are logically parallel but executed sequentially in fixed id
 order, so runs are deterministic.  Timing is synthetic: reports carry
 latencies derived from configured per-task constants, not measurements.
+
+Each kernel output is computed once per node.  The node holds the
+whole-image reference output (`golden_output`) and a private copy of the
+input it was computed from.  A worker whose tile holds exactly those
+input rows (one array compare) takes the reference's rows for the tile;
+only a tile whose data differs is run through the kernel.  This is
+exact, bit for bit: both kernels are row-local (an output row reads only
+its own input rows and their halo, zero padded only at the image edges)
+and apply the same float operations in the same order to a tile as to
+the whole image.  A checksum is sealed only where a check reads it, once.
 """
 
 from __future__ import annotations
@@ -133,9 +143,9 @@ class Tile:
 
 
 def partition_workload(image: np.ndarray, workers: int, halo: int = 0,
-                       row_unit: int = 1) -> list[Tile]:
+                       row_unit: int = 1, seal: bool = True) -> list[Tile]:
     """Contiguous horizontal stripes, heights differing by at most one
-    row_unit, halo rows duplicated, CRC appended per tile."""
+    row_unit, halo rows duplicated, CRC appended per tile if `seal`."""
     if workers < 1:
         raise WorkloadError("need at least one worker")
     h = image.shape[0]
@@ -154,7 +164,8 @@ def partition_workload(image: np.ndarray, workers: int, halo: int = 0,
         hi = min(h, r1 + halo)
         tile = Tile(worker=w, row_start=r0, row_end=r1, halo=halo,
                     data=image[lo:hi].copy())
-        tile.seal()
+        if seal:
+            tile.seal()
         tiles.append(tile)
         row = r1
     return tiles
@@ -223,11 +234,16 @@ class VpuNode:
     The golden worker code is the immutable, module-wide `GOLDEN_INSTR`;
     each node's workers run from fresh mutable copies of it.
     `golden_input` is the CRC-verified copy retained at reception; tile
-    checksums are computed from it, so corruption of the working DDR copy
-    or of a CMX tile is caught by the per-tile check.
+    checksums are sealed from it at the DMA, so corruption of the working
+    DDR copy or of a CMX tile is caught by the per-tile check.
+
+    `reference` is `golden_output` of the image as uint16, if the caller
+    already has it; otherwise the node computes it.  Workers reuse its
+    rows (see the module docstring), so it must not be changed later.
     """
 
-    def __init__(self, image: np.ndarray, kernel_name: str):
+    def __init__(self, image: np.ndarray, kernel_name: str,
+                 reference: np.ndarray | None = None):
         if kernel_name not in KERNELS:
             raise WorkloadError(f"unknown kernel {kernel_name!r}")
         self.kernel_name = kernel_name
@@ -237,6 +253,12 @@ class VpuNode:
         self.golden_input = self.ddr_input.copy()
         if 2 * self.ddr_input.nbytes > CMX_BYTES:
             raise VpuError("workload does not fit the 2 MB scratchpad")
+        # the input the reference is of, out of reach of any fault
+        self._ref_input = self.ddr_input.copy()
+        if reference is None:
+            reference = golden_output(self._ref_input, kernel_name)
+        self._ref_output = reference.view()
+        self._ref_output.flags.writeable = False
 
     # -- fault surface ------------------------------------------------------
 
@@ -251,26 +273,38 @@ class VpuNode:
     def restore_instr(self, worker_id: int) -> None:
         self.workers[worker_id].instr_mem[:] = GOLDEN_INSTR[worker_id]
 
+    def _partition(self, image: np.ndarray, parts: int,
+                   seal: bool) -> list[Tile]:
+        return partition_workload(image, parts,
+                                  halo=kernel_halo(self.kernel_name),
+                                  row_unit=kernel_row_unit(self.kernel_name),
+                                  seal=seal)
+
     def dma_tiles(self) -> list[Tile]:
-        """Partition the working DDR copy; checksums come from the
-        verified copy, so pre-DMA corruption is detectable downstream."""
-        tiles = partition_workload(self.ddr_input, N_WORKERS,
-                                   halo=kernel_halo(self.kernel_name),
-                                   row_unit=kernel_row_unit(self.kernel_name))
-        golden = partition_workload(self.golden_input, N_WORKERS,
-                                    halo=kernel_halo(self.kernel_name),
-                                    row_unit=kernel_row_unit(self.kernel_name))
-        for tile, ref in zip(tiles, golden):
+        """Partition the working DDR copy; checksums are sealed now from
+        the verified copy, so pre-DMA corruption is detectable downstream."""
+        tiles = self._partition(self.ddr_input, N_WORKERS, seal=False)
+        for tile, ref in zip(tiles, self._partition(self.golden_input,
+                                                    N_WORKERS, seal=True)):
             tile.crc = ref.crc
         return tiles
 
     # -- execution ----------------------------------------------------------
 
     def _compute_tile(self, tile: Tile) -> np.ndarray:
+        """The kernel's output for the tile: the reference rows if the tile
+        is cut like the node's own and holds the reference's input rows,
+        else the kernel run on the tile's data."""
+        unit = kernel_row_unit(self.kernel_name)  # input rows per output row
+        lo, hi = tile.row_start - tile.halo, tile.row_end + tile.halo
+        if (tile.halo == kernel_halo(self.kernel_name)
+                and tile.row_start % unit == 0 and tile.row_end % unit == 0
+                and np.array_equal(tile.data, self._ref_input[max(lo, 0):hi])):
+            return self._ref_output[tile.row_start // unit:
+                                    tile.row_end // unit]
         if self.kernel_name == "conv2d":
-            pad_top = tile.row_start - tile.halo < 0
-            pad_bottom = tile.row_end + tile.halo > self.golden_input.shape[0]
-            return conv2d(tile.data, DEFAULT_CONV_KERNEL, pad_top, pad_bottom)
+            return conv2d(tile.data, DEFAULT_CONV_KERNEL, lo < 0,
+                          hi > self._ref_input.shape[0])
         return binning2d(tile.data)
 
     def worker_execute(self, worker_id: int, tile: Tile) -> np.ndarray:
@@ -366,15 +400,13 @@ class VpuNode:
             report.reschedule_us = RESCHEDULE_US
             functional = [t.worker for t in tiles if t.worker not in bad] \
                 or list(range(N_WORKERS))
-            fresh = {t.worker: t for t in partition_workload(
-                self.golden_input, N_WORKERS,
-                halo=kernel_halo(self.kernel_name),
-                row_unit=kernel_row_unit(self.kernel_name))}
+            fresh = self._partition(self.golden_input, N_WORKERS, seal=False)
             for i, wid in enumerate(bad):
                 tile = fresh[wid]
                 # restored data must match the checksum sealed at reception,
                 # otherwise the retained copy itself has been corrupted
-                if crc16_ccitt(tile.payload()) != tiles[wid].crc:
+                tile.crc = tiles[wid].crc
+                if not tile.crc_ok():
                     report.unrecoverable_input = True
                     outputs[wid] = self.worker_execute(wid, tiles[wid])
                     continue
@@ -404,9 +436,7 @@ class VpuNode:
         votes per pixel on the outputs.  No rescheduling, no repair."""
         groups, unused = self.nmr_groups(n)
         report = VoteReport(n=n, groups=groups, unused=unused)
-        stripes = partition_workload(self.ddr_input, len(groups),
-                                     halo=kernel_halo(self.kernel_name),
-                                     row_unit=kernel_row_unit(self.kernel_name))
+        stripes = self._partition(self.ddr_input, len(groups), seal=False)
         pieces = []
         flagged = 0
         for group, stripe in zip(groups, stripes):
@@ -423,20 +453,27 @@ class VpuNode:
 
 def _pixel_majority(outputs: list[np.ndarray]) -> tuple[np.ndarray, int]:
     """Per-pixel majority over bit patterns; no-majority pixels fall back
-    to member 0 and are flagged."""
+    to member 0 and are flagged.
+
+    Each member's count of members with its bit pattern (itself
+    included) comes from pairwise equalities; a member whose count
+    exceeds n // 2 holds the majority, and all such members agree."""
     n = len(outputs)
-    if n == 1:
-        return outputs[0], 0
     itemsize = outputs[0].dtype.itemsize
-    stack = np.stack([np.ascontiguousarray(o).view(f"<u{itemsize}")
-                      for o in outputs])
-    srt = np.sort(stack, axis=0)
-    median = srt[n // 2]
-    count = (stack == median).sum(axis=0)
-    majority = count > n // 2
-    voted_bits = np.where(majority, median, stack[0])
-    voted = voted_bits.view(outputs[0].dtype)
-    return voted, int(np.count_nonzero(~majority))
+    bits = [np.ascontiguousarray(o).view(f"<u{itemsize}") for o in outputs]
+    counts = [np.ones(bits[0].shape, dtype=np.uint8) for _ in bits]
+    for i in range(n):
+        for j in range(i + 1, n):
+            same = bits[i] == bits[j]
+            counts[i] += same
+            counts[j] += same
+    voted = bits[0].copy()
+    majority = counts[0] > n // 2
+    for member, count in zip(bits[1:], counts[1:]):
+        wins = count > n // 2
+        np.copyto(voted, member, where=wins)
+        majority |= wins
+    return voted.view(outputs[0].dtype), int(np.count_nonzero(~majority))
 
 
 def error_rate(output: np.ndarray, golden: np.ndarray) -> float:

@@ -113,9 +113,7 @@ def test_empty_seed_selection_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("spec", ["0,0,1", "3,1,3", "-1:1", "-1,0", "2,-3"])
-def test_duplicate_or_negative_seeds_are_rejected_before_any_run(
-        tmp_path, capsys, monkeypatch, spec):
+def _rejected_before_any_run(tmp_path, capsys, monkeypatch, spec) -> str:
     def must_not_run(*_args, **_kwargs):
         raise AssertionError("simulated before the seeds were checked")
 
@@ -125,8 +123,22 @@ def test_duplicate_or_negative_seeds_are_rejected_before_any_run(
                  "--campaign", small_campaign(tmp_path),
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "--seeds" in err
+    assert err.startswith("error: --seeds") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    return err
+
+
+@pytest.mark.parametrize("spec", ["0,0,1", "3,1,3", "-1:1", "-1,0", "2,-3"])
+def test_duplicate_or_negative_seeds_are_rejected_before_any_run(
+        tmp_path, capsys, monkeypatch, spec):
+    _rejected_before_any_run(tmp_path, capsys, monkeypatch, spec)
+
+
+@pytest.mark.parametrize("spec", ["a:3", "0,x", "0:", ":4", "1.5", "0:2:4"])
+def test_non_integer_seeds_are_rejected_before_any_run(
+        tmp_path, capsys, monkeypatch, spec):
+    err = _rejected_before_any_run(tmp_path, capsys, monkeypatch, spec)
+    assert "lo:hi or a comma list of integers" in err
 
 
 def test_campaign_with_a_seed_is_a_config_error(tmp_path, capsys):

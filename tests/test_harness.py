@@ -1,12 +1,15 @@
 """Campaign harness tests: timeline classification, failure-rate fitting,
 run reports and determinism."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from cotsim import harness
 from cotsim.config import CampaignConfig, make_architecture
 from cotsim.harness import (FitError, FunctionalityTimeline, MatrixResult,
                             emit_matrix, fit_lambda, reliability, run_fpga,
@@ -94,6 +97,27 @@ def test_run_fpga_accepts_prebuilt_config():
     arch = make_architecture("TMR", window_samples=16)
     report, _log = run_fpga(arch, short_campaign(), seed=0)
     assert report.architecture == "TMR"
+
+
+@pytest.mark.parametrize("arch", ["CMS+DPR+TMR+WD", "No-FT"])
+def test_run_fpga_frees_its_node_without_the_collector(monkeypatch, arch):
+    """No reference cycle keeps a finished run's node graph alive."""
+    nodes = []
+
+    class Recorded(harness.FpgaNode):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            nodes.append(weakref.ref(self))
+
+    monkeypatch.setattr(harness, "FpgaNode", Recorded)
+    gc.collect()
+    gc.disable()
+    try:
+        report, _log = run_fpga(arch, CampaignConfig(period_us=1_000), seed=0)
+        assert len(nodes) == 1 and nodes[0]() is None
+    finally:
+        gc.enable()
+    assert report.architecture == arch
 
 
 def test_run_matrix_medians(tmp_path):

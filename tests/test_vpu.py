@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cotsim import vpu
 from cotsim.crc import crc16_ccitt
 from cotsim.vpu import (DEFAULT_CONV_KERNEL, N_WORKERS, Tile, VpuNode,
-                        WorkloadError, binning2d, conv2d_reference,
+                        WorkloadError, binning2d, conv2d, conv2d_reference,
                         error_rate, golden_output, kernel_halo,
                         kernel_row_unit, partition_workload)
 
@@ -101,6 +101,75 @@ def test_tile_crc_detects_any_change():
     assert tile.crc_ok()
     tile.data[0, 0] ^= 1
     assert not tile.crc_ok()
+
+
+# -- reuse of the reference output -------------------------------------------
+
+
+def run_kernel(kernel, tile, height):
+    """The kernel run directly on one tile, as a worker would without the
+    reference."""
+    if kernel == "conv2d":
+        return conv2d(tile.data, DEFAULT_CONV_KERNEL,
+                      tile.row_start - tile.halo < 0,
+                      tile.row_end + tile.halo > height)
+    return binning2d(tile.data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["conv2d", "binning2d"]), st.integers(12, 40),
+       st.integers(1, 20), st.integers(0, 2**31))
+def test_kernel_on_each_tile_equals_the_reference_rows(kernel, height, width,
+                                                        seed):
+    """Row-locality, bit for bit, for every tiling a node uses: the 12-way
+    DMA and the NMR stripes of n = 1, 3 and 5 (12, 4 and 2 parts)."""
+    unit = kernel_row_unit(kernel)
+    height, width = height * unit, width * unit  # binning: whole blocks
+    rng = np.random.default_rng(seed)
+    image = rng.integers(0, 1 << 16, size=(height, width)).astype(np.uint16)
+    reference = golden_output(image, kernel)
+    for parts in (N_WORKERS, 4, 2):
+        for tile in partition_workload(image, parts, halo=kernel_halo(kernel),
+                                       row_unit=unit):
+            rows = reference[tile.row_start // unit:tile.row_end // unit]
+            direct = run_kernel(kernel, tile, height)
+            assert direct.dtype == rows.dtype and direct.shape == rows.shape
+            assert direct.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["conv2d", "binning2d"])
+def test_a_tile_off_the_reference_input_gets_its_own_output(kernel):
+    node = make_node(kernel)
+    height = node.golden_input.shape[0]
+    reference = golden_output(node.golden_input, kernel)
+    unit = kernel_row_unit(kernel)
+    tiles = node.dma_tiles()
+    for tile in tiles:  # untouched tiles take the reference rows
+        got = node.worker_execute(tile.worker, tile)
+        assert got.tobytes() == reference[tile.row_start // unit:
+                                          tile.row_end // unit].tobytes()
+    tile = tiles[5]
+    tile.data[2, 3] ^= 0x200  # one pixel, inside the tile's own rows
+    got = node.worker_execute(5, tile)
+    rows = reference[tile.row_start // unit:tile.row_end // unit]
+    assert got.tobytes() == run_kernel(kernel, tile, height).tobytes()
+    assert got.tobytes() != rows.tobytes()
+    # the retained input is not what the reference was computed from
+    node.golden_input[tiles[7].row_start, 0] ^= 0x200
+    restored = partition_workload(node.golden_input, N_WORKERS,
+                                  halo=kernel_halo(kernel), row_unit=unit)[7]
+    got = node.worker_execute(7, restored)
+    assert got.tobytes() == run_kernel(kernel, restored, height).tobytes()
+    assert got.tobytes() != reference[restored.row_start // unit:
+                                      restored.row_end // unit].tobytes()
+
+
+def test_a_tile_cut_unlike_the_nodes_gets_its_own_output():
+    node = make_node("conv2d")
+    for tile in partition_workload(node.golden_input, N_WORKERS, halo=0):
+        got = node.worker_execute(tile.worker, tile)  # no halo rows
+        want = run_kernel("conv2d", tile, node.golden_input.shape[0])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # -- golden worker code -------------------------------------------------------
@@ -285,6 +354,55 @@ def test_nmr_n5_masks_two_impairments_per_group():
     out, report = node.nmr_run(5)
     assert error_rate(out, golden_output(node.golden_input, "binning2d")) == 0
     assert report.unused == [10, 11]
+
+
+def sort_vote(outputs):
+    """The sort-based vote: the per-pixel median of the bit patterns wins
+    if more than half the members hold it, else member 0, flagged."""
+    n = len(outputs)
+    itemsize = outputs[0].dtype.itemsize
+    stack = np.stack([o.view(f"<u{itemsize}") for o in outputs])
+    median = np.sort(stack, axis=0)[n // 2]
+    majority = (stack == median).sum(axis=0) > n // 2
+    voted = np.where(majority, median, stack[0]).view(outputs[0].dtype)
+    return voted, int(np.count_nonzero(~majority))
+
+
+# bit patterns that equal-by-value comparisons would confuse or reject
+VOTE_VALUES = {
+    np.float64: [0.0, -0.0, np.nan, 1.5, 5e-324, np.inf],
+    np.int64: [0, -1, 1, 2**62, -2**63, 7],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 3, 5]), st.sampled_from([np.float64, np.int64]),
+       st.data())
+def test_pixel_majority_equals_the_sort_based_vote(n, dtype, data):
+    # each pixel: free labels (ties, majorities) or n distinct labels
+    pixel = st.one_of(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        st.permutations(range(n)))
+    cols = data.draw(st.integers(1, 4))
+    labels = np.array(data.draw(st.lists(pixel, min_size=cols,
+                                         max_size=3 * cols)))
+    rows = len(labels) // cols
+    labels = labels[:rows * cols].T.reshape(n, rows, cols)
+    values = np.array(VOTE_VALUES[dtype], dtype=dtype)
+    outputs = [values[member] for member in labels]
+    voted, flagged = vpu._pixel_majority(outputs)
+    want, want_flagged = sort_vote(outputs)
+    assert voted.dtype == want.dtype and voted.shape == want.shape
+    assert voted.tobytes() == want.tobytes() and flagged == want_flagged
+
+
+def test_pixel_majority_flags_no_majority_and_ties():
+    a, b, c, d, e = (np.array([v]) for v in (1.0, 2.0, 3.0, 4.0, 5.0))
+    assert vpu._pixel_majority([a, b, c])[1] == 1  # all distinct
+    voted, flagged = vpu._pixel_majority([c, a, a, b, b])  # 2-2-1 tie
+    assert flagged == 1 and voted.tolist() == [3.0]
+    voted, flagged = vpu._pixel_majority([d, a, a, e, a])
+    assert flagged == 0 and voted.tolist() == [1.0]
 
 
 def test_error_rate_shape_check():
