@@ -19,7 +19,6 @@ from cotsim.fpga import InvariantViolation, tmr_vote
 from cotsim.frame_link import PixelFrame, decode_frame, encode_frame
 from cotsim.harness import emit_matrix, emit_vpu_table, run_fpga, run_matrix, \
     run_vpu_table
-from cotsim.injector import CampaignError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -68,8 +67,17 @@ def cmd_matrix(args) -> int:
     campaign = _campaign(args)
     archs = list(ARCHITECTURES) if args.archs == "all" \
         else args.archs.split(",")
-    for arch in archs:
-        make_architecture(arch)  # validate early
+    if len(set(archs)) < len(archs):
+        raise ValueError(f"--archs {args.archs!r}: architectures must be "
+                         f"distinct")
+    targets = campaign.target_components \
+        if campaign.target_mode == "components" else []
+    for arch in archs:  # validate early
+        names = {c.name for c in make_architecture(arch).components}
+        missing = [t for t in targets if t not in names]
+        if missing:
+            raise ValueError(f"unknown target component {missing[0]!r} "
+                             f"in architecture {arch}")
     seeds = _parse_seeds(args.seeds)
     os.makedirs(args.out, exist_ok=True)  # fail before the run, not after
     result = run_matrix(archs, seeds, campaign)
@@ -202,7 +210,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CampaignError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CampaignError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InvariantViolation as exc:

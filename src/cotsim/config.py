@@ -43,11 +43,9 @@ class ComponentSpec:
     frames: int
     essential_bits: int
     reloadable: bool = False  # sits in a reconfigurable region
-    region_bytes: int | None = None  # defaults to frames * FRAME_BYTES
 
     def size_bytes(self) -> int:
-        return self.region_bytes if self.region_bytes is not None \
-            else self.frames * FRAME_BYTES
+        return self.frames * FRAME_BYTES
 
 
 @dataclass

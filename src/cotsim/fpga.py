@@ -31,6 +31,7 @@ from cotsim.engine import SimEngine, Event
 
 FRAME_BITS = FRAME_BYTES * 8
 WORD_BYTES = 4
+TARGET = "fpga"  # the node's handler id on the engine
 
 
 class IcapError(Exception):
@@ -211,6 +212,10 @@ class ConfigMemory:
     def healthy(self, name: str) -> bool:
         return not self.flipped_essential[name]
 
+    def functional(self, name: str) -> bool:
+        """Component `name` is absent from this design or healthy."""
+        return not self.flipped_essential.get(name)
+
     def corruption_tag(self, name: str) -> int:
         """Deterministic 63-bit tag of the component's flipped essential
         bits (blake2b of `repr(sorted(marks))`), recomputed only after
@@ -377,10 +382,6 @@ class Scrubber:
         self.mem.after_write = self.replan
         node.engine.add_watcher(self)
 
-    def functional(self) -> bool:
-        return "cms_ctrl" not in self.mem.components or \
-            self.mem.healthy("cms_ctrl")
-
     def start_chain(self) -> None:
         self.start = self.node.engine.now
         self.ticks_done = 0
@@ -397,7 +398,7 @@ class Scrubber:
     def _schedule_plan(self) -> None:
         t, scheduled_at, slot = self.watch_key
         self.plan_event = self.node.engine.schedule(
-            t, self.node.target, "cms_scan", (self.node.epoch,),
+            t, TARGET, "cms_scan", (self.node.epoch,),
             order=(scheduled_at, slot))
 
     def advance(self, bound: tuple) -> None:
@@ -417,7 +418,7 @@ class Scrubber:
             last = min(last, self.plan - 1)
         skipped = last - self.ticks_done
         self.ticks_done = last
-        if self.functional():
+        if self.mem.functional("cms_ctrl"):
             self.node.heartbeat(self.start + last * self.period)
             if self.repair_frame is None:
                 self.pointer = (self.pointer + skipped) % self.mem.n_frames
@@ -427,7 +428,7 @@ class Scrubber:
         """Plan the next tick that will find damage."""
         plan = None
         if (self.start is not None and self.repair_frame is None
-                and self.functional()):
+                and self.mem.functional("cms_ctrl")):
             n, frames = self.mem.n_frames, self.mem.frames
             ahead = min(((f - self.pointer) % n for f in self.mem.dirty
                          if self.known_uncorrectable.get(f) != frames[f]),
@@ -450,7 +451,7 @@ class Scrubber:
         """The planned scan tick: check the current frame, start a repair."""
         self.ticks_done += 1
         self.plan = self.plan_event = None
-        if self.functional():
+        if self.mem.functional("cms_ctrl"):
             self.node.heartbeat(self.node.engine.now)
             if self.repair_frame is None:
                 self._scan_frame()
@@ -469,7 +470,7 @@ class Scrubber:
 
     def _on_grant(self) -> None:
         self.node.engine.schedule_in(
-            self.node.arch.frame_repair_latency_us, self.node.target,
+            self.node.arch.frame_repair_latency_us, TARGET,
             "cms_repair_done", (self.node.epoch, self.repair_frame))
 
     def finish_repair(self, frame: int) -> None:
@@ -540,12 +541,8 @@ class DprController:
         self.reloads = 0
         self.dropped = 0
 
-    def functional(self) -> bool:
-        return "dpr_ctrl" not in self.mem.components or \
-            self.mem.healthy("dpr_ctrl")
-
     def request_reload(self, comp: str) -> None:
-        if not self.functional():
+        if not self.mem.functional("dpr_ctrl"):
             self.dropped += 1
             return
         if comp == self.active or comp in self.queue:
@@ -572,7 +569,7 @@ class DprController:
         duration = reload_duration_us(
             self.mem.components[self.active].size_bytes())
         self.node.engine.schedule_in(
-            duration, self.node.target, "dpr_reload_done",
+            duration, TARGET, "dpr_reload_done",
             (self.node.epoch, self.active))
 
     def finish_reload(self, comp: str) -> None:
@@ -598,15 +595,11 @@ class Watchdog:
     def __init__(self, node: "FpgaNode"):
         self.node = node
         self.last_heartbeat = 0
-        self.resets = 0
 
     def check(self) -> None:
         node = self.node
-        if node.in_reset:
-            return
         if node.engine.now - self.last_heartbeat > node.arch.wd_timeout_us:
-            self.resets += 1
-            node.full_reset("watchdog")
+            node.full_reset()
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +609,9 @@ class Watchdog:
 class FpgaNode:
     """Event-driven FPGA model wired onto a simulation engine."""
 
-    def __init__(self, engine: SimEngine, arch: ArchConfig,
-                 target: str = "fpga"):
+    def __init__(self, engine: SimEngine, arch: ArchConfig):
         self.engine = engine
         self.arch = arch
-        self.target = target
         self.mem = ConfigMemory(arch.components)
         self.icap = IcapArbiter()
         self.scrubber = Scrubber(self) if arch.cms else None
@@ -638,7 +629,7 @@ class FpgaNode:
         # (mem.version, reload requests, output correct?, unhealthy state
         # as the text the window hash formats)
         self._window: tuple | None = None
-        engine.register(target, self._handle)
+        engine.register(TARGET, self._handle)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -663,10 +654,10 @@ class FpgaNode:
         if self.scrubber is not None:
             self.scrubber.start_chain()
         if self.dpr is not None:
-            self.engine.schedule_in(self.arch.dpr_blind_period_us, self.target,
+            self.engine.schedule_in(self.arch.dpr_blind_period_us, TARGET,
                                     "dpr_blind", (ep,))
         if self.wd is not None:
-            self.engine.schedule_in(self.arch.wd_timeout_us // 2, self.target,
+            self.engine.schedule_in(self.arch.wd_timeout_us // 2, TARGET,
                                     "wd_check", (ep,))
 
     def _handle(self, ev: Event) -> None:
@@ -679,30 +670,28 @@ class FpgaNode:
         elif ev.kind == "dpr_blind":
             if not self.in_reset and self.dpr is not None:
                 self.dpr.blind_step()
-            self.engine.schedule_in(self.arch.dpr_blind_period_us, self.target,
+            self.engine.schedule_in(self.arch.dpr_blind_period_us, TARGET,
                                     "dpr_blind", (self.epoch,))
         elif ev.kind == "dpr_reload_done":
             self.dpr.finish_reload(ev.params[1])
         elif ev.kind == "wd_check":
             self.wd.check()
-            self.engine.schedule_in(self.arch.wd_timeout_us // 2, self.target,
+            self.engine.schedule_in(self.arch.wd_timeout_us // 2, TARGET,
                                     "wd_check", (self.epoch,))
         elif ev.kind == "reset_done":
             self._finish_reset()
 
     def heartbeat(self, at_us: int) -> None:
-        if self.wd is None:
-            return
-        if "wd_link" in self.mem.components and not self.mem.healthy("wd_link"):
-            return  # status channel itself corrupted: heartbeat lost
-        self.wd.last_heartbeat = at_us
+        # a corrupted status channel loses the heartbeat
+        if self.wd is not None and self.mem.functional("wd_link"):
+            self.wd.last_heartbeat = at_us
 
     # -- reset --------------------------------------------------------------
 
     def reset_duration_us(self) -> int:
         return reload_duration_us(self.mem.n_frames * FRAME_BYTES)
 
-    def full_reset(self, reason: str) -> None:
+    def full_reset(self) -> None:
         """Reboot from stored configuration: node is down for the reload."""
         if self.in_reset:
             return
@@ -714,7 +703,7 @@ class FpgaNode:
             self.scrubber.reset()
         if self.dpr is not None:
             self.dpr.reset()
-        self.engine.schedule_in(self.reset_duration_us(), self.target,
+        self.engine.schedule_in(self.reset_duration_us(), TARGET,
                                 "reset_done", (self.epoch,))
 
     def _finish_reset(self) -> None:

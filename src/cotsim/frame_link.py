@@ -50,13 +50,11 @@ class PixelFrame:
 class FrameWire:
     """Serialized transport form: active rows followed by the footer row."""
 
-    width: int
-    height: int  # active rows; the wire carries height + 1 rows
     depth: int
-    rows: np.ndarray  # shape (height + 1, width), dtype uint32
+    rows: np.ndarray  # shape (active height + 1, width), dtype uint32
 
     def total_bits(self) -> int:
-        return (self.height + 1) * self.width * self.depth
+        return self.rows.size * self.depth
 
 
 @dataclass
@@ -112,7 +110,7 @@ def encode_frame(frame: PixelFrame) -> FrameWire:
     """Append the CRC footer row; active pixels are copied unchanged."""
     crc = crc16_ccitt(serialize_pixels(frame))
     rows = np.vstack([frame.pixels, _footer_row(frame.width, frame.depth, crc)])
-    return FrameWire(frame.width, frame.height, frame.depth, rows)
+    return FrameWire(frame.depth, rows)
 
 
 def decode_frame(wire: FrameWire) -> DecodeResult:
@@ -121,7 +119,7 @@ def decode_frame(wire: FrameWire) -> DecodeResult:
         raise FrameError("wire has no footer row")
     active = wire.rows[:-1]
     footer = wire.rows[-1]
-    frame = PixelFrame(wire.width, wire.rows.shape[0] - 1, wire.depth,
+    frame = PixelFrame(active.shape[1], active.shape[0], wire.depth,
                        active.copy())
     received = _extract_crc(footer, wire.depth)
     computed = crc16_ccitt(serialize_pixels(frame))
@@ -144,5 +142,5 @@ def flip_wire_bit(wire: FrameWire, bit_position: int) -> None:
         raise FrameError(f"bit position {bit_position} out of range")
     pixel_idx = bit_position // wire.depth
     bit_in_pixel = wire.depth - 1 - (bit_position % wire.depth)
-    r, c = divmod(pixel_idx, wire.width)
+    r, c = divmod(pixel_idx, wire.rows.shape[1])
     wire.rows[r, c] = np.uint32(int(wire.rows[r, c]) ^ (1 << bit_in_pixel))

@@ -71,8 +71,7 @@ class ReliabilityModel:
     curve_r: list[float]
 
 
-def fit_lambda(timeline: FunctionalityTimeline,
-               curve_points: int = 101) -> ReliabilityModel:
+def fit_lambda(timeline: FunctionalityTimeline) -> ReliabilityModel:
     """MLE failure rate: correct->failed transitions per correct second."""
     correct_us = 0
     failures = 0
@@ -87,18 +86,17 @@ def fit_lambda(timeline: FunctionalityTimeline,
         raise FitError("no correct operation observed; rate undefined")
     lam = failures / (correct_us / 1e6)
     horizon = timeline.duration_us() / 1e6 or 1.0
-    return ReliabilityModel(lam, *reliability_curve(lam, horizon,
-                                                    curve_points))
+    return ReliabilityModel(lam, *reliability_curve(lam, horizon))
 
 
 def reliability(lam_per_s: float, t_s: float) -> float:
     return math.exp(-lam_per_s * t_s)
 
 
-def reliability_curve(lam_per_s: float, horizon_s: float,
-                      points: int = 101) -> tuple[list[float], list[float]]:
-    """R(t) = exp(-lambda t) at `points` evenly spaced t in [0, horizon]."""
-    times = [horizon_s * i / (points - 1) for i in range(points)]
+def reliability_curve(lam_per_s: float,
+                      horizon_s: float) -> tuple[list[float], list[float]]:
+    """R(t) = exp(-lambda t) at 101 evenly spaced t in [0, horizon]."""
+    times = [horizon_s * i / 100 for i in range(101)]
     return times, [reliability(lam_per_s, t) for t in times]
 
 
@@ -263,8 +261,7 @@ def _random_image(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.integers(0, 1024, size=(size, size)).astype(np.uint16)
 
 
-def _impair_data(node: VpuNode, tiles, worker: int,
-                 rng: np.random.Generator) -> None:
+def _impair_data(tiles, worker: int, rng: np.random.Generator) -> None:
     """Corrupt a random contiguous span covering at least half the tile."""
     flat = tiles[worker].data.reshape(-1)
     span = int(rng.integers(flat.size // 2, flat.size + 1))
@@ -275,7 +272,14 @@ def _impair_data(node: VpuNode, tiles, worker: int,
 
 def run_vpu_trial(kernel: str, ft: str, n_impaired: int, seed: int,
                   size: int = 256) -> VpuTrialReport:
-    """One VPU benchmark execution with n_impaired randomly chosen cores."""
+    """One VPU benchmark execution with n_impaired randomly chosen cores.
+
+    Each impaired core gets one fault, drawn in core order: DMR a data
+    fault in the core's DMA tile, IMR and NMR a code fault (one corrupted
+    instruction byte), and no technique ("none") one or the other by a
+    coin flip."""
+    if ft not in ("none", "imr", "dmr", "nmr"):
+        raise ValueError(f"unknown FT technique {ft!r}")
     rng = np.random.default_rng(seed)
     image = _random_image(rng, size)
     golden = golden_output(image, kernel)
@@ -283,48 +287,26 @@ def run_vpu_trial(kernel: str, ft: str, n_impaired: int, seed: int,
     impaired = sorted(int(w) for w in rng.choice(
         np.arange(vpu_mod.N_WORKERS), size=n_impaired, replace=False))
 
-    flagged = 0
-    reschedule_us = 0
-    if ft == "dmr":
-        tiles = node.dma_tiles()
-        for w in impaired:
-            _impair_data(node, tiles, w, rng)
-        out, rep = node.dmr_run(tiles)
-        latency = rep.latency_us
-        reschedule_us = rep.reschedule_us
-    elif ft == "imr":
-        for w in impaired:
+    tiles = None if ft == "nmr" else node.dma_tiles()  # NMR cuts its own
+    for w in impaired:
+        if ft == "dmr" or (ft == "none" and not int(rng.integers(0, 2))):
+            _impair_data(tiles, w, rng)
+        else:
             node.corrupt_instr(w, [(int(rng.integers(0, 4096)),
                                     int(rng.integers(1, 256)))])
-        out, rep = node.imr_run()
-        latency = rep.latency_us
-        reschedule_us = rep.reschedule_us
-    elif ft == "nmr":
-        for w in impaired:
-            node.corrupt_instr(w, [(int(rng.integers(0, 4096)),
-                                    int(rng.integers(1, 256)))])
-        out, rep = node.nmr_run(3)
-        latency = rep.latency_us
-        flagged = rep.flagged_pixels
-    elif ft == "none":
-        tiles = node.dma_tiles()
-        for w in impaired:
-            if int(rng.integers(0, 2)):
-                node.corrupt_instr(w, [(int(rng.integers(0, 4096)),
-                                        int(rng.integers(1, 256)))])
-            else:
-                _impair_data(node, tiles, w, rng)
+    if ft == "none":
         out, latency = node.run_plain(tiles)
+    elif ft == "nmr":
+        out, rep = node.nmr_run(3)
     else:
-        raise ValueError(f"unknown FT technique {ft!r}")
-
+        out, rep = (node.imr_run if ft == "imr" else node.dmr_run)(tiles)
     return VpuTrialReport(
         kernel=kernel, ft=ft, impaired=impaired,
         error_rate=error_rate(out, golden),
-        latency_us=latency,
+        latency_us=latency if ft == "none" else rep.latency_us,
         crc_check_us=CRC_CHECK_US if ft in ("imr", "dmr") else 0,
-        reschedule_us=reschedule_us,
-        flagged_pixels=flagged,
+        reschedule_us=rep.reschedule_us if ft in ("imr", "dmr") else 0,
+        flagged_pixels=rep.flagged_pixels if ft == "nmr" else 0,
     )
 
 
@@ -338,14 +320,14 @@ class VpuTableRow:
 
 
 def run_vpu_table(kernels: list[str], fts: list[str],
-                  impaired_counts: list[int], seeds: list[int],
-                  size: int = 256) -> list[VpuTableRow]:
+                  impaired_counts: list[int],
+                  seeds: list[int]) -> list[VpuTableRow]:
     """Error-rate min/max per (kernel, technique, impaired-core count)."""
     rows = []
     for kernel in kernels:
         for ft in fts:
             for count in impaired_counts:
-                rates = [run_vpu_trial(kernel, ft, count, s, size).error_rate
+                rates = [run_vpu_trial(kernel, ft, count, s).error_rate
                          for s in seeds]
                 rows.append(VpuTableRow(kernel, ft, count,
                                         min(rates), max(rates)))

@@ -79,44 +79,38 @@ def conv2d(tile: np.ndarray, kernel: np.ndarray, pad_top: bool,
     return out
 
 
-def binning2d(tile: np.ndarray, factor: int = 2) -> np.ndarray:
-    """Averaging binning: block mean rounded half-up to an integer pixel."""
+def binning2d(tile: np.ndarray) -> np.ndarray:
+    """Averaging 2x2 binning: block mean rounded half-up to an integer pixel."""
     tile = np.asarray(tile)
     h, w = tile.shape
-    if h % factor or w % factor:
-        raise WorkloadError(
-            f"tile {h}x{w} not divisible by binning factor {factor}")
-    blocks = tile.reshape(h // factor, factor, w // factor, factor)
+    if h % 2 or w % 2:
+        raise WorkloadError(f"tile {h}x{w} not divisible by binning factor 2")
+    blocks = tile.reshape(h // 2, 2, w // 2, 2)
     means = blocks.astype(np.float64).mean(axis=(1, 3))
     return np.floor(means + 0.5).astype(np.int64)
 
 
-def conv2d_reference(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Whole-image convolution with zero padding (golden path)."""
-    return conv2d(image, kernel, pad_top=True, pad_bottom=True)
-
-
-KERNELS = ("conv2d", "binning2d")
+# kernel name -> (halo rows per side, input rows per output row); binning
+# stripes must hold whole 2x2 blocks
+KERNELS = {"conv2d": (1, 1), "binning2d": (0, 2)}
 DEFAULT_CONV_KERNEL = np.array([[0.0625, 0.125, 0.0625],
                                 [0.125, 0.25, 0.125],
                                 [0.0625, 0.125, 0.0625]])
 
 
-def kernel_halo(kernel_name: str) -> int:
-    return 1 if kernel_name == "conv2d" else 0
-
-
-def kernel_row_unit(kernel_name: str) -> int:
-    # binning stripes must hold whole 2x2 blocks
-    return 2 if kernel_name == "binning2d" else 1
+def run_kernel(kernel_name: str, data: np.ndarray, pad_top: bool = True,
+               pad_bottom: bool = True) -> np.ndarray:
+    """The named kernel on `data`; conv2d zero pads the marked edges."""
+    if kernel_name == "conv2d":
+        return conv2d(data, DEFAULT_CONV_KERNEL, pad_top, pad_bottom)
+    return binning2d(data)
 
 
 def golden_output(image: np.ndarray, kernel_name: str) -> np.ndarray:
-    if kernel_name == "conv2d":
-        return conv2d_reference(image, DEFAULT_CONV_KERNEL)
-    if kernel_name == "binning2d":
-        return binning2d(image)
-    raise WorkloadError(f"unknown kernel {kernel_name!r}")
+    """The kernel's whole-image output, zero padded at every edge."""
+    if kernel_name not in KERNELS:
+        raise WorkloadError(f"unknown kernel {kernel_name!r}")
+    return run_kernel(kernel_name, image)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +241,7 @@ class VpuNode:
         if kernel_name not in KERNELS:
             raise WorkloadError(f"unknown kernel {kernel_name!r}")
         self.kernel_name = kernel_name
+        self.halo, self.row_unit = KERNELS[kernel_name]
         self.workers = [WorkerCore(i, bytearray(g))
                         for i, g in enumerate(GOLDEN_INSTR)]
         self.ddr_input = np.asarray(image, dtype=np.uint16).copy()
@@ -275,10 +270,8 @@ class VpuNode:
 
     def _partition(self, image: np.ndarray, parts: int,
                    seal: bool) -> list[Tile]:
-        return partition_workload(image, parts,
-                                  halo=kernel_halo(self.kernel_name),
-                                  row_unit=kernel_row_unit(self.kernel_name),
-                                  seal=seal)
+        return partition_workload(image, parts, halo=self.halo,
+                                  row_unit=self.row_unit, seal=seal)
 
     def dma_tiles(self) -> list[Tile]:
         """Partition the working DDR copy; checksums are sealed now from
@@ -295,17 +288,15 @@ class VpuNode:
         """The kernel's output for the tile: the reference rows if the tile
         is cut like the node's own and holds the reference's input rows,
         else the kernel run on the tile's data."""
-        unit = kernel_row_unit(self.kernel_name)  # input rows per output row
+        unit = self.row_unit
         lo, hi = tile.row_start - tile.halo, tile.row_end + tile.halo
-        if (tile.halo == kernel_halo(self.kernel_name)
+        if (tile.halo == self.halo
                 and tile.row_start % unit == 0 and tile.row_end % unit == 0
                 and np.array_equal(tile.data, self._ref_input[max(lo, 0):hi])):
             return self._ref_output[tile.row_start // unit:
                                     tile.row_end // unit]
-        if self.kernel_name == "conv2d":
-            return conv2d(tile.data, DEFAULT_CONV_KERNEL, lo < 0,
+        return run_kernel(self.kernel_name, tile.data, lo < 0,
                           hi > self._ref_input.shape[0])
-        return binning2d(tile.data)
 
     def worker_execute(self, worker_id: int, tile: Tile) -> np.ndarray:
         """Run the kernel on one tile.
@@ -323,102 +314,96 @@ class VpuNode:
     def _stripe_time_us(self, tile: Tile) -> float:
         return tile.data.size * KERNEL_US_PER_PIXEL
 
-    def _assemble(self, tiles: list[Tile],
-                  outputs: dict[int, np.ndarray]) -> np.ndarray:
-        return np.vstack([outputs[t.worker] for t in tiles])
-
     def run_plain(self, tiles: list[Tile] | None = None,
                   ) -> tuple[np.ndarray, float]:
         """12-way parallel run with no fault tolerance."""
         if tiles is None:
             tiles = self.dma_tiles()
-        outputs = {t.worker: self.worker_execute(t.worker, t) for t in tiles}
-        latency = max(self._stripe_time_us(t) for t in tiles) + DMA_US
-        return self._assemble(tiles, outputs), latency
+        out = np.vstack([self.worker_execute(t.worker, t) for t in tiles])
+        return out, max(self._stripe_time_us(t) for t in tiles) + DMA_US
+
+    def _redispatch(self, tiles: list[Tile], outputs: dict[int, np.ndarray],
+                    redo: list[Tile | None], functional: list[int],
+                    report: RecoveryReport) -> np.ndarray:
+        """Run redo[i] on stand-in functional[i % len(functional)] (None:
+        nothing to run), fill in the report's timing and return the output
+        assembled in tile order; `outputs` holds the other tiles' stripes."""
+        if redo:
+            report.reschedule_us = RESCHEDULE_US
+        base_us = max(self._stripe_time_us(t) for t in tiles) + DMA_US
+        # degraded mode runs the whole workload a second time
+        redo_us = base_us if report.degraded_mode else 0.0
+        for i, tile in enumerate(redo):
+            if tile is not None:
+                outputs[tile.worker] = self.worker_execute(
+                    functional[i % len(functional)], tile)
+                report.redispatched.append(tile.worker)
+                redo_us = max(redo_us, self._stripe_time_us(tile))
+        report.latency_us = (base_us + CRC_CHECK_US + report.reschedule_us
+                             + redo_us)
+        return np.vstack([outputs[t.worker] for t in tiles])
 
     # -- instruction memory recovery ---------------------------------------
 
     def imr_run(self, tiles: list[Tile] | None = None,
                 ) -> tuple[np.ndarray, RecoveryReport]:
         """Detect corrupted worker code by CRC, re-dispatch its tiles to
-        functional workers, then restore the code from the golden copy."""
+        functional workers, then restore the code from the golden copy.
+        With no functional worker left (degraded mode) the code is
+        restored first and every tile runs again on its own worker."""
         if tiles is None:
             tiles = self.dma_tiles()
         report = RecoveryReport()
-        impaired = [w.id for w in self.workers
-                    if crc16_ccitt(w.instr_mem) != INSTR_CRC_BASELINE[w.id]]
-        report.impaired = impaired
+        impaired = report.impaired = [
+            w.id for w in self.workers
+            if crc16_ccitt(w.instr_mem) != INSTR_CRC_BASELINE[w.id]]
         functional = [w.id for w in self.workers if w.id not in impaired]
-        base_latency = max(self._stripe_time_us(t) for t in tiles) + DMA_US
-
+        moved = set(impaired)  # workers whose tiles go to stand-ins
         if not functional:
-            # no healthy worker left: restore everything first, then run
             for wid in impaired:
                 self.restore_instr(wid)
             report.degraded_mode = True
             report.reschedule_us = RESCHEDULE_US
-            outputs = {t.worker: self.worker_execute(t.worker, t)
-                       for t in tiles}
-            report.latency_us = (base_latency + CRC_CHECK_US + RESCHEDULE_US
-                                 + base_latency)
-            return self._assemble(tiles, outputs), report
-
-        outputs = {t.worker: self.worker_execute(t.worker, t) for t in tiles}
-        redo = [t for t in tiles if t.worker in impaired]
-        redo_latency = 0.0
-        if redo:
-            report.reschedule_us = RESCHEDULE_US
-            for i, tile in enumerate(redo):
-                stand_in = functional[i % len(functional)]
-                outputs[tile.worker] = self.worker_execute(stand_in, tile)
-                report.redispatched.append(tile.worker)
-            redo_latency = max(self._stripe_time_us(t) for t in redo)
+            moved = set()
+        outputs = {t.worker: self.worker_execute(t.worker, t)
+                   for t in tiles if t.worker not in moved}
+        out = self._redispatch(tiles, outputs,
+                               [t for t in tiles if t.worker in moved],
+                               functional, report)
         for wid in impaired:
             self.restore_instr(wid)
-        report.latency_us = (base_latency + CRC_CHECK_US
-                             + report.reschedule_us + redo_latency)
-        return self._assemble(tiles, outputs), report
+        return out, report
 
     # -- data memory recovery ----------------------------------------------
 
     def dmr_run(self, tiles: list[Tile]) -> tuple[np.ndarray, RecoveryReport]:
         """Each worker checks its tile CRC before computing; corrupted
         tiles are restored from the retained verified input and
-        rescheduled on the workers whose data passed."""
+        rescheduled on the workers whose data passed.  A tile whose
+        restored data fails the check too runs as it is on its own worker,
+        and keeps its place in the stand-in rotation."""
         report = RecoveryReport()
-        bad = [t.worker for t in tiles if not t.crc_ok()]
-        report.impaired = bad
-        base_latency = max(self._stripe_time_us(t) for t in tiles) + DMA_US
-
-        outputs = {}
-        for tile in tiles:
-            if tile.worker not in bad:
-                outputs[tile.worker] = self.worker_execute(tile.worker, tile)
-
-        redo_latency = 0.0
-        if bad:
-            report.reschedule_us = RESCHEDULE_US
-            functional = [t.worker for t in tiles if t.worker not in bad] \
-                or list(range(N_WORKERS))
-            fresh = self._partition(self.golden_input, N_WORKERS, seal=False)
-            for i, wid in enumerate(bad):
-                tile = fresh[wid]
-                # restored data must match the checksum sealed at reception,
-                # otherwise the retained copy itself has been corrupted
-                tile.crc = tiles[wid].crc
-                if not tile.crc_ok():
-                    report.unrecoverable_input = True
-                    outputs[wid] = self.worker_execute(wid, tiles[wid])
-                    continue
-                stand_in = functional[i % len(functional)]
-                outputs[wid] = self.worker_execute(stand_in, tile)
-                report.redispatched.append(wid)
-            if report.redispatched:
-                redo_latency = max(self._stripe_time_us(fresh[w])
-                                   for w in report.redispatched)
-        report.latency_us = (base_latency + CRC_CHECK_US
-                             + report.reschedule_us + redo_latency)
-        return self._assemble(tiles, outputs), report
+        bad = report.impaired = [t.worker for t in tiles if not t.crc_ok()]
+        outputs = {t.worker: self.worker_execute(t.worker, t)
+                   for t in tiles if t.worker not in bad}
+        functional = [t.worker for t in tiles if t.worker not in bad] \
+            or list(range(N_WORKERS))
+        fresh = self._partition(self.golden_input, N_WORKERS,
+                                seal=False) if bad else []
+        redo = []
+        for wid in bad:
+            tile = fresh[wid]
+            # restored data must match the checksum sealed at reception,
+            # otherwise the retained copy itself has been corrupted
+            tile.crc = tiles[wid].crc
+            if tile.crc_ok():
+                redo.append(tile)
+            else:
+                report.unrecoverable_input = True
+                outputs[wid] = self.worker_execute(wid, tiles[wid])
+                redo.append(None)
+        return self._redispatch(tiles, outputs, redo, functional,
+                                report), report
 
     # -- N modular redundancy ----------------------------------------------
 

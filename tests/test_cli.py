@@ -113,18 +113,28 @@ def test_empty_seed_selection_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def _rejected_before_any_run(tmp_path, capsys, monkeypatch, spec) -> str:
+def _matrix_rejected(tmp_path, capsys, monkeypatch, archs, seeds,
+                     campaign=None) -> str:
+    """Runs `cotsim matrix --vpu` with run functions that fail if called;
+    returns its error output, which must be one error line."""
     def must_not_run(*_args, **_kwargs):
-        raise AssertionError("simulated before the seeds were checked")
+        raise AssertionError("simulated before the arguments were checked")
 
     monkeypatch.setattr(cli, "run_matrix", must_not_run)
     monkeypatch.setattr(cli, "run_vpu_table", must_not_run)
-    assert main(["matrix", "--archs", "No-FT", f"--seeds={spec}", "--vpu",
-                 "--campaign", small_campaign(tmp_path),
+    assert main(["matrix", "--archs", archs, f"--seeds={seeds}", "--vpu",
+                 "--campaign", campaign or small_campaign(tmp_path),
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: --seeds") and "Traceback" not in err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+    return err
+
+
+def _rejected_before_any_run(tmp_path, capsys, monkeypatch, spec) -> str:
+    err = _matrix_rejected(tmp_path, capsys, monkeypatch, "No-FT", spec)
+    assert err.startswith("error: --seeds")
     return err
 
 
@@ -139,6 +149,25 @@ def test_non_integer_seeds_are_rejected_before_any_run(
         tmp_path, capsys, monkeypatch, spec):
     err = _rejected_before_any_run(tmp_path, capsys, monkeypatch, spec)
     assert "lo:hi or a comma list of integers" in err
+
+
+@pytest.mark.parametrize("archs", ["CMS,CMS", "No-FT,TMR,No-FT"])
+def test_duplicate_architectures_are_rejected_before_any_run(
+        tmp_path, capsys, monkeypatch, archs):
+    # a repeated architecture would overwrite its own run reports
+    err = _matrix_rejected(tmp_path, capsys, monkeypatch, archs, "0:1")
+    assert err.startswith(f"error: --archs {archs!r}")
+
+
+def test_a_target_component_missing_from_an_architecture_is_rejected(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "targets.json"
+    path.write_text(json.dumps({"duration_us": 100_000,
+                                "target_mode": "components",
+                                "target_components": ["cms_ctrl"]}))
+    err = _matrix_rejected(tmp_path, capsys, monkeypatch, "CMS,No-FT", "0:2",
+                           str(path))
+    assert "'cms_ctrl'" in err and "No-FT" in err
 
 
 def test_campaign_with_a_seed_is_a_config_error(tmp_path, capsys):

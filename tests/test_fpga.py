@@ -574,7 +574,7 @@ def test_reset_invalidates_stale_events():
     node = FpgaNode(eng, make_architecture("CMS+DPR+TMR+WD"))
     node.start()
     epoch_before = node.epoch
-    node.full_reset("test")
+    node.full_reset()
     assert node.epoch == epoch_before + 1
     eng.run_until(2_000_000)
     assert not node.in_reset

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from cotsim import vpu
 from cotsim.crc import crc16_ccitt
-from cotsim.vpu import (DEFAULT_CONV_KERNEL, N_WORKERS, Tile, VpuNode,
-                        WorkloadError, binning2d, conv2d, conv2d_reference,
-                        error_rate, golden_output, kernel_halo,
-                        kernel_row_unit, partition_workload)
+from cotsim.vpu import (DEFAULT_CONV_KERNEL, KERNELS, N_WORKERS, Tile,
+                        VpuNode, WorkloadError, binning2d, conv2d,
+                        error_rate, golden_output, partition_workload)
 
 
 def conv_oracle(image, kernel):
@@ -32,7 +31,7 @@ def conv_oracle(image, kernel):
 def test_conv2d_matches_double_loop_oracle():
     rng = np.random.default_rng(0)
     image = rng.integers(0, 1024, size=(8, 8)).astype(np.float64)
-    got = conv2d_reference(image, DEFAULT_CONV_KERNEL)
+    got = golden_output(image, "conv2d")
     assert np.allclose(got, conv_oracle(image, DEFAULT_CONV_KERNEL),
                        atol=1e-12, rtol=0)
 
@@ -53,8 +52,8 @@ def test_binning_rejects_odd_tiles():
 
 
 def test_kernel_registry():
-    assert kernel_halo("conv2d") == 1 and kernel_halo("binning2d") == 0
-    assert kernel_row_unit("conv2d") == 1 and kernel_row_unit("binning2d") == 2
+    # (halo rows, input rows per output row) of each kernel
+    assert KERNELS == {"conv2d": (1, 1), "binning2d": (0, 2)}
     with pytest.raises(WorkloadError):
         golden_output(np.zeros((4, 4)), "fft")
 
@@ -123,13 +122,13 @@ def test_kernel_on_each_tile_equals_the_reference_rows(kernel, height, width,
                                                         seed):
     """Row-locality, bit for bit, for every tiling a node uses: the 12-way
     DMA and the NMR stripes of n = 1, 3 and 5 (12, 4 and 2 parts)."""
-    unit = kernel_row_unit(kernel)
+    halo, unit = KERNELS[kernel]
     height, width = height * unit, width * unit  # binning: whole blocks
     rng = np.random.default_rng(seed)
     image = rng.integers(0, 1 << 16, size=(height, width)).astype(np.uint16)
     reference = golden_output(image, kernel)
     for parts in (N_WORKERS, 4, 2):
-        for tile in partition_workload(image, parts, halo=kernel_halo(kernel),
+        for tile in partition_workload(image, parts, halo=halo,
                                        row_unit=unit):
             rows = reference[tile.row_start // unit:tile.row_end // unit]
             direct = run_kernel(kernel, tile, height)
@@ -142,7 +141,7 @@ def test_a_tile_off_the_reference_input_gets_its_own_output(kernel):
     node = make_node(kernel)
     height = node.golden_input.shape[0]
     reference = golden_output(node.golden_input, kernel)
-    unit = kernel_row_unit(kernel)
+    halo, unit = KERNELS[kernel]
     tiles = node.dma_tiles()
     for tile in tiles:  # untouched tiles take the reference rows
         got = node.worker_execute(tile.worker, tile)
@@ -157,7 +156,7 @@ def test_a_tile_off_the_reference_input_gets_its_own_output(kernel):
     # the retained input is not what the reference was computed from
     node.golden_input[tiles[7].row_start, 0] ^= 0x200
     restored = partition_workload(node.golden_input, N_WORKERS,
-                                  halo=kernel_halo(kernel), row_unit=unit)[7]
+                                  halo=halo, row_unit=unit)[7]
     got = node.worker_execute(7, restored)
     assert got.tobytes() == run_kernel(kernel, restored, height).tobytes()
     assert got.tobytes() != reference[restored.row_start // unit:
@@ -266,6 +265,33 @@ def test_imr_all_workers_impaired_degraded_path():
     assert error_rate(out, golden_output(node.golden_input, "conv2d")) == 0.0
 
 
+@pytest.mark.parametrize("k", [1, 5, 11, 12])
+def test_imr_runs_every_tile_exactly_once(monkeypatch, k):
+    """An impaired worker's tile runs only on its stand-in (k < 12), or,
+    with no functional worker left, once on its own restored worker."""
+    node = make_node("conv2d")
+    impaired = sorted((5 * i) % N_WORKERS for i in range(k))
+    for w in impaired:
+        node.corrupt_instr(w, [(w, 0x5A)])
+    calls = []
+    real = VpuNode.worker_execute
+
+    def counted(self, worker_id, tile):
+        calls.append((worker_id, tile.worker))
+        return real(self, worker_id, tile)
+
+    monkeypatch.setattr(VpuNode, "worker_execute", counted)
+    out, report = node.imr_run()
+    assert len(calls) == N_WORKERS
+    assert sorted(tile for _, tile in calls) == list(range(N_WORKERS))
+    if k < N_WORKERS:
+        assert not any(worker in impaired for worker, _ in calls)
+        assert report.redispatched == impaired
+    else:
+        assert calls == [(w, w) for w in range(N_WORKERS)]
+    assert error_rate(out, golden_output(node.golden_input, "conv2d")) == 0.0
+
+
 # -- data memory recovery ---------------------------------------------------
 
 
@@ -307,6 +333,26 @@ def test_dmr_flags_unrecoverable_golden_input():
     node.golden_input[0, 0] ^= 1  # the retained copy is damaged too
     out, report = node.dmr_run(tiles)
     assert report.unrecoverable_input
+
+
+def test_dmr_stand_in_rotation_counts_unrecoverable_tiles():
+    """Bad tiles 0 (unrecoverable) and 3: tile 3 is the second bad tile,
+    so it goes to stand-in functional[1], whose code is corrupted."""
+    node = make_node("conv2d")
+    tiles = node.dma_tiles()
+    tiles[0].data[0, 0] ^= 1
+    node.golden_input[0, 0] ^= 1  # the retained copy of tile 0 is damaged
+    tiles[3].data[:, :] ^= 0x1F
+    functional = [w for w in range(N_WORKERS) if w not in (0, 3)]
+    node.corrupt_instr(functional[1], [(100, 0xFF)])
+    restored = partition_workload(node.golden_input, N_WORKERS, halo=1)[3]
+    garbled = node.worker_execute(functional[1], restored)
+    out, report = node.dmr_run(tiles)
+    assert report.unrecoverable_input and report.redispatched == [3]
+    stripe = out[restored.row_start:restored.row_end]
+    assert stripe.tobytes() == garbled.tobytes()
+    assert stripe.tobytes() != golden_output(node.golden_input, "conv2d")[
+        restored.row_start:restored.row_end].tobytes()
 
 
 # -- N modular redundancy ---------------------------------------------------
