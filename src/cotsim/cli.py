@@ -145,7 +145,7 @@ def cmd_verify(_args) -> int:
     ok = True
     for depth in (8, 16, 24):
         pixels = rng.integers(0, 1 << depth, size=(6, 5), dtype=np.uint32)
-        frame = PixelFrame(5, 6, depth, pixels)
+        frame = PixelFrame(depth, pixels)
         res = decode_frame(encode_frame(frame))
         ok &= res.crc_ok and res.padding_ok and \
             bool(np.array_equal(res.frame.pixels, frame.pixels))

@@ -17,6 +17,7 @@ FRAME_BYTES = 404
 DPR_BYTES_PER_US = 67  # 67 MB/s reload throughput
 
 SCRUB_MODES = ("replace", "enhanced_repair")
+TARGET_MODES = ("utilized_area", "components")
 
 ARCHITECTURES = (
     "No-FT",
@@ -152,6 +153,16 @@ class CampaignConfig:
             raise ValueError(
                 f"duration_us ({self.duration_us}) must be a whole number "
                 f"of windows of window_us ({self.window_us})")
+        if self.target_mode not in TARGET_MODES:
+            raise ValueError(f"unknown target_mode {self.target_mode!r}; "
+                             f"choose from {', '.join(TARGET_MODES)}")
+        names = self.target_components
+        if type(names) is not list or any(type(n) is not str for n in names):
+            raise ValueError(f"target_components must be a list of component "
+                             f"names, got {names!r}")
+        if self.target_mode == "components" and not names:
+            raise ValueError("target_mode components needs at least one "
+                             "target component")
 
     def n_events(self) -> int:
         return self.duration_us // self.period_us

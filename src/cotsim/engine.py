@@ -63,15 +63,14 @@ class SimEngine:
     """Single-threaded event loop with a monotone microsecond clock.
 
     Handlers are registered per target id; an event with no registered
-    handler is still counted as processed (useful for pure accounting
-    tests).  Cancellation is lazy: cancelled ids are skipped on pop and
-    not counted.
+    handler is still counted in `run_until`'s return value (useful for
+    pure accounting tests).  Cancellation is lazy: cancelled ids are
+    skipped on pop and not counted.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.now = 0
-        self.processed = 0
         # (fire_at, scheduled_at, order slot, seq, event)
         self._heap: list[tuple[int, int, int, int, Event]] = []
         self._seq = 0
@@ -162,5 +161,4 @@ class SimEngine:
                     handler(ev)
                 count += 1
         self.now = t_end
-        self.processed += count
         return count

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,16 +184,10 @@ class ConfigMemory:
         return int.from_bytes(self.frames[frame][base:base + WORD_BYTES],
                               "little")
 
-    def golden_word(self, frame: int, word: int) -> int:
-        base = word * WORD_BYTES
-        return int.from_bytes(self.golden[frame][base:base + WORD_BYTES],
-                              "little")
-
     def parity_store(self, frame: int) -> list[int]:
         if frame not in self._parity:
-            self._parity[frame] = [
-                secded_encode(self.golden_word(frame, w))
-                for w in range(FRAME_BYTES // WORD_BYTES)]
+            self._parity[frame] = [secded_encode(w) for w in np.frombuffer(
+                self.golden[frame], "<u4").tolist()]
         return self._parity[frame]
 
     def essential_bits(self, name: str) -> list[tuple[int, int]]:
@@ -206,14 +200,8 @@ class ConfigMemory:
         rows, cols = np.nonzero(bits)
         return list(zip((rows + frames.start).tolist(), cols.tolist()))
 
-    def frame_dirty(self, frame: int) -> bool:
-        return frame in self.dirty
-
     def healthy(self, name: str) -> bool:
-        return not self.flipped_essential[name]
-
-    def functional(self, name: str) -> bool:
-        """Component `name` is absent from this design or healthy."""
+        """Absent from this design, or no essential bit flipped."""
         return not self.flipped_essential.get(name)
 
     def corruption_tag(self, name: str) -> int:
@@ -227,9 +215,6 @@ class ConfigMemory:
             memo = self._tags[name] = (self.changed[name],
                                        int.from_bytes(digest, "big") >> 1)
         return memo[1]
-
-    def total_bits(self) -> int:
-        return self.n_frames * FRAME_BITS
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +403,7 @@ class Scrubber:
             last = min(last, self.plan - 1)
         skipped = last - self.ticks_done
         self.ticks_done = last
-        if self.mem.functional("cms_ctrl"):
+        if self.mem.healthy("cms_ctrl"):
             self.node.heartbeat(self.start + last * self.period)
             if self.repair_frame is None:
                 self.pointer = (self.pointer + skipped) % self.mem.n_frames
@@ -428,7 +413,7 @@ class Scrubber:
         """Plan the next tick that will find damage."""
         plan = None
         if (self.start is not None and self.repair_frame is None
-                and self.mem.functional("cms_ctrl")):
+                and self.mem.healthy("cms_ctrl")):
             n, frames = self.mem.n_frames, self.mem.frames
             ahead = min(((f - self.pointer) % n for f in self.mem.dirty
                          if self.known_uncorrectable.get(f) != frames[f]),
@@ -451,7 +436,7 @@ class Scrubber:
         """The planned scan tick: check the current frame, start a repair."""
         self.ticks_done += 1
         self.plan = self.plan_event = None
-        if self.mem.functional("cms_ctrl"):
+        if self.mem.healthy("cms_ctrl"):
             self.node.heartbeat(self.node.engine.now)
             if self.repair_frame is None:
                 self._scan_frame()
@@ -461,7 +446,7 @@ class Scrubber:
     def _scan_frame(self) -> None:
         frame = self.pointer
         self.pointer = (self.pointer + 1) % self.mem.n_frames
-        if not self.mem.frame_dirty(frame) or \
+        if frame not in self.mem.dirty or \
                 self.known_uncorrectable.get(frame) == self.mem.frames[frame]:
             return
         self.report.detections += 1
@@ -496,7 +481,7 @@ class Scrubber:
             if status == "corrected":
                 self.mem.write_word(frame, w, value)
                 self.report.corrected_bits += 1
-        if self.mem.frame_dirty(frame):
+        if frame in self.mem.dirty:
             # still differs from golden: some word had more than one
             # flipped bit
             self.report.uncorrectable += 1
@@ -542,7 +527,7 @@ class DprController:
         self.dropped = 0
 
     def request_reload(self, comp: str) -> None:
-        if not self.mem.functional("dpr_ctrl"):
+        if not self.mem.healthy("dpr_ctrl"):
             self.dropped += 1
             return
         if comp == self.active or comp in self.queue:
@@ -668,7 +653,7 @@ class FpgaNode:
         elif ev.kind == "cms_repair_done":
             self.scrubber.finish_repair(ev.params[1])
         elif ev.kind == "dpr_blind":
-            if not self.in_reset and self.dpr is not None:
+            if self.dpr is not None:
                 self.dpr.blind_step()
             self.engine.schedule_in(self.arch.dpr_blind_period_us, TARGET,
                                     "dpr_blind", (self.epoch,))
@@ -683,7 +668,7 @@ class FpgaNode:
 
     def heartbeat(self, at_us: int) -> None:
         # a corrupted status channel loses the heartbeat
-        if self.wd is not None and self.mem.functional("wd_link"):
+        if self.wd is not None and self.mem.healthy("wd_link"):
             self.wd.last_heartbeat = at_us
 
     # -- reset --------------------------------------------------------------

@@ -25,23 +25,18 @@ class FrameError(ValueError):
 class PixelFrame:
     """Active image: (height, width) array of unsigned pixel values."""
 
-    width: int
-    height: int
     depth: int
     pixels: np.ndarray  # shape (height, width), dtype uint32
 
     def __post_init__(self):
         if self.depth not in SUPPORTED_DEPTHS:
             raise FrameError(f"unsupported depth {self.depth}")
-        if self.width < 1 or self.height < 1:
-            raise FrameError("frame must have at least one pixel")
-        if self.depth == 8 and self.width < 2:
-            raise FrameError("depth-8 footer needs width >= 2 to hold the CRC")
         self.pixels = np.asarray(self.pixels, dtype=np.uint32)
-        if self.pixels.shape != (self.height, self.width):
-            raise FrameError(
-                f"pixel array shape {self.pixels.shape} does not match "
-                f"{self.height}x{self.width}")
+        if self.pixels.ndim != 2 or self.pixels.size == 0:
+            raise FrameError(f"pixel array of shape {self.pixels.shape} is "
+                             f"not a 2-D image with at least one pixel")
+        if self.depth == 8 and self.pixels.shape[1] < 2:
+            raise FrameError("depth-8 footer needs width >= 2 to hold the CRC")
         if np.any(self.pixels >= (1 << self.depth)):
             raise FrameError(f"pixel value out of range for depth {self.depth}")
 
@@ -109,7 +104,8 @@ def _padding_clean(row: np.ndarray, depth: int) -> bool:
 def encode_frame(frame: PixelFrame) -> FrameWire:
     """Append the CRC footer row; active pixels are copied unchanged."""
     crc = crc16_ccitt(serialize_pixels(frame))
-    rows = np.vstack([frame.pixels, _footer_row(frame.width, frame.depth, crc)])
+    rows = np.vstack([frame.pixels,
+                      _footer_row(frame.pixels.shape[1], frame.depth, crc)])
     return FrameWire(frame.depth, rows)
 
 
@@ -119,8 +115,7 @@ def decode_frame(wire: FrameWire) -> DecodeResult:
         raise FrameError("wire has no footer row")
     active = wire.rows[:-1]
     footer = wire.rows[-1]
-    frame = PixelFrame(active.shape[1], active.shape[0], wire.depth,
-                       active.copy())
+    frame = PixelFrame(wire.depth, active.copy())
     received = _extract_crc(footer, wire.depth)
     computed = crc16_ccitt(serialize_pixels(frame))
     return DecodeResult(

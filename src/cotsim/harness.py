@@ -1,6 +1,7 @@
 """Campaign orchestration: runs architectures under injection campaigns,
-classifies the functionality timeline, fits the failure rate, aggregates
-error rates and timing overheads, and emits reports."""
+classifies each measurement window as down, erroneous or correct, reads
+a run's percentages and failure rate straight from those window classes,
+aggregates error rates and timing overheads, and emits reports."""
 
 from __future__ import annotations
 
@@ -14,90 +15,43 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from cotsim.config import (ARCHITECTURES, ArchConfig, CampaignConfig,
-                           make_architecture)
+from cotsim.config import ArchConfig, CampaignConfig, make_architecture
 from cotsim.engine import SimEngine
 from cotsim.fpga import FpgaNode, InvariantViolation
 from cotsim.injector import (MutationLog, build_fpga_campaign,
                              inject_config_bit)
 from cotsim import vpu as vpu_mod
 from cotsim.vpu import (VpuNode, error_rate, golden_output,
-                        CRC_CHECK_US, RESCHEDULE_US)
+                        CRC_CHECK_US)
 
 CLASSES = ("down", "erroneous", "correct")
 
 
-class FitError(ValueError):
-    """Failure-rate fit is undefined (no correct operation observed)."""
-
-
 # ---------------------------------------------------------------------------
-# timeline and reliability
+# failure rate and reliability
 
 
-@dataclass
-class FunctionalityTimeline:
-    """Partition of [0, duration] into down/erroneous/correct intervals."""
-
-    intervals: list[tuple[int, int, str]]
-
-    def duration_us(self) -> int:
-        return self.intervals[-1][1] if self.intervals else 0
-
-    def totals(self) -> dict[str, float]:
-        time_per = {c: 0 for c in CLASSES}
-        for start, end, cls in self.intervals:
-            time_per[cls] += end - start
-        total = self.duration_us() or 1
-        return {c: 100.0 * time_per[c] / total for c in CLASSES}
-
-    @classmethod
-    def from_windows(cls, classes: list[str],
-                     window_us: int) -> "FunctionalityTimeline":
-        intervals = []
-        for i, c in enumerate(classes):
-            if intervals and intervals[-1][2] == c:
-                start, _end, _ = intervals[-1]
-                intervals[-1] = (start, (i + 1) * window_us, c)
-            else:
-                intervals.append((i * window_us, (i + 1) * window_us, c))
-        return cls(intervals)
-
-
-@dataclass
-class ReliabilityModel:
-    lam_per_s: float  # failures per second of correct operation
-    curve_times_s: list[float]
-    curve_r: list[float]
-
-
-def fit_lambda(timeline: FunctionalityTimeline) -> ReliabilityModel:
-    """MLE failure rate: correct->failed transitions per correct second."""
+def fit_lambda(spans) -> float | None:
+    """MLE failure rate, in failures per second of correct operation:
+    correct->failed transitions over the correct time of consecutive
+    (duration_us, class) spans; None when no time was correct."""
     correct_us = 0
     failures = 0
     prev = None
-    for _start, _end, cls in timeline.intervals:
+    for duration_us, cls in spans:
         if cls == "correct":
-            correct_us += _end - _start
+            correct_us += duration_us
         elif prev == "correct":
             failures += 1
         prev = cls
-    if correct_us == 0:
-        raise FitError("no correct operation observed; rate undefined")
-    lam = failures / (correct_us / 1e6)
-    horizon = timeline.duration_us() / 1e6 or 1.0
-    return ReliabilityModel(lam, *reliability_curve(lam, horizon))
-
-
-def reliability(lam_per_s: float, t_s: float) -> float:
-    return math.exp(-lam_per_s * t_s)
+    return failures / (correct_us / 1e6) if correct_us else None
 
 
 def reliability_curve(lam_per_s: float,
                       horizon_s: float) -> tuple[list[float], list[float]]:
     """R(t) = exp(-lambda t) at 101 evenly spaced t in [0, horizon]."""
     times = [horizon_s * i / 100 for i in range(101)]
-    return times, [reliability(lam_per_s, t) for t in times]
+    return times, [math.exp(-lam_per_s * t) for t in times]
 
 
 # ---------------------------------------------------------------------------
@@ -163,22 +117,17 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
     if _golden_digest(node) != golden_before:
         raise InvariantViolation("golden configuration store was mutated")
 
-    timeline = FunctionalityTimeline.from_windows(classes, campaign.window_us)
-    totals = timeline.totals()
-    try:
-        lam = fit_lambda(timeline).lam_per_s
-    except FitError:
-        lam = None
+    pct = {c: 100.0 * classes.count(c) / len(classes) for c in CLASSES}
     scrub = node.scrubber.report if node.scrubber else None
     report = RunReport(
         architecture=arch.name,
         seed=seed,
         duration_us=campaign.duration_us,
         window_us=campaign.window_us,
-        down_pct=totals["down"],
-        erroneous_pct=totals["erroneous"],
-        correct_pct=totals["correct"],
-        lam_per_s=lam,
+        down_pct=pct["down"],
+        erroneous_pct=pct["erroneous"],
+        correct_pct=pct["correct"],
+        lam_per_s=fit_lambda((window, c) for c in classes),
         resets=node.resets,
         scrub_detections=scrub.detections if scrub else 0,
         scrub_repairs=scrub.repairs if scrub else 0,

@@ -55,13 +55,11 @@ def build_fpga_campaign(cfg: CampaignConfig, mem: ConfigMemory,
             raise CampaignError("empty target set")
         draws = rng.integers(0, len(pool), size=cfg.n_events()).tolist()
         return [pool[i] for i in draws]
-    if cfg.target_mode == "utilized_area":
-        total = mem.total_bits()
-        if total == 0:
-            raise CampaignError("empty target set")
-        draws = rng.integers(0, total, size=cfg.n_events()).tolist()
-        return [divmod(g, FRAME_BITS) for g in draws]
-    raise CampaignError(f"unknown target mode {cfg.target_mode!r}")
+    total = mem.n_frames * FRAME_BITS
+    if total == 0:
+        raise CampaignError("empty target set")
+    draws = rng.integers(0, total, size=cfg.n_events()).tolist()
+    return [divmod(g, FRAME_BITS) for g in draws]
 
 
 # ---------------------------------------------------------------------------

@@ -314,11 +314,8 @@ class VpuNode:
     def _stripe_time_us(self, tile: Tile) -> float:
         return tile.data.size * KERNEL_US_PER_PIXEL
 
-    def run_plain(self, tiles: list[Tile] | None = None,
-                  ) -> tuple[np.ndarray, float]:
+    def run_plain(self, tiles: list[Tile]) -> tuple[np.ndarray, float]:
         """12-way parallel run with no fault tolerance."""
-        if tiles is None:
-            tiles = self.dma_tiles()
         out = np.vstack([self.worker_execute(t.worker, t) for t in tiles])
         return out, max(self._stripe_time_us(t) for t in tiles) + DMA_US
 
@@ -345,14 +342,11 @@ class VpuNode:
 
     # -- instruction memory recovery ---------------------------------------
 
-    def imr_run(self, tiles: list[Tile] | None = None,
-                ) -> tuple[np.ndarray, RecoveryReport]:
+    def imr_run(self, tiles: list[Tile]) -> tuple[np.ndarray, RecoveryReport]:
         """Detect corrupted worker code by CRC, re-dispatch its tiles to
         functional workers, then restore the code from the golden copy.
         With no functional worker left (degraded mode) the code is
         restored first and every tile runs again on its own worker."""
-        if tiles is None:
-            tiles = self.dma_tiles()
         report = RecoveryReport()
         impaired = report.impaired = [
             w.id for w in self.workers

@@ -17,7 +17,7 @@ from cotsim.crc import crc16_ccitt
 from cotsim.engine import SimEngine
 from cotsim.fpga import (FpgaNode, VOTE_UNCORRECTABLE, reload_duration_us,
                          tmr_vote)
-from cotsim.harness import (FunctionalityTimeline, fit_lambda, run_fpga,
+from cotsim.harness import (fit_lambda, reliability_curve, run_fpga,
                             run_matrix, run_vpu_trial)
 from cotsim.frame_link import PixelFrame, decode_frame, encode_frame, \
     flip_wire_bit
@@ -73,7 +73,7 @@ def test_criterion_1_crc_bit_exactness():
 def _random_frame(rng, width, height, depth):
     pixels = rng.integers(0, 1 << depth, size=(height, width),
                           dtype=np.uint32)
-    return PixelFrame(width, height, depth, pixels)
+    return PixelFrame(depth, pixels)
 
 
 def _detected(wire):
@@ -234,9 +234,9 @@ def test_criterion_7_repair_timing():
             eng.run_until(eng.now + node.arch.scan_period_us)
         detected_at = eng.now
         eng.run_until(detected_at + 18_000 - 1)
-        assert node.mem.frame_dirty(frame)
+        assert frame in node.mem.dirty
         eng.run_until(detected_at + 18_000)
-        assert not node.mem.frame_dirty(frame)
+        assert frame not in node.mem.dirty
 
         assert reload_duration_us(670_000) == 10_000
 
@@ -277,17 +277,18 @@ def test_criterion_9_reliability_fit():
                       "R(t) closed form to 1e-12"):
         lam_true = 3.0
         rng = np.random.default_rng(909)
-        intervals = []
-        t = 0
+        spans = []
         for d in rng.exponential(1 / lam_true, size=10_000):
-            us = max(1, int(d * 1e6))
-            intervals.append((t, t + us, "correct"))
-            intervals.append((t + us, t + us + 500, "down"))
-            t += us + 500
-        model = fit_lambda(FunctionalityTimeline(intervals=intervals))
-        assert abs(model.lam_per_s - lam_true) / lam_true < 0.10
-        for ts, r in zip(model.curve_times_s, model.curve_r):
-            assert abs(r - math.exp(-model.lam_per_s * ts)) <= 1e-12
+            spans.append((max(1, int(d * 1e6)), "correct"))
+            spans.append((500, "down"))
+        lam = fit_lambda(spans)
+        assert abs(lam - lam_true) / lam_true < 0.10
+        horizon = sum(us for us, _cls in spans) / 1e6
+        times, curve = reliability_curve(lam, horizon)
+        assert len(times) == 101 and times[0] == 0.0
+        assert times[-1] == pytest.approx(horizon, rel=1e-12)
+        for ts, r in zip(times, curve):
+            assert abs(r - math.exp(-lam * ts)) <= 1e-12
 
 
 # -- 10: determinism --------------------------------------------------------

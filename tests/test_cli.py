@@ -170,6 +170,27 @@ def test_a_target_component_missing_from_an_architecture_is_rejected(
     assert "'cms_ctrl'" in err and "No-FT" in err
 
 
+@pytest.mark.parametrize("targets", [[["x"]], "cms_ctrl", []])
+def test_bad_target_components_are_rejected_before_any_run(
+        tmp_path, capsys, monkeypatch, targets):
+    path = tmp_path / "targets.json"
+    path.write_text(json.dumps({"duration_us": 100_000,
+                                "target_mode": "components",
+                                "target_components": targets}))
+    err = _matrix_rejected(tmp_path, capsys, monkeypatch, "CMS", "0:2",
+                           str(path))
+    assert err.startswith("error: target_")
+
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("simulated before the campaign was checked")
+
+    monkeypatch.setattr(cli, "run_fpga", must_not_run)
+    assert main(["run", "--arch", "CMS", "--campaign", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "out").exists()
+
+
 def test_campaign_with_a_seed_is_a_config_error(tmp_path, capsys):
     # the run seed comes from --seed; a campaign seed used to be ignored
     path = tmp_path / "campaign.json"

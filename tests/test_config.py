@@ -99,5 +99,34 @@ def test_architecture_overrides_still_apply():
         make_architecture("CMS", no_such_field=1)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"target_mode": "per_module"}, "unknown target_mode 'per_module'"),
+    ({"target_mode": ["components"]}, "unknown target_mode"),
+    # used to end in a "TypeError: unhashable type" traceback
+    ({"target_mode": "components", "target_components": [["x"]]},
+     "target_components must be a list of component names"),
+    # a string used to be read character by character: "unknown target
+    # component 'c'"
+    ({"target_mode": "components", "target_components": "cms_ctrl"},
+     "target_components must be a list of component names"),
+    ({"target_components": [1]},
+     "target_components must be a list of component names"),
+    # used to fail only at the first run, after matrix created --out
+    ({"target_mode": "components", "target_components": []},
+     "needs at least one target component"),
+    ({"target_mode": "components"}, "needs at least one target component"),
+])
+def test_bad_campaign_targets_are_a_config_error(tmp_path, capsys, fields,
+                                                 message):
+    code, err = run_with_campaign(tmp_path, capsys, duration_us=100_000,
+                                  **fields)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match=message):
+        CampaignConfig(**fields)
+
+
 def test_campaign_defaults_are_valid():
     assert CampaignConfig().n_events() == 1_000

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from cotsim.crc import crc16_ccitt
 
 
-def crc16_bit_serial(data: bytes, init: int = 0) -> int:
-    """Bit-serial shift register: poly 0x1021, register seeded with
-    `init`, no reflection."""
-    reg = init
+def crc16_bit_serial(data: bytes) -> int:
+    """Bit-serial shift register: poly 0x1021, register seeded at 0, no
+    reflection."""
+    reg = 0
     for byte in data:
         for i in range(8):
             bit = (byte >> (7 - i)) & 1
@@ -41,25 +41,10 @@ def test_random_strings_match_oracle():
         assert crc16_ccitt(data) == crc16_bit_serial(data)
 
 
-def test_init_parameter():
-    # feeding data in two chunks with a carried register equals one pass
-    data = b"abcdefgh"
-    mid = crc16_ccitt(data[:3])
-    assert crc16_ccitt(data[3:], init=mid) == crc16_ccitt(data)
-
-
 @settings(deadline=None)
-@given(st.binary(max_size=4096), st.integers(0, 0xFFFF))
-def test_matches_bit_serial_oracle_for_any_init(data, init):
-    assert crc16_ccitt(data, init) == crc16_bit_serial(data, init)
-
-
-def test_init_must_be_sixteen_bits():
-    for bad in (-1, 0x10000, 0x1FFFF):
-        for data in (b"", b"123456789"):
-            with pytest.raises(ValueError):
-                crc16_ccitt(data, init=bad)
-    assert crc16_ccitt(b"", init=0xFFFF) == 0xFFFF
+@given(st.binary(max_size=4096))
+def test_matches_bit_serial_oracle_on_any_input(data):
+    assert crc16_ccitt(data) == crc16_bit_serial(data)
 
 
 def test_buffer_types_callers_pass_agree():

@@ -115,8 +115,7 @@ def test_processed_counts_exclude_cancelled():
     eng.schedule(1, "t", "a")
     eng.cancel(eng.schedule(2, "t", "b"))
     eng.schedule(3, "t", "c")
-    eng.run_until(10)
-    assert eng.processed == 2
+    assert eng.run_until(10) == 2
 
 
 def test_event_log_replay_identical():

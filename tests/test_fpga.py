@@ -100,16 +100,17 @@ def test_vote_matches_counting_oracle(rows):
 def test_flip_tracking_and_health():
     mem = small_memory()
     assert mem.healthy("app") and mem.healthy("ctrl")
+    assert mem.healthy("wd_link")  # absent from this design
     frame, bit = mem.essential_bits("app")[0]
     assert mem.flip_bit(frame, bit)  # essential
     assert mem.frame_owner[frame] == "app"
     assert not mem.healthy("app")
-    assert mem.frame_dirty(frame)
+    assert frame in mem.dirty
     assert mem.frames[frame] != mem.golden[frame]
     # flipping the same bit back heals the component
     mem.flip_bit(frame, bit)
     assert mem.healthy("app")
-    assert not mem.frame_dirty(frame)
+    assert frame not in mem.dirty
     assert mem.frames[frame] == mem.golden[frame]
 
 
@@ -120,7 +121,7 @@ def test_non_essential_flip_dirties_without_breaking():
     bit = next(b for b in range(FRAME_BITS) if (frame, b) not in essential)
     assert not mem.flip_bit(frame, bit)
     assert mem.healthy("app")
-    assert mem.frame_dirty(frame)
+    assert frame in mem.dirty
 
 
 def test_restore_component_heals_all_frames():
@@ -129,7 +130,7 @@ def test_restore_component_heals_all_frames():
         mem.flip_bit(frame, bit)
     mem.restore_component("app")
     assert mem.healthy("app")
-    assert all(not mem.frame_dirty(f) for f in mem.comp_frames["app"])
+    assert all(f not in mem.dirty for f in mem.comp_frames["app"])
     assert bytes(mem.frames[0]) == mem.golden[0]
 
 
@@ -145,12 +146,15 @@ def test_corruption_tag_tracks_flip_set():
     assert mem.corruption_tag("app") == tag1
 
 
+def golden_word(mem, frame, word):
+    return int.from_bytes(mem.golden[frame][4 * word:4 * word + 4], "little")
+
+
 def test_write_word_keeps_flip_tracking_exact():
     mem = small_memory()
     mem.flip_bit(0, 37)  # inside word 1
-    golden = mem.golden_word(0, 1)
-    mem.write_word(0, 1, golden)
-    assert not mem.frame_dirty(0)
+    mem.write_word(0, 1, golden_word(mem, 0, 1))
+    assert 0 not in mem.dirty
     assert bytes(mem.frames[0]) == mem.golden[0]
 
 
@@ -243,8 +247,9 @@ def test_config_memory_tracking_and_tag_memo(ops):
     for op, *args in ops:
         if op == "write":
             frame, word, mask, from_golden = args
-            base = mem.golden_word if from_golden else mem.read_word
-            mem.write_word(frame, word, base(frame, word) ^ mask)
+            base = golden_word(mem, frame, word) if from_golden \
+                else mem.read_word(frame, word)
+            mem.write_word(frame, word, base ^ mask)
         elif op == "flip_bit":
             frame, bit = args
             assert mem.flip_bit(frame, bit) == any(
@@ -318,9 +323,9 @@ def test_scrubber_repairs_frame_after_exact_latency():
     node.mem.flip_bit(frame, 123)
     detected_at = run_until_detection(eng, node)
     eng.run_until(detected_at + 17_999)
-    assert node.mem.frame_dirty(frame)
+    assert frame in node.mem.dirty
     eng.run_until(detected_at + 18_000)
-    assert not node.mem.frame_dirty(frame)
+    assert frame not in node.mem.dirty
     assert node.scrubber.report.repairs == 1
     assert node.icap.owner is None
 
@@ -331,7 +336,7 @@ def test_enhanced_repair_corrects_single_bit_per_word():
     node.mem.flip_bit(frame, 65)
     detected_at = run_until_detection(eng, node)
     eng.run_until(detected_at + 18_000)
-    assert not node.mem.frame_dirty(frame)
+    assert frame not in node.mem.dirty
     assert node.scrubber.report.corrected_bits == 1
 
 
@@ -342,7 +347,7 @@ def test_enhanced_repair_flags_multibit_word_uncorrectable():
     node.mem.flip_bit(frame, 70)  # same 32-bit word
     detected_at = run_until_detection(eng, node)
     eng.run_until(detected_at + 18_000)
-    assert node.mem.frame_dirty(frame)
+    assert frame in node.mem.dirty
     assert node.scrubber.report.uncorrectable == 1
     # the scrubber remembers the signature and does not retry forever
     eng.run_until(detected_at + 200_000)
@@ -381,7 +386,7 @@ def test_dead_controller_stops_scrubbing():
     frame = node.mem.comp_frames["fir_0"].start
     node.mem.flip_bit(frame, 9)
     eng.run_until(500_000)
-    assert node.mem.frame_dirty(frame)
+    assert frame in node.mem.dirty
     assert node.scrubber.report.detections == 0
 
 

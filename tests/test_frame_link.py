@@ -15,7 +15,7 @@ DEPTHS = (8, 16, 24)
 def random_frame(rng, width, height, depth):
     pixels = rng.integers(0, 1 << depth, size=(height, width),
                           dtype=np.uint32)
-    return PixelFrame(width, height, depth, pixels)
+    return PixelFrame(depth, pixels)
 
 
 def detected(result) -> bool:
@@ -27,27 +27,34 @@ def detected(result) -> bool:
 
 def test_rejects_bad_depth_and_size():
     with pytest.raises(FrameError):
-        PixelFrame(4, 4, 12, np.zeros((4, 4)))
+        PixelFrame(12, np.zeros((4, 4)))
     with pytest.raises(FrameError):
-        PixelFrame(0, 4, 8, np.zeros((4, 0)))
+        PixelFrame(8, np.zeros((4, 0)))
     # depth 8 needs two footer pixels for the 16-bit CRC
     with pytest.raises(FrameError):
-        PixelFrame(1, 4, 8, np.zeros((4, 1)))
-    PixelFrame(1, 4, 16, np.zeros((4, 1)))
+        PixelFrame(8, np.zeros((4, 1)))
+    PixelFrame(16, np.zeros((4, 1)))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2), (0, 0), (0, 4), (4, 0)])
+def test_rejects_pixel_arrays_that_are_not_a_2d_image(shape):
+    # width and height are the array's shape, so it must have both
+    with pytest.raises(FrameError, match="not a 2-D image"):
+        PixelFrame(16, np.zeros(shape, dtype=np.uint32))
 
 
 def test_rejects_out_of_range_pixels():
     with pytest.raises(FrameError):
-        PixelFrame(2, 2, 8, np.full((2, 2), 256))
+        PixelFrame(8, np.full((2, 2), 256))
 
 
 # -- serialization ----------------------------------------------------------
 
 
 def test_serialization_is_big_endian_row_major():
-    frame = PixelFrame(2, 1, 16, np.array([[0x1234, 0xABCD]]))
+    frame = PixelFrame(16, np.array([[0x1234, 0xABCD]]))
     assert serialize_pixels(frame) == bytes([0x12, 0x34, 0xAB, 0xCD])
-    frame24 = PixelFrame(2, 1, 24, np.array([[0x010203, 0xA0B0C0]]))
+    frame24 = PixelFrame(24, np.array([[0x010203, 0xA0B0C0]]))
     assert serialize_pixels(frame24) == bytes(
         [0x01, 0x02, 0x03, 0xA0, 0xB0, 0xC0])
 
@@ -114,7 +121,7 @@ def test_burst_errors_detected():
 
 
 def test_flip_in_padding_fails_padding_check_only():
-    frame = PixelFrame(4, 2, 16, np.zeros((2, 4), dtype=np.uint32))
+    frame = PixelFrame(16, np.zeros((2, 4), dtype=np.uint32))
     wire = encode_frame(frame)
     # last footer pixel is pure padding
     flip_wire_bit(wire, wire.total_bits() - 1)
@@ -124,7 +131,7 @@ def test_flip_in_padding_fails_padding_check_only():
 
 
 def test_flip_positions_validated():
-    wire = encode_frame(PixelFrame(2, 2, 16, np.zeros((2, 2))))
+    wire = encode_frame(PixelFrame(16, np.zeros((2, 2))))
     with pytest.raises(FrameError):
         flip_wire_bit(wire, wire.total_bits())
     with pytest.raises(FrameError):

@@ -1,4 +1,4 @@
-"""Campaign harness tests: timeline classification, failure-rate fitting,
+"""Campaign harness tests: window classification, failure-rate fitting,
 run reports and determinism."""
 
 import gc
@@ -8,63 +8,71 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cotsim import harness
 from cotsim.config import CampaignConfig, make_architecture
-from cotsim.harness import (FitError, FunctionalityTimeline, MatrixResult,
-                            emit_matrix, fit_lambda, reliability, run_fpga,
-                            run_matrix, run_vpu_trial)
+from cotsim.harness import (CLASSES, emit_matrix, fit_lambda,
+                            reliability_curve, run_fpga, run_matrix,
+                            run_vpu_trial)
 
 
-def test_timeline_merges_adjacent_windows():
-    tl = FunctionalityTimeline.from_windows(
-        ["correct", "correct", "down", "down", "erroneous", "correct"], 10)
-    assert tl.intervals == [(0, 20, "correct"), (20, 40, "down"),
-                            (40, 50, "erroneous"), (50, 60, "correct")]
-    totals = tl.totals()
-    assert totals["correct"] == 50.0
-    assert totals["down"] == pytest.approx(100 * 20 / 60)
-    assert tl.duration_us() == 60
+def merged_spans(classes, window_us):
+    """Runs of equal window classes as (duration_us, class) spans."""
+    spans = []
+    for cls in classes:
+        if spans and spans[-1][1] == cls:
+            spans[-1] = (spans[-1][0] + window_us, cls)
+        else:
+            spans.append((window_us, cls))
+    return spans
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(CLASSES), max_size=60),
+       st.sampled_from([1, 7, 1_000, 4_000, 16_000]))
+def test_timeline_merges_adjacent_windows(classes, window_us):
+    """One span per window fits the same rate as the merged timeline."""
+    windows = [(window_us, c) for c in classes]
+    assert fit_lambda(windows) == fit_lambda(merged_spans(classes, window_us))
+    assert merged_spans(["correct", "correct", "down", "down", "erroneous",
+                         "correct"], 10) == [
+        (20, "correct"), (20, "down"), (10, "erroneous"), (10, "correct")]
 
 
 def test_fit_lambda_counts_correct_to_failed_transitions():
-    tl = FunctionalityTimeline(intervals=[
-        (0, 1_000_000, "correct"), (1_000_000, 1_500_000, "down"),
-        (1_500_000, 2_500_000, "correct"), (2_500_000, 2_600_000, "erroneous"),
-        (2_600_000, 3_000_000, "correct"),
-    ])
-    model = fit_lambda(tl)
-    # 2 failures over 2.4 s of correct operation
-    assert model.lam_per_s == pytest.approx(2 / 2.4)
-    assert model.curve_r[0] == 1.0
-    for t, r in zip(model.curve_times_s, model.curve_r):
-        assert r == pytest.approx(math.exp(-model.lam_per_s * t), abs=1e-15)
+    lam = fit_lambda([(1_000_000, "correct"), (500_000, "down"),
+                      (100_000, "erroneous"), (1_000_000, "correct"),
+                      (100_000, "erroneous"), (400_000, "correct")])
+    # 2 failures over 2.4 s of correct operation; down -> erroneous is
+    # no new failure
+    assert lam == pytest.approx(2 / 2.4)
 
 
 def test_fit_lambda_requires_correct_time():
-    tl = FunctionalityTimeline(intervals=[(0, 100, "down")])
-    with pytest.raises(FitError):
-        fit_lambda(tl)
+    assert fit_lambda([(100, "down")]) is None
+    assert fit_lambda([]) is None
 
 
 def test_fit_lambda_recovers_known_rate():
     lam_true = 2.0
     rng = np.random.default_rng(17)
     durations = rng.exponential(1 / lam_true, size=10_000)
-    intervals = []
-    t = 0
+    spans = []
     for d in durations:
-        us = max(1, int(d * 1e6))
-        intervals.append((t, t + us, "correct"))
-        intervals.append((t + us, t + us + 1000, "down"))
-        t += us + 1000
-    model = fit_lambda(FunctionalityTimeline(intervals=intervals))
-    assert abs(model.lam_per_s - lam_true) / lam_true < 0.1
+        spans.append((max(1, int(d * 1e6)), "correct"))
+        spans.append((1000, "down"))
+    assert abs(fit_lambda(spans) - lam_true) / lam_true < 0.1
 
 
 def test_reliability_closed_form():
-    assert reliability(0.5, 0.0) == 1.0
-    assert reliability(0.5, 2.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
+    times, r = reliability_curve(0.5, 2.0)
+    assert len(times) == len(r) == 101
+    assert (times[0], r[0]) == (0.0, 1.0)
+    assert times[-1] == 2.0
+    assert r[-1] == pytest.approx(math.exp(-1.0), abs=1e-15)
+    for t, value in zip(times, r):
+        assert value == math.exp(-0.5 * t)
 
 
 def short_campaign():
@@ -82,6 +90,25 @@ def test_run_fpga_report_fields():
         [4_000 * (i + 1) for i in range(50)]
     payload = json.loads(report.to_json())
     assert payload["seed"] == 1
+
+
+# every class occurs in both runs, and for one class of each the share
+# computed in another order (count / n * 100.0) differs in its last bit
+@pytest.mark.parametrize("arch, window_us, seed", [("TMR", 4_000, 1),
+                                                   ("CMS", 1_000, 0)])
+def test_run_fpga_percentages_are_window_shares(arch, window_us, seed):
+    campaign = CampaignConfig(duration_us=400_000, period_us=1_000,
+                              window_us=window_us)
+    report, _log = run_fpga(arch, campaign, seed=seed)
+    classes = report.window_classes
+    assert len(classes) == 400_000 // window_us
+    assert all(c in classes for c in CLASSES)
+    assert report.down_pct == 100.0 * classes.count("down") / len(classes)
+    assert report.erroneous_pct == \
+        100.0 * classes.count("erroneous") / len(classes)
+    assert report.correct_pct == \
+        100.0 * classes.count("correct") / len(classes)
+    assert report.lam_per_s == fit_lambda(merged_spans(classes, window_us))
 
 
 def test_run_fpga_repeat_is_byte_identical():

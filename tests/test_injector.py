@@ -54,12 +54,15 @@ def test_bad_campaigns_rejected():
         build_fpga_campaign(CampaignConfig(target_mode="components",
                                            target_components=["nope"]),
                             mem, rng(0))
-    with pytest.raises(CampaignError):
-        build_fpga_campaign(CampaignConfig(target_mode="components"),
-                            mem, rng(0))
-    with pytest.raises(CampaignError):
-        build_fpga_campaign(CampaignConfig(target_mode="per_module"),
-                            mem, rng(0))
+    # an empty target list and an unknown target mode are rejected when
+    # the campaign is built (tests/test_config.py); a target with no
+    # essential bits still leaves nothing to draw from
+    no_essential = ConfigMemory([ComponentSpec("app", frames=1,
+                                               essential_bits=0)])
+    with pytest.raises(CampaignError, match="empty target set"):
+        build_fpga_campaign(CampaignConfig(target_mode="components",
+                                           target_components=["app"]),
+                            no_essential, rng(0))
 
 
 def test_inject_config_bit_records_effect():
@@ -88,7 +91,7 @@ def scalar_campaign(cfg, mem, rng):
         if cfg.target_mode == "components":
             addresses.append(pool[int(rng.integers(0, len(pool)))])
         else:
-            g = int(rng.integers(0, mem.total_bits()))
+            g = int(rng.integers(0, mem.n_frames * FRAME_BITS))
             addresses.append((g // FRAME_BITS, g % FRAME_BITS))
     return addresses
 

@@ -209,7 +209,7 @@ def make_node(kernel="conv2d", size=64, seed=0):
 @pytest.mark.parametrize("kernel", ["conv2d", "binning2d"])
 def test_clean_run_equals_golden(kernel):
     node = make_node(kernel)
-    out, latency = node.run_plain()
+    out, latency = node.run_plain(node.dma_tiles())
     assert error_rate(out, golden_output(node.golden_input, kernel)) == 0.0
     assert latency > 0
 
@@ -240,7 +240,7 @@ def test_imr_recovers_and_restores_golden_code():
     node = make_node("conv2d")
     for w in (2, 7, 11):
         node.corrupt_instr(w, [(0, 0x80), (100, 0x01)])
-    out, report = node.imr_run()
+    out, report = node.imr_run(node.dma_tiles())
     assert error_rate(out, golden_output(node.golden_input, "conv2d")) == 0.0
     assert report.impaired == [2, 7, 11]
     assert report.redispatched == [2, 7, 11]
@@ -251,7 +251,7 @@ def test_imr_recovers_and_restores_golden_code():
 
 def test_imr_no_faults_is_overhead_only():
     node = make_node("binning2d")
-    out, report = node.imr_run()
+    out, report = node.imr_run(node.dma_tiles())
     assert report.impaired == [] and report.reschedule_us == 0
     assert error_rate(out, golden_output(node.golden_input, "binning2d")) == 0
 
@@ -260,7 +260,7 @@ def test_imr_all_workers_impaired_degraded_path():
     node = make_node("conv2d")
     for w in range(N_WORKERS):
         node.corrupt_instr(w, [(w, 0x5A)])
-    out, report = node.imr_run()
+    out, report = node.imr_run(node.dma_tiles())
     assert report.degraded_mode
     assert error_rate(out, golden_output(node.golden_input, "conv2d")) == 0.0
 
@@ -281,7 +281,7 @@ def test_imr_runs_every_tile_exactly_once(monkeypatch, k):
         return real(self, worker_id, tile)
 
     monkeypatch.setattr(VpuNode, "worker_execute", counted)
-    out, report = node.imr_run()
+    out, report = node.imr_run(node.dma_tiles())
     assert len(calls) == N_WORKERS
     assert sorted(tile for _, tile in calls) == list(range(N_WORKERS))
     if k < N_WORKERS:
