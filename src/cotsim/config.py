@@ -63,17 +63,12 @@ class ArchConfig:
     dpr_blind_period_us: int = 200_000
     wd_timeout_us: int = 100_000
     app_down_fraction: float = 0.92
-    fir_coeffs: tuple = (1, 2, 3, 2, 1)
-    window_samples: int = 32
 
     def __post_init__(self):
         if self.scrub_mode not in SCRUB_MODES:
             raise ValueError(f"unknown scrub_mode {self.scrub_mode!r}; "
                              f"choose from {', '.join(SCRUB_MODES)}")
-        _require_positive(self, "scan_period_us", "dpr_blind_period_us",
-                          "window_samples")
-        if len(self.fir_coeffs) == 0:
-            raise ValueError("fir_coeffs must not be empty")
+        _require_positive(self, "scan_period_us", "dpr_blind_period_us")
         if self.frame_repair_latency_us < 0:
             raise ValueError(f"frame_repair_latency_us must not be negative, "
                              f"got {self.frame_repair_latency_us}")

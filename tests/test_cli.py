@@ -170,6 +170,25 @@ def test_a_target_component_missing_from_an_architecture_is_rejected(
     assert "'cms_ctrl'" in err and "No-FT" in err
 
 
+def test_run_rejects_a_missing_target_component_before_out_exists(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "targets.json"
+    path.write_text(json.dumps({"duration_us": 100_000,
+                                "target_mode": "components",
+                                "target_components": ["cms_ctrl"]}))
+
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("simulated before the target was checked")
+
+    monkeypatch.setattr(cli, "run_fpga", must_not_run)
+    assert main(["run", "--arch", "No-FT", "--campaign", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: unknown target component 'cms_ctrl' "
+                   "in architecture No-FT\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("targets", [[["x"]], "cms_ctrl", []])
 def test_bad_target_components_are_rejected_before_any_run(
         tmp_path, capsys, monkeypatch, targets):

@@ -59,11 +59,11 @@ def test_valid_campaign_still_runs(tmp_path, capsys):
     # wd_timeout_us // 2 == 0 would reschedule wd_check at the same
     # microsecond forever, so this is only validated, never run
     ({"wd_timeout_us": 1}, "wd_timeout_us must be at least 2"),
-    # a window verdict needs at least one sample; the node build used to
-    # fail inside numpy ("a cannot be empty")
-    ({"window_samples": 0}, "window_samples must be positive"),
-    ({"window_samples": -3}, "window_samples must be positive"),
-    ({"fir_coeffs": ()}, "fir_coeffs must not be empty"),
+    # the window verdict follows from component health alone, so the
+    # sample-level knobs are gone, whatever their value
+    ({"window_samples": 0}, "unknown ArchConfig field 'window_samples'"),
+    ({"window_samples": -3}, "unknown ArchConfig field 'window_samples'"),
+    ({"fir_coeffs": ()}, "unknown ArchConfig field 'fir_coeffs'"),
     # used to end mid-run in a SchedulingError traceback on CMS
     ({"frame_repair_latency_us": -5}, "frame_repair_latency_us must not be"),
     # 1.5 used to turn every wrong window into "down" without a word
@@ -77,8 +77,8 @@ def test_bad_architecture_is_rejected_when_built(overrides, message):
 
 
 @pytest.mark.parametrize("overrides", [
-    {"window_samples": 1},
-    {"fir_coeffs": (3,)},
+    {"scan_period_us": 1},
+    {"wd_timeout_us": 2},
     {"frame_repair_latency_us": 0},
     {"app_down_fraction": 0.0},
     {"app_down_fraction": 1.0},
@@ -97,6 +97,8 @@ def test_architecture_overrides_still_apply():
                              ).scrub_mode == "enhanced_repair"
     with pytest.raises(ValueError, match="unknown ArchConfig field"):
         make_architecture("CMS", no_such_field=1)
+    with pytest.raises(ValueError, match="unknown ArchConfig field"):
+        make_architecture("TMR", fir_coeffs=(1, 2, 3, 2, 1))
 
 
 @pytest.mark.parametrize("fields, message", [

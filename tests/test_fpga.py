@@ -1,7 +1,9 @@
-"""FPGA node tests: configuration memory semantics, FIR oracle, voting,
-scrubbing, partial reconfiguration, ICAP arbitration and watchdog reset."""
+"""FPGA node tests: configuration memory semantics, voting, the window
+verdict against a sample-level FIR oracle, scrubbing, partial
+reconfiguration, ICAP arbitration and watchdog reset."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -13,8 +15,7 @@ from cotsim.engine import SimEngine
 from cotsim.fpga import (FRAME_BITS, ConfigMemory, FpgaNode, IcapArbiter,
                          IcapError, InvariantViolation, Scrubber,
                          VOTE_CORRECTED, VOTE_UNANIMOUS, VOTE_UNCORRECTABLE,
-                         corrupt_samples, fir_filter, reload_duration_us,
-                         tmr_vote)
+                         corrupt_samples, reload_duration_us, tmr_vote)
 
 
 def small_memory():
@@ -25,6 +26,13 @@ def small_memory():
 
 
 # -- FIR oracle -------------------------------------------------------------
+
+
+def fir_filter(samples, coeffs) -> np.ndarray:
+    """Streaming FIR with zero-padded history: out[n] = sum coeffs[k] x[n-k]."""
+    samples = np.asarray(samples, dtype=np.int64)
+    return np.convolve(samples, np.asarray(coeffs, dtype=np.int64)
+                       )[: samples.size]
 
 
 def fir_oracle(samples, coeffs):
@@ -46,11 +54,6 @@ def test_fir_matches_brute_force_oracle():
         coeffs = rng.integers(-5, 6, size=int(rng.integers(1, 8)))
         got = fir_filter(samples, coeffs)
         assert got.tolist() == fir_oracle(samples.tolist(), coeffs.tolist())
-
-
-def test_fir_rejects_empty_coeffs():
-    with pytest.raises(ValueError):
-        fir_filter(np.arange(4), [])
 
 
 def test_corrupt_samples_always_differs_and_replays():
@@ -435,34 +438,19 @@ def test_non_reloadable_region_is_refused():
     assert node.dpr.active is None
 
 
-# -- TMR pipeline -----------------------------------------------------------
+# -- window verdict ---------------------------------------------------------
 
 
-def test_tmr_masks_single_replica_and_requests_repair():
-    eng = SimEngine()
-    node = FpgaNode(eng, make_architecture("TMR"))
-    node.start()
-    frame, bit = node.mem.essential_bits("fir_1")[0]
-    node.mem.flip_bit(frame, bit)
-    out, requests = node.run_pipeline()
-    assert np.array_equal(out, node.golden_output)
-    assert requests == ["fir_1"]
-
-
-def test_tmr_two_bad_replicas_not_maskable():
-    eng = SimEngine()
-    node = FpgaNode(eng, make_architecture("TMR"))
-    node.start()
-    for comp in ("fir_0", "fir_1"):
-        node.mem.flip_bit(*node.mem.essential_bits(comp)[0])
-    out, requests = node.run_pipeline()
-    assert not np.array_equal(out, node.golden_output)
-    assert set(requests) == {"fir_0", "fir_1", "fir_2"}
+WINDOW_INPUT = (np.arange(32, dtype=np.int64) % 23) + 1
+FIR_COEFFS = (1, 2, 3, 2, 1)
+ALL_FIRS = ["fir_0", "fir_1", "fir_2"]
+DATAPATH = ["voter_in", "fir_0", "fir_1", "fir_2", "voter_out"]
 
 
 def reference_pipeline(node):
-    """run_pipeline from scratch: every filter run, every mask drawn."""
-    mem, coeffs = node.mem, node.arch.fir_coeffs
+    """The sample-level datapath from scratch: every filter run, every mask
+    drawn.  Returns (output == golden output, repair requests)."""
+    mem = node.mem
 
     def through(name, data):
         if mem.healthy(name):
@@ -470,34 +458,18 @@ def reference_pipeline(node):
         return corrupt_samples(np.asarray(data, dtype=np.int64),
                                fresh_tag(mem.flipped_essential[name]))
 
+    golden = fir_filter(WINDOW_INPUT, FIR_COEFFS)
     if not node.arch.tmr:
-        return through("fir_0", fir_filter(node.window_input, coeffs)), []
-    voted_in = through("voter_in", node.window_input)
-    outs = [through(f"fir_{i}", fir_filter(voted_in, coeffs))
+        return np.array_equal(through("fir_0", golden), golden), []
+    voted_in = through("voter_in", WINDOW_INPUT)
+    outs = [through(f"fir_{i}", fir_filter(voted_in, FIR_COEFFS))
             for i in range(3)]
     voted, status = tmr_vote(*outs)
     requests = [f"fir_{i}" for i in range(3)
                 if not np.array_equal(outs[i], voted)]
     if np.any(status == VOTE_UNCORRECTABLE):
-        requests = ["fir_0", "fir_1", "fir_2"]
-    return through("voter_out", voted), requests
-
-
-DATAPATH = ["voter_in", "fir_0", "fir_1", "fir_2", "voter_out"]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(["No-FT", "TMR"]),
-       st.lists(st.tuples(st.sampled_from(DATAPATH), st.integers(0, 3)),
-                max_size=20))
-def test_memoized_pipeline_matches_reference(arch, flips):
-    node = FpgaNode(SimEngine(), make_architecture(arch))
-    for comp, k in flips:
-        if comp in node.mem.components:
-            node.mem.flip_bit(*node.mem.essential_bits(comp)[k])
-        out, requests = node.run_pipeline()
-        ref_out, ref_requests = reference_pipeline(node)
-        assert np.array_equal(out, ref_out) and requests == ref_requests
+        requests = list(ALL_FIRS)
+    return np.array_equal(through("voter_out", voted), golden), requests
 
 
 def flip_first(node, *names):
@@ -505,35 +477,49 @@ def flip_first(node, *names):
         node.mem.flip_bit(*node.mem.essential_bits(name)[0])
 
 
-def pipeline_verdict(node):
-    output, requests = node.run_pipeline()
-    return np.array_equal(output, node.golden_output), requests
+def test_tmr_masks_single_replica_and_requests_repair():
+    node = FpgaNode(SimEngine(), make_architecture("TMR"))
+    flip_first(node, "fir_1")
+    assert node._datapath() == (True, ["fir_1"])
+    assert reference_pipeline(node) == (True, ["fir_1"])
 
 
-ALL_FIRS = ["fir_0", "fir_1", "fir_2"]
+def test_tmr_two_bad_replicas_not_maskable():
+    node = FpgaNode(SimEngine(), make_architecture("TMR"))
+    flip_first(node, "fir_0", "fir_1")
+    assert node._datapath() == (False, ALL_FIRS)
+    assert reference_pipeline(node) == (False, ALL_FIRS)
 
 
-@pytest.mark.parametrize("arch, faulty, verdict, decided_by_health", [
-    ("No-FT", [], (True, []), True),
-    ("No-FT", ["fir_0"], (False, []), True),
-    ("TMR", [], (True, []), True),
-    ("TMR", ["fir_1"], (True, ["fir_1"]), True),
-    ("TMR", ["fir_2", "voter_out"], (False, ["fir_2"]), True),
-    ("TMR", ["voter_out"], (False, []), True),
-    ("TMR", ["fir_0", "fir_2"], (False, ALL_FIRS), False),
-    ("TMR", ALL_FIRS, (False, ALL_FIRS), False),
-    ("TMR", ["voter_in"], (False, []), False),
-    ("TMR", ["voter_in", "fir_1"], (False, ["fir_1"]), False),
+@pytest.mark.parametrize("arch, faulty, verdict", [
+    ("No-FT", [], (True, [])),
+    ("No-FT", ["fir_0"], (False, [])),
+    ("TMR", [], (True, [])),
+    ("TMR", ["fir_1"], (True, ["fir_1"])),
+    ("TMR", ["fir_2", "voter_out"], (False, ["fir_2"])),
+    ("TMR", ["voter_out"], (False, [])),
+    ("TMR", ["fir_0", "fir_2"], (False, ALL_FIRS)),
+    ("TMR", ALL_FIRS, (False, ALL_FIRS)),
+    ("TMR", ["voter_in"], (False, [])),
+    ("TMR", ["voter_in", "fir_1"], (False, ["fir_1"])),
+    # the uncorrectable vote emits fir_0's output, which is correct
+    ("TMR", ["fir_1", "fir_2"], (True, ALL_FIRS)),
 ])
-def test_datapath_verdict_per_branch(arch, faulty, verdict, decided_by_health):
+def test_datapath_verdict_per_branch(arch, faulty, verdict):
     node = FpgaNode(SimEngine(), make_architecture(arch))
     flip_first(node, *faulty)
-    assert pipeline_verdict(node) == verdict
-    runs = []
-    run_pipeline = node.run_pipeline
-    node.run_pipeline = lambda: runs.append(1) or run_pipeline()
     assert node._datapath() == verdict
-    assert runs == ([] if decided_by_health else [1])
+    assert reference_pipeline(node) == verdict
+
+
+def test_datapath_matches_the_oracle_on_every_health_pattern():
+    patterns = [("No-FT", ()), ("No-FT", ("fir_0",))] + [
+        ("TMR", tuple(name for name, bad in zip(DATAPATH, bits) if bad))
+        for bits in itertools.product((False, True), repeat=len(DATAPATH))]
+    for arch, faulty in patterns:
+        node = FpgaNode(SimEngine(), make_architecture(arch))
+        flip_first(node, *faulty)
+        assert node._datapath() == reference_pipeline(node), (arch, faulty)
 
 
 @settings(max_examples=150, deadline=None)
@@ -554,7 +540,7 @@ def test_datapath_matches_the_pipeline(arch, ops):
                 mem.flip_bit(*mem.essential_bits(args[0])[args[1]])
             else:
                 mem.restore_component(args[0])
-        assert node._datapath() == pipeline_verdict(node)
+        assert node._datapath() == reference_pipeline(node)
 
 
 # -- watchdog ---------------------------------------------------------------

@@ -4,6 +4,7 @@ run reports and determinism."""
 import gc
 import json
 import math
+import statistics
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from cotsim import harness
 from cotsim.config import CampaignConfig, make_architecture
+from cotsim.fpga import FRAME_BITS
 from cotsim.harness import (CLASSES, emit_matrix, fit_lambda,
                             reliability_curve, run_fpga, run_matrix,
                             run_vpu_trial)
@@ -121,9 +123,46 @@ def test_run_fpga_repeat_is_byte_identical():
 
 
 def test_run_fpga_accepts_prebuilt_config():
-    arch = make_architecture("TMR", window_samples=16)
+    arch = make_architecture("TMR", app_down_fraction=0.0)
     report, _log = run_fpga(arch, short_campaign(), seed=0)
     assert report.architecture == "TMR"
+    # every wrong window is erroneous, none down
+    assert report.down_pct == 0.0 < report.erroneous_pct
+
+
+def closed_form_correct_pct(arch_name: str, campaign: CampaignConfig):
+    """Expected correct% of an architecture without repair.  A component
+    with e essential bits is healthy after k injections with probability
+    (1 - e / total_bits)**k, ignoring bits flipped twice and taking the
+    components as independent; the window verdict combines them by the
+    datapath rule (see `cotsim.fpga`)."""
+    arch = make_architecture(arch_name)
+    total = sum(c.frames for c in arch.components) * FRAME_BITS
+    windows = range(campaign.window_us, campaign.duration_us + 1,
+                    campaign.window_us)
+    correct = 0.0
+    for t in windows:
+        k = t // campaign.period_us  # an injection comes first at equal times
+        h = {c.name: (1 - c.essential_bits / total) ** k
+             for c in arch.components}
+        if arch.tmr:
+            fir_path = h["fir_0"] + h["fir_1"] * h["fir_2"] \
+                - h["fir_0"] * h["fir_1"] * h["fir_2"]
+            correct += h["voter_in"] * h["voter_out"] * fir_path
+        else:
+            correct += h["fir_0"]
+    return 100.0 * correct / len(windows)
+
+
+@pytest.mark.parametrize("arch", ["No-FT", "TMR"])
+def test_no_repair_correct_pct_matches_the_closed_form(arch):
+    campaign = CampaignConfig()
+    pcts = [run_fpga(arch, campaign, seed)[0].correct_pct
+            for seed in range(100)]
+    se = statistics.stdev(pcts) / math.sqrt(len(pcts))
+    predicted = closed_form_correct_pct(arch, campaign)
+    assert abs(statistics.mean(pcts) - predicted) < 3 * se, \
+        (statistics.mean(pcts), predicted, se)
 
 
 @pytest.mark.parametrize("arch", ["CMS+DPR+TMR+WD", "No-FT"])
