@@ -447,29 +447,37 @@ ALL_FIRS = ["fir_0", "fir_1", "fir_2"]
 DATAPATH = ["voter_in", "fir_0", "fir_1", "fir_2", "voter_out"]
 
 
+def through(node, name, data):
+    """`data` after component `name`: unchanged if healthy, else corrupted."""
+    mem = node.mem
+    if mem.healthy(name):
+        return data
+    return corrupt_samples(np.asarray(data, dtype=np.int64),
+                           fresh_tag(mem.flipped_essential[name]))
+
+
+def reference_filter_outputs(node):
+    """The golden output and each filter replica's output, from scratch."""
+    golden = fir_filter(WINDOW_INPUT, FIR_COEFFS)
+    if not node.arch.tmr:
+        return golden, [through(node, "fir_0", golden)]
+    voted_in = through(node, "voter_in", WINDOW_INPUT)
+    return golden, [through(node, f"fir_{i}", fir_filter(voted_in, FIR_COEFFS))
+                    for i in range(3)]
+
+
 def reference_pipeline(node):
     """The sample-level datapath from scratch: every filter run, every mask
     drawn.  Returns (output == golden output, repair requests)."""
-    mem = node.mem
-
-    def through(name, data):
-        if mem.healthy(name):
-            return data
-        return corrupt_samples(np.asarray(data, dtype=np.int64),
-                               fresh_tag(mem.flipped_essential[name]))
-
-    golden = fir_filter(WINDOW_INPUT, FIR_COEFFS)
+    golden, outs = reference_filter_outputs(node)
     if not node.arch.tmr:
-        return np.array_equal(through("fir_0", golden), golden), []
-    voted_in = through("voter_in", WINDOW_INPUT)
-    outs = [through(f"fir_{i}", fir_filter(voted_in, FIR_COEFFS))
-            for i in range(3)]
+        return np.array_equal(outs[0], golden), []
     voted, status = tmr_vote(*outs)
     requests = [f"fir_{i}" for i in range(3)
                 if not np.array_equal(outs[i], voted)]
     if np.any(status == VOTE_UNCORRECTABLE):
         requests = list(ALL_FIRS)
-    return np.array_equal(through("voter_out", voted), golden), requests
+    return np.array_equal(through(node, "voter_out", voted), golden), requests
 
 
 def flip_first(node, *names):
@@ -491,25 +499,30 @@ def test_tmr_two_bad_replicas_not_maskable():
     assert reference_pipeline(node) == (False, ALL_FIRS)
 
 
-@pytest.mark.parametrize("arch, faulty, verdict", [
-    ("No-FT", [], (True, [])),
-    ("No-FT", ["fir_0"], (False, [])),
-    ("TMR", [], (True, [])),
-    ("TMR", ["fir_1"], (True, ["fir_1"])),
-    ("TMR", ["fir_2", "voter_out"], (False, ["fir_2"])),
-    ("TMR", ["voter_out"], (False, [])),
-    ("TMR", ["fir_0", "fir_2"], (False, ALL_FIRS)),
-    ("TMR", ALL_FIRS, (False, ALL_FIRS)),
-    ("TMR", ["voter_in"], (False, [])),
-    ("TMR", ["voter_in", "fir_1"], (False, ["fir_1"])),
+# one_bad_output: at most one filter output differs from the golden one, so
+# no coincidence between fault masks could bear on the verdict
+@pytest.mark.parametrize("arch, faulty, verdict, one_bad_output", [
+    ("No-FT", [], (True, []), True),
+    ("No-FT", ["fir_0"], (False, []), True),
+    ("TMR", [], (True, []), True),
+    ("TMR", ["fir_1"], (True, ["fir_1"]), True),
+    ("TMR", ["fir_2", "voter_out"], (False, ["fir_2"]), True),
+    ("TMR", ["voter_out"], (False, []), True),
+    ("TMR", ["fir_0", "fir_2"], (False, ALL_FIRS), False),
+    ("TMR", ALL_FIRS, (False, ALL_FIRS), False),
+    ("TMR", ["voter_in"], (False, []), False),
+    ("TMR", ["voter_in", "fir_1"], (False, ["fir_1"]), False),
     # the uncorrectable vote emits fir_0's output, which is correct
-    ("TMR", ["fir_1", "fir_2"], (True, ALL_FIRS)),
+    ("TMR", ["fir_1", "fir_2"], (True, ALL_FIRS), False),
 ])
-def test_datapath_verdict_per_branch(arch, faulty, verdict):
+def test_datapath_verdict_per_branch(arch, faulty, verdict, one_bad_output):
     node = FpgaNode(SimEngine(), make_architecture(arch))
     flip_first(node, *faulty)
     assert node._datapath() == verdict
     assert reference_pipeline(node) == verdict
+    golden, outs = reference_filter_outputs(node)
+    bad = sum(not np.array_equal(out, golden) for out in outs)
+    assert (bad <= 1) == one_bad_output
 
 
 def test_datapath_matches_the_oracle_on_every_health_pattern():
