@@ -4,8 +4,17 @@ Used by the scrubber's algorithmic repair mode: one flipped bit per word
 is correctable, two flipped bits are detected but not correctable.
 
 Data bit i sits at code position _DATA_POSITIONS[i].  The Hamming check
-at position 2**j covers every position with bit j set, so it is the
-parity of the word ANDed with a precomputed column mask.
+at position 2**j covers every position with bit j set, so data bit i
+alone sets exactly the checks whose bits are set in its position: its
+checks are _DATA_POSITIONS[i].
+
+The checks are linear over GF(2) (Hamming, 1950): the checks of a XOR b
+are the checks of a XOR the checks of b.  So the checks of a word are
+the XOR of the checks of its four bytes, each looked up in a 256-entry
+table for its byte lane (table lookup as in Sarwate, 1988).  Each entry
+is the XOR of the single-bit checks of its byte's set bits, built at
+import from _DATA_POSITIONS, so the tables are exact, not an
+approximation of the per-bit parities.
 """
 
 from __future__ import annotations
@@ -13,18 +22,26 @@ from __future__ import annotations
 _PARITY_POSITIONS = (1, 2, 4, 8, 16, 32)
 _DATA_POSITIONS = [p for p in range(1, 40) if p & (p - 1)][:32]
 _DATA_INDEX = {pos: i for i, pos in enumerate(_DATA_POSITIONS)}
-_CHECK_MASKS = tuple(
-    sum(1 << i for i, pos in enumerate(_DATA_POSITIONS) if pos & k)
-    for k in _PARITY_POSITIONS)
 _WORD_MASK = (1 << 32) - 1
+
+
+def _byte_table(lane: int) -> tuple[int, ...]:
+    """Checks of byte value b in byte `lane` of a word, for b in 0..255."""
+    table = [0] * 256
+    for b in range(1, 256):
+        low = b & -b
+        table[b] = table[b ^ low] ^ _DATA_POSITIONS[8 * lane
+                                                    + low.bit_length() - 1]
+    return tuple(table)
+
+
+_T0, _T1, _T2, _T3 = (_byte_table(lane) for lane in range(4))
 
 
 def _checks(word: int) -> int:
     """The six Hamming check bits of a word, check j in bit j."""
-    checks = 0
-    for j, mask in enumerate(_CHECK_MASKS):
-        checks |= ((word & mask).bit_count() & 1) << j
-    return checks
+    return (_T0[word & 0xFF] ^ _T1[word >> 8 & 0xFF]
+            ^ _T2[word >> 16 & 0xFF] ^ _T3[word >> 24 & 0xFF])
 
 
 def secded_encode(word: int) -> int:

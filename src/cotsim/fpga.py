@@ -35,6 +35,8 @@ from cotsim.engine import SimEngine, Event
 
 FRAME_BITS = FRAME_BYTES * 8
 WORD_BYTES = 4
+WORD_BITS = WORD_BYTES * 8
+WORD_MASK = (1 << WORD_BITS) - 1
 TARGET = "fpga"  # the node's handler id on the engine
 
 
@@ -108,7 +110,9 @@ class ConfigMemory:
             c.name: [] for c in components}
         self._mark_texts: dict[str, list[str]] = {
             c.name: [] for c in components}
-        self._parity: dict[int, list[int]] = {}  # lazy per-frame ECC store
+        # frame -> the SECDED parity byte of each golden word, encoded on
+        # the frame's first enhanced repair (`parity_store`)
+        self._parity: dict[int, list[int]] = {}
         self.version = 0
         self.changed: dict[str, int] = {c.name: 0 for c in components}
         self._tags: dict[str, tuple[int, int]] = {}  # name -> (changed, tag)
@@ -138,14 +142,21 @@ class ConfigMemory:
         for f in range(self.n_frames):
             self.restore_frame(f)
 
+    def flip_bits(self, frame: int, mask: int) -> None:
+        """XOR `mask`, the frame read as one little-endian integer, into
+        the frame: bit b of `mask` flips bit b as in flip_bit."""
+        data = self.frames[frame]
+        data[:] = (int.from_bytes(data, "little") ^ mask).to_bytes(
+            FRAME_BYTES, "little")
+        self._update(frame, 0, mask & int.from_bytes(
+            self.essential_mask[frame], "little"))
+
+    # only tests write single words; the benchmark's tracer looks the name
+    # up on this class
     def write_word(self, frame: int, word: int, value: int) -> None:
         """Write a 32-bit little-endian word."""
-        base = word * WORD_BYTES
-        diff = self.read_word(frame, word) ^ value
-        self.frames[frame][base:base + WORD_BYTES] = value.to_bytes(4, "little")
-        essential = int.from_bytes(
-            self.essential_mask[frame][base:base + WORD_BYTES], "little")
-        self._update(frame, base * 8, diff & essential)
+        self.flip_bits(frame, (self.read_word(frame, word) ^ value)
+                       << word * WORD_BITS)
 
     def _update(self, frame: int, base: int = 0, toggled=None) -> None:
         """Bring the derived views in step after a write to `frame` that
@@ -321,6 +332,10 @@ class Scrubber:
     replace mode reloads the golden frame; enhanced_repair corrects up to
     one flipped bit per 32-bit word from the stored ECC, then compares
     the frame with golden, reporting (but not fixing) multi-bit words.
+    An enhanced repair is one pass over the words that differ from golden,
+    found from the frame and golden XORed as two integers, and commits
+    every correction with one frame write (`ConfigMemory.flip_bits`), so
+    its cost follows the damaged words, not the frame size.
 
     The scan ticks every scan_period_us from the start of its chain (node
     start, and each reset_done), but only a tick that finds damage is an
@@ -466,18 +481,23 @@ class Scrubber:
         self.replan()
 
     def _enhanced_repair(self, frame: int) -> None:
+        current = int.from_bytes(self.mem.frames[frame], "little")
         # golden never changes, so the words that differ from it are
         # exactly the words with flipped bits
-        damaged_words = np.flatnonzero(
-            np.frombuffer(self.mem.frames[frame], "<u4")
-            != np.frombuffer(self.mem.golden[frame], "<u4")).tolist()
+        damaged = current ^ int.from_bytes(self.mem.golden[frame], "little")
         parity = self.mem.parity_store(frame)
-        for w in damaged_words:
-            value, status = secded_decode(self.mem.read_word(frame, w),
-                                          parity[w])
+        fix = 0  # every bit the decoder flips, over the whole frame
+        while damaged:  # highest damaged word first
+            w = (damaged.bit_length() - 1) // WORD_BITS
+            shift = w * WORD_BITS
+            damaged &= (1 << shift) - 1
+            word = current >> shift & WORD_MASK
+            value, status = secded_decode(word, parity[w])
             if status == "corrected":
-                self.mem.write_word(frame, w, value)
+                fix ^= (value ^ word) << shift
                 self.report.corrected_bits += 1
+        if fix:
+            self.mem.flip_bits(frame, fix)
         if frame in self.mem.dirty:
             # still differs from golden: some word had more than one
             # flipped bit

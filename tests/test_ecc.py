@@ -5,7 +5,10 @@ from itertools import combinations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from cotsim import ecc
+from cotsim.config import make_architecture
 from cotsim.ecc import secded_encode, secded_decode
+from cotsim.fpga import ConfigMemory
 
 WORDS = [0x00000000, 0xFFFFFFFF, 0xDEADBEEF, 0x00000001, 0x80000000,
          0x55555555, 0xAAAAAAAA, 0x12345678]
@@ -131,3 +134,29 @@ def test_codec_matches_per_bit_reference(word):
         for b2 in range(b1 + 1, 39):
             w2, p2 = _flip(w1, p1, b2)
             assert secded_decode(w2, p2) == ref_decode(w2, p2)
+
+
+# -- byte tables and the parity store ---------------------------------------
+
+# check j covers every data bit whose code position has bit j set
+_REF_MASKS = [sum(1 << i for i, pos in enumerate(_REF_DATA) if pos & k)
+              for k in _REF_PARITY]
+
+
+def test_byte_tables_equal_the_mask_defined_checks():
+    tables = (ecc._T0, ecc._T1, ecc._T2, ecc._T3)
+    for lane, table in enumerate(tables):
+        assert len(table) == 256
+        for b in range(256):
+            word = b << 8 * lane
+            assert table[b] == sum(((word & mask).bit_count() & 1) << j
+                                   for j, mask in enumerate(_REF_MASKS))
+
+
+def test_parity_store_encodes_every_golden_word():
+    mem = ConfigMemory(make_architecture("CMS+DPR+TMR+WD").components)
+    for frame in range(mem.n_frames):
+        golden = mem.golden[frame]
+        assert mem.parity_store(frame) == [
+            secded_encode(int.from_bytes(golden[i:i + 4], "little"))
+            for i in range(0, len(golden), 4)]

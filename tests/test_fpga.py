@@ -1,6 +1,7 @@
 """FPGA node tests: configuration memory semantics, voting, the window
-verdict against a sample-level FIR oracle, scrubbing, partial
-reconfiguration, ICAP arbitration and watchdog reset."""
+verdict against a sample-level FIR oracle, scrubbing and enhanced repair
+against a per-word oracle, partial reconfiguration, ICAP arbitration and
+watchdog reset."""
 
 import hashlib
 import itertools
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cotsim.config import (ARCHITECTURES, FRAME_BYTES, ComponentSpec,
                            make_architecture)
+from cotsim.ecc import secded_decode
 from cotsim.engine import SimEngine
 from cotsim.fpga import (FRAME_BITS, ConfigMemory, FpgaNode, IcapArbiter,
                          IcapError, InvariantViolation, Scrubber,
@@ -554,6 +556,67 @@ def test_datapath_matches_the_pipeline(arch, ops):
             else:
                 mem.restore_component(args[0])
         assert node._datapath() == reference_pipeline(node)
+
+
+# -- enhanced repair oracle -------------------------------------------------
+
+
+def reference_enhanced_repair(scrubber, frame):
+    """The enhanced repair as first written: numpy finds the damaged words,
+    and each corrected word is written back on its own."""
+    mem, report = scrubber.mem, scrubber.report
+    damaged_words = np.flatnonzero(
+        np.frombuffer(mem.frames[frame], "<u4")
+        != np.frombuffer(mem.golden[frame], "<u4")).tolist()
+    parity = mem.parity_store(frame)
+    for w in damaged_words:
+        value, status = secded_decode(mem.read_word(frame, w), parity[w])
+        if status == "corrected":
+            mem.write_word(frame, w, value)
+            report.corrected_bits += 1
+    if frame in mem.dirty:
+        report.uncorrectable += 1
+        scrubber.known_uncorrectable[frame] = bytes(mem.frames[frame])
+    else:
+        report.repairs += 1
+        scrubber.known_uncorrectable.pop(frame, None)
+
+
+def repair_state(node, frame):
+    mem, scrubber = node.mem, node.scrubber
+    return (bytes(mem.frames[frame]), mem.dirty, mem.flipped_essential,
+            scrubber.report, scrubber.known_uncorrectable)
+
+
+WORDS_PER_FRAME = FRAME_BYTES // 4
+# one damage round: 1-3 flipped bits in each of up to 6 words; an empty
+# round repairs the frame again as it is.  Words and bits are often drawn
+# from a few low ones, so that rounds flip bits back, turn a double error
+# into a single one, and hit 3-bit patterns that alias (bits 0-2 sit at
+# code positions 3, 5 and 6, whose syndromes cancel)
+DAMAGE = st.lists(st.tuples(
+    st.integers(0, 3) | st.integers(0, WORDS_PER_FRAME - 1),
+    st.sets(st.integers(0, 3) | st.integers(0, 31), min_size=1,
+            max_size=3)), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 18), st.lists(DAMAGE, min_size=1, max_size=5))
+def test_enhanced_repair_matches_the_per_word_reference(frame, rounds):
+    """Repeated damage and repair of one frame leaves the same bytes,
+    derived views, counters and uncorrectable signatures as the per-word
+    repair."""
+    nodes = [FpgaNode(SimEngine(), make_architecture("CMS+DPR+TMR+WD"))
+             for _ in range(2)]
+    assert nodes[0].mem.n_frames == 19
+    for damage in rounds:
+        for node in nodes:
+            for word, bits in damage:
+                for bit in bits:
+                    node.mem.flip_bit(frame, 32 * word + bit)
+        nodes[0].scrubber._enhanced_repair(frame)
+        reference_enhanced_repair(nodes[1].scrubber, frame)
+        assert repair_state(nodes[0], frame) == repair_state(nodes[1], frame)
 
 
 # -- watchdog ---------------------------------------------------------------
