@@ -207,7 +207,19 @@ class VpuTrialReport:
 
 
 def _random_image(rng: np.random.Generator, size: int) -> np.ndarray:
-    return rng.integers(0, 1024, size=(size, size)).astype(np.uint16)
+    """`rng.integers(0, 1024, size=(size, size)).astype(np.uint16)` bit for
+    bit, for an `rng` with no buffered 32-bit half.  numpy's Lemire draw
+    rejects nothing for range 1024: pixel i is the top 10 bits of the i-th
+    32-bit half of the raw stream, low half first.  An odd count buffers
+    the last high half for the next draw, as numpy does."""
+    n = size * size
+    bitgen = rng.bit_generator
+    halves = bitgen.random_raw(-(-n // 2)).astype("<u8", copy=False)
+    halves = halves.view("<u4")
+    if n % 2:
+        bitgen.state = {**bitgen.state, "has_uint32": 1,
+                        "uinteger": int(halves[-1])}
+    return (halves[:n] >> 22).astype(np.uint16).reshape(size, size)
 
 
 def _impair_data(tiles, worker: int, rng: np.random.Generator) -> None:

@@ -13,8 +13,10 @@ input rows (one array compare) takes the reference's rows for the tile;
 only a tile whose data differs is run through the kernel.  This is
 exact, bit for bit: both kernels are row-local (an output row reads only
 its own input rows and their halo, zero padded only at the image edges)
-and apply the same float operations in the same order to a tile as to
-the whole image.  A checksum is sealed only where a check reads it, once.
+and exact integer arithmetic, so an output pixel does not depend on the
+tiling.  A checksum is sealed only where a check reads it, once, and is
+computed only where bytes differ from the copy it is of (equal bytes,
+equal CRC).
 """
 
 from __future__ import annotations
@@ -50,59 +52,64 @@ class WorkloadError(VpuError):
 # kernels
 
 
-def conv2d(tile: np.ndarray, kernel: np.ndarray, pad_top: bool,
-           pad_bottom: bool) -> np.ndarray:
-    """3x3 float convolution over a halo-extended tile.
+def conv2d(tile: np.ndarray, pad_top: bool, pad_bottom: bool) -> np.ndarray:
+    """3x3 convolution with the [1,2,1] x [1,2,1] / 16 kernel over a
+    halo-extended tile, as float64.
 
     The tile carries one real halo row on each side that is not a global
     image edge; pad_top/pad_bottom mark edge sides (zero padded there).
     Columns are always zero padded.  Output rows are the tile's own rows,
-    halo excluded.
+    halo excluded.  The integer sum (a row pass and a column pass over one
+    zero-padded buffer) divided by 16 once is bit for bit the float
+    convolution term by term: on uint16 pixels every float partial sum
+    is an exact multiple of 1/16 below 2**20.  Other pixel types are
+    rejected, not truncated.
     """
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.shape != (3, 3):
-        raise WorkloadError("kernel must be 3x3")
-    work = np.asarray(tile, dtype=np.float64)
-    if pad_top:
-        work = np.vstack([np.zeros((1, work.shape[1])), work])
-    if pad_bottom:
-        work = np.vstack([work, np.zeros((1, work.shape[1]))])
-    if work.shape[0] < 3:
+    tile = np.asarray(tile)
+    if not np.can_cast(tile.dtype, np.uint16):
+        raise WorkloadError(f"conv2d needs uint16 pixels, not {tile.dtype}")
+    h, w = tile.shape
+    top = int(pad_top)
+    work = np.zeros((h + top + int(pad_bottom), w + 2), dtype=np.int32)
+    if len(work) < 3:
         raise WorkloadError("tile is missing its halo rows")
-    work = np.hstack([np.zeros((work.shape[0], 1)), work,
-                      np.zeros((work.shape[0], 1))])
-    out = np.zeros((work.shape[0] - 2, work.shape[1] - 2))
-    for di in range(3):
-        for dj in range(3):
-            out += kernel[di, dj] * work[di:di + out.shape[0],
-                                         dj:dj + out.shape[1]]
-    return out
+    work[top:top + h, 1:-1] = tile
+    rows = work[:, :-2] + work[:, 2:]
+    rows += 2 * work[:, 1:-1]
+    out = rows[:-2] + rows[2:]
+    out += 2 * rows[1:-1]
+    return out / 16
 
 
 def binning2d(tile: np.ndarray) -> np.ndarray:
-    """Averaging 2x2 binning: block mean rounded half-up to an integer pixel."""
+    """Averaging 2x2 binning: block mean rounded half-up to an integer
+    pixel, taken exactly as (block sum + 2) >> 2.  Non-integer pixels are
+    rejected, not truncated."""
     tile = np.asarray(tile)
     h, w = tile.shape
     if h % 2 or w % 2:
         raise WorkloadError(f"tile {h}x{w} not divisible by binning factor 2")
-    blocks = tile.reshape(h // 2, 2, w // 2, 2)
-    means = blocks.astype(np.float64).mean(axis=(1, 3))
-    return np.floor(means + 0.5).astype(np.int64)
+    if tile.dtype.kind not in "iu":
+        raise WorkloadError(f"binning2d needs integer pixels, not {tile.dtype}")
+    work = tile.astype(np.int64)
+    out = work[0::2, 0::2] + work[0::2, 1::2]
+    out += work[1::2, 0::2]
+    out += work[1::2, 1::2]
+    out += 2
+    out >>= 2
+    return out
 
 
 # kernel name -> (halo rows per side, input rows per output row); binning
 # stripes must hold whole 2x2 blocks
 KERNELS = {"conv2d": (1, 1), "binning2d": (0, 2)}
-DEFAULT_CONV_KERNEL = np.array([[0.0625, 0.125, 0.0625],
-                                [0.125, 0.25, 0.125],
-                                [0.0625, 0.125, 0.0625]])
 
 
 def run_kernel(kernel_name: str, data: np.ndarray, pad_top: bool = True,
                pad_bottom: bool = True) -> np.ndarray:
     """The named kernel on `data`; conv2d zero pads the marked edges."""
     if kernel_name == "conv2d":
-        return conv2d(data, DEFAULT_CONV_KERNEL, pad_top, pad_bottom)
+        return conv2d(data, pad_top, pad_bottom)
     return binning2d(data)
 
 
@@ -124,22 +131,27 @@ class Tile:
     row_end: int  # exclusive, output rows of the stripe
     halo: int
     data: np.ndarray  # input stripe including available halo rows
-    crc: int = 0
+    verified: Tile | None = None  # the copy whose checksum it carries
+    crc: int | None = None  # sealed when a check first reads it
 
     def payload(self) -> bytes:
         return np.ascontiguousarray(self.data, dtype=">u2").tobytes()
 
-    def seal(self) -> None:
-        self.crc = crc16_ccitt(self.payload())
-
     def crc_ok(self) -> bool:
-        return crc16_ccitt(self.payload()) == self.crc
+        """Check against the verified copy's checksum.  Equal bytes have
+        equal CRCs, so a tile holding the copy's bytes computes none."""
+        ref = self.verified
+        if np.array_equal(self.data, ref.data):
+            return True
+        if ref.crc is None:
+            ref.crc = crc16_ccitt(ref.payload())
+        return crc16_ccitt(self.payload()) == ref.crc
 
 
 def partition_workload(image: np.ndarray, workers: int, halo: int = 0,
-                       row_unit: int = 1, seal: bool = True) -> list[Tile]:
+                       row_unit: int = 1) -> list[Tile]:
     """Contiguous horizontal stripes, heights differing by at most one
-    row_unit, halo rows duplicated, CRC appended per tile if `seal`."""
+    row_unit, with their halo rows duplicated."""
     if workers < 1:
         raise WorkloadError("need at least one worker")
     h = image.shape[0]
@@ -158,8 +170,6 @@ def partition_workload(image: np.ndarray, workers: int, halo: int = 0,
         hi = min(h, r1 + halo)
         tile = Tile(worker=w, row_start=r0, row_end=r1, halo=halo,
                     data=image[lo:hi].copy())
-        if seal:
-            tile.seal()
         tiles.append(tile)
         row = r1
     return tiles
@@ -184,12 +194,28 @@ def _corruption_tag(payload: bytes) -> int:
     return int.from_bytes(digest, "big") >> 1
 
 
+def _nonzero_bytes(bitgen: np.random.BitGenerator, n: int) -> np.ndarray:
+    """`np.random.Generator(bitgen).integers(1, 256, size=n, dtype=np.uint8)`,
+    bit for bit, from the raw stream.
+
+    numpy draws bounded uint8 by Lemire's method from the 32-bit halves of
+    each raw 64-bit draw, low half first, a byte at a time from the least
+    significant.  For [1, 256) it rejects exactly the zero bytes and
+    returns every other byte unchanged, so the draw is the nonzero bytes
+    of the little-endian raw stream."""
+    out = b""
+    while len(out) < n:
+        raw = bitgen.random_raw(-(-(n - len(out)) // 8))
+        out += raw.astype("<u8", copy=False).tobytes().replace(b"\0", b"")
+    return np.frombuffer(out, dtype=np.uint8, count=n)
+
+
 def corrupt_stripe(stripe: np.ndarray, tag: int) -> np.ndarray:
-    """XOR every byte of the stripe with a nonzero tag-seeded mask."""
-    rng = np.random.Generator(np.random.PCG64(tag))
-    flat = np.ascontiguousarray(stripe).reshape(-1).view(np.uint8).copy()
-    mask = rng.integers(1, 256, size=flat.size, dtype=np.uint8)
-    return (flat ^ mask).view(stripe.dtype).reshape(stripe.shape)
+    """XOR every byte of a copy of the stripe with a nonzero tag-seeded mask."""
+    out = np.array(stripe, order="C")
+    flat = out.reshape(-1).view(np.uint8)
+    flat ^= _nonzero_bytes(np.random.PCG64(tag), flat.size)
+    return out
 
 
 @dataclass
@@ -228,7 +254,7 @@ class VpuNode:
     The golden worker code is the immutable, module-wide `GOLDEN_INSTR`;
     each node's workers run from fresh mutable copies of it.
     `golden_input` is the CRC-verified copy retained at reception; tile
-    checksums are sealed from it at the DMA, so corruption of the working
+    checksums are of its tiles cut at the DMA, so corruption of the working
     DDR copy or of a CMX tile is caught by the per-tile check.
 
     `reference` is `golden_output` of the image as uint16, if the caller
@@ -268,18 +294,18 @@ class VpuNode:
     def restore_instr(self, worker_id: int) -> None:
         self.workers[worker_id].instr_mem[:] = GOLDEN_INSTR[worker_id]
 
-    def _partition(self, image: np.ndarray, parts: int,
-                   seal: bool) -> list[Tile]:
+    def _partition(self, image: np.ndarray, parts: int) -> list[Tile]:
         return partition_workload(image, parts, halo=self.halo,
-                                  row_unit=self.row_unit, seal=seal)
+                                  row_unit=self.row_unit)
 
     def dma_tiles(self) -> list[Tile]:
-        """Partition the working DDR copy; checksums are sealed now from
-        the verified copy, so pre-DMA corruption is detectable downstream."""
-        tiles = self._partition(self.ddr_input, N_WORKERS, seal=False)
+        """Partition the working DDR copy; each tile carries the checksum of
+        the verified copy's tile, cut now, so pre-DMA corruption is
+        detectable downstream."""
+        tiles = self._partition(self.ddr_input, N_WORKERS)
         for tile, ref in zip(tiles, self._partition(self.golden_input,
-                                                    N_WORKERS, seal=True)):
-            tile.crc = ref.crc
+                                                    N_WORKERS)):
+            tile.verified = ref
         return tiles
 
     # -- execution ----------------------------------------------------------
@@ -348,9 +374,10 @@ class VpuNode:
         With no functional worker left (degraded mode) the code is
         restored first and every tile runs again on its own worker."""
         report = RecoveryReport()
+        # code equal to the golden copy has the baseline CRC
         impaired = report.impaired = [
-            w.id for w in self.workers
-            if crc16_ccitt(w.instr_mem) != INSTR_CRC_BASELINE[w.id]]
+            w.id for w in self.workers if self.worker_impaired(w.id)
+            and crc16_ccitt(w.instr_mem) != INSTR_CRC_BASELINE[w.id]]
         functional = [w.id for w in self.workers if w.id not in impaired]
         moved = set(impaired)  # workers whose tiles go to stand-ins
         if not functional:
@@ -382,14 +409,13 @@ class VpuNode:
                    for t in tiles if t.worker not in bad}
         functional = [t.worker for t in tiles if t.worker not in bad] \
             or list(range(N_WORKERS))
-        fresh = self._partition(self.golden_input, N_WORKERS,
-                                seal=False) if bad else []
+        fresh = self._partition(self.golden_input, N_WORKERS) if bad else []
         redo = []
         for wid in bad:
             tile = fresh[wid]
             # restored data must match the checksum sealed at reception,
             # otherwise the retained copy itself has been corrupted
-            tile.crc = tiles[wid].crc
+            tile.verified = tiles[wid].verified
             if tile.crc_ok():
                 redo.append(tile)
             else:
@@ -415,7 +441,7 @@ class VpuNode:
         votes per pixel on the outputs.  No rescheduling, no repair."""
         groups, unused = self.nmr_groups(n)
         report = VoteReport(n=n, groups=groups, unused=unused)
-        stripes = self._partition(self.ddr_input, len(groups), seal=False)
+        stripes = self._partition(self.ddr_input, len(groups))
         pieces = []
         flagged = 0
         for group, stripe in zip(groups, stripes):

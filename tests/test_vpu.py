@@ -1,15 +1,20 @@
-"""VPU node tests: kernel oracles, workload partitioning, tile checksums
-and the three recovery techniques."""
+"""VPU node tests: kernel oracles, workload partitioning, tile checksums,
+raw-stream draws and the three recovery techniques."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cotsim import vpu
 from cotsim.crc import crc16_ccitt
-from cotsim.vpu import (DEFAULT_CONV_KERNEL, KERNELS, N_WORKERS, Tile,
-                        VpuNode, WorkloadError, binning2d, conv2d,
-                        error_rate, golden_output, partition_workload)
+from cotsim.harness import _random_image
+from cotsim.vpu import (KERNELS, N_WORKERS, Tile, VpuNode, WorkloadError,
+                        binning2d, conv2d, error_rate, golden_output,
+                        partition_workload)
+
+# conv2d's fixed weights, [1, 2, 1] x [1, 2, 1] / 16
+CONV_WEIGHTS = np.outer([1, 2, 1], [1, 2, 1]) / 16
 
 
 def conv_oracle(image, kernel):
@@ -30,10 +35,72 @@ def conv_oracle(image, kernel):
 
 def test_conv2d_matches_double_loop_oracle():
     rng = np.random.default_rng(0)
-    image = rng.integers(0, 1024, size=(8, 8)).astype(np.float64)
+    image = rng.integers(0, 1024, size=(8, 8)).astype(np.uint16)
     got = golden_output(image, "conv2d")
-    assert np.allclose(got, conv_oracle(image, DEFAULT_CONV_KERNEL),
-                       atol=1e-12, rtol=0)
+    want = conv_oracle(image, CONV_WEIGHTS)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def float_conv2d(tile, pad_top, pad_bottom):
+    """The float convolution conv2d replaced: nine multiply-add passes of
+    the weights over a zero-padded float64 copy of the tile."""
+    work = np.asarray(tile, dtype=np.float64)
+    if pad_top:
+        work = np.vstack([np.zeros((1, work.shape[1])), work])
+    if pad_bottom:
+        work = np.vstack([work, np.zeros((1, work.shape[1]))])
+    work = np.hstack([np.zeros((work.shape[0], 1)), work,
+                      np.zeros((work.shape[0], 1))])
+    out = np.zeros((work.shape[0] - 2, work.shape[1] - 2))
+    for di in range(3):
+        for dj in range(3):
+            out += CONV_WEIGHTS[di, dj] * work[di:di + out.shape[0],
+                                               dj:dj + out.shape[1]]
+    return out
+
+
+def float_binning2d(tile):
+    """The float binning binning2d replaced: the block mean, rounded
+    half-up."""
+    h, w = tile.shape
+    blocks = tile.reshape(h // 2, 2, w // 2, 2)
+    means = blocks.astype(np.float64).mean(axis=(1, 3))
+    return np.floor(means + 0.5).astype(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 10), st.booleans(), st.booleans(),
+       st.data())
+@example(3, 4, False, False, None)  # one output row, no edge
+@example(1, 2, True, True, None)
+def test_integer_kernels_equal_the_float_kernels(rows, cols, pad_top,
+                                                 pad_bottom, data):
+    """Byte equality on any uint16 tile, full-scale pixels included."""
+    shape = (rows, cols)
+    tile = (np.full(shape, 65535, dtype=np.uint16) if data is None
+            else data.draw(arrays(np.uint16, shape)))
+    if rows + pad_top + pad_bottom >= 3:
+        got = conv2d(tile, pad_top, pad_bottom)
+        want = float_conv2d(tile, pad_top, pad_bottom)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    if rows % 2 == 0 and cols % 2 == 0:
+        got, want = binning2d(tile), float_binning2d(tile)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_kernels_reject_non_integer_pixels(dtype):
+    tile = np.full((4, 4), 0.5, dtype=dtype)
+    with pytest.raises(WorkloadError):
+        conv2d(tile, True, True)
+    with pytest.raises(WorkloadError):
+        binning2d(tile)
+
+
+def test_conv2d_rejects_pixels_wider_than_uint16():
+    with pytest.raises(WorkloadError):
+        conv2d(np.full((4, 4), 1 << 28, dtype=np.int64), True, True)
 
 
 def test_binning_matches_block_mean_oracle():
@@ -80,7 +147,6 @@ def test_partition_covers_image_once(workers, halo, row_unit, seed):
         lo = max(0, t.row_start - halo)
         hi = min(height, t.row_end + halo)
         assert np.array_equal(t.data, image[lo:hi])
-        assert t.crc == crc16_ccitt(t.payload())
     assert max(heights) - min(heights) <= row_unit
 
 
@@ -96,10 +162,12 @@ def test_partition_rejects_bad_geometry():
 
 def test_tile_crc_detects_any_change():
     image = np.arange(96, dtype=np.uint16).reshape(12, 8)
-    tile = partition_workload(image, 4)[1]
-    assert tile.crc_ok()
+    tile, verified = (partition_workload(image, 4)[1] for _ in range(2))
+    tile.verified = verified
+    assert tile.crc_ok() and verified.crc is None  # equal bytes: no CRC
     tile.data[0, 0] ^= 1
     assert not tile.crc_ok()
+    assert verified.crc == crc16_ccitt(verified.payload())
 
 
 # -- reuse of the reference output -------------------------------------------
@@ -109,8 +177,7 @@ def run_kernel(kernel, tile, height):
     """The kernel run directly on one tile, as a worker would without the
     reference."""
     if kernel == "conv2d":
-        return conv2d(tile.data, DEFAULT_CONV_KERNEL,
-                      tile.row_start - tile.halo < 0,
+        return conv2d(tile.data, tile.row_start - tile.halo < 0,
                       tile.row_end + tile.halo > height)
     return binning2d(tile.data)
 
@@ -195,6 +262,100 @@ def test_workers_get_fresh_mutable_copies():
     assert vpu.GOLDEN_INSTR[4] == instr_image_generator(4)
     a.restore_instr(4)
     assert not a.worker_impaired(4)
+
+
+# -- raw-stream draws ----------------------------------------------------------
+
+
+class CountingPCG64(np.random.PCG64):
+    """PCG64 that counts its `random_raw` calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.raw_calls = 0
+
+    def random_raw(self, size=None, output=True):
+        self.raw_calls += 1
+        return super().random_raw(size, output)
+
+
+def nonzero_le_bytes(tag, n):
+    """The first n nonzero bytes of PCG64(tag)'s raw 64-bit draws, each
+    draw taken least significant byte first."""
+    out = bytearray()
+    bitgen = np.random.PCG64(tag)
+    while len(out) < n:
+        word = int(bitgen.random_raw())
+        out += bytes(b for b in word.to_bytes(8, "little") if b)
+    return bytes(out[:n])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**63 - 1),
+       st.one_of(st.just(1), st.integers(1, 40).map(lambda k: 2 * k + 1),
+                 st.integers(1, 5000)))
+@example(0, 1)
+def test_nonzero_bytes_equal_numpys_bounded_uint8_draw(tag, n):
+    """The mask of corrupt_stripe, pinned to numpy's draw and to the
+    raw stream's little-endian bytes; a numpy upgrade that changes
+    either fails here."""
+    got = vpu._nonzero_bytes(np.random.PCG64(tag), n)
+    want = np.random.Generator(np.random.PCG64(tag)).integers(
+        1, 256, size=n, dtype=np.uint8)
+    assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
+    assert got.tobytes() == nonzero_le_bytes(tag, n)
+
+
+def test_nonzero_bytes_draw_again_when_a_zero_byte_falls_short():
+    # the first tag whose first raw draw holds a zero byte: 8 bytes need
+    # a second draw
+    tag = next(t for t in range(100_000)
+               if 0 in int(np.random.PCG64(t).random_raw()).to_bytes(8,
+                                                                  "little"))
+    bitgen = CountingPCG64(tag)
+    got = vpu._nonzero_bytes(bitgen, 8)
+    assert bitgen.raw_calls == 2 and 0 not in got
+    want = np.random.Generator(np.random.PCG64(tag)).integers(
+        1, 256, size=8, dtype=np.uint8)
+    assert got.tobytes() == want.tobytes() == nonzero_le_bytes(tag, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**63 - 1),
+       st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(1, 70)))
+def test_random_image_equals_numpys_draw_and_keeps_the_stream(seed, size):
+    """The trial image, pinned to numpy's bounded int64 draw and to the
+    top 10 bits of the raw stream's little-endian 32-bit halves; the
+    trial's later draws (`rng.choice`, `rng.integers`) are unchanged."""
+    numpy_rng = np.random.default_rng(seed)
+    want = numpy_rng.integers(0, 1024, size=(size, size)).astype(np.uint16)
+    rng = np.random.default_rng(seed)
+    got = _random_image(rng, size)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    words = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(
+        -(-size * size // 2))
+    halves = b"".join(int(w).to_bytes(8, "little") for w in words)
+    tops = [int.from_bytes(halves[4 * i:4 * i + 4], "little") >> 22
+            for i in range(size * size)]
+    assert got.reshape(-1).tolist() == tops
+    assert live_state(rng) == live_state(numpy_rng)
+    assert next_trial_draws(rng) == next_trial_draws(numpy_rng)
+
+
+def live_state(rng):
+    """The generator state later draws read: a buffered 32-bit half only
+    counts while it is flagged."""
+    state = rng.bit_generator.state
+    return (state["state"], state["has_uint32"],
+            state["uinteger"] if state["has_uint32"] else None)
+
+
+def next_trial_draws(rng):
+    """The kinds of draw run_vpu_trial makes after the image."""
+    return (rng.choice(np.arange(N_WORKERS), size=3, replace=False).tolist(),
+            rng.integers(0, 2, size=5).tolist(),
+            rng.integers(1, 256, size=5).tolist())
 
 
 # -- plain execution --------------------------------------------------------
@@ -292,6 +453,32 @@ def test_imr_runs_every_tile_exactly_once(monkeypatch, k):
     assert error_rate(out, golden_output(node.golden_input, "conv2d")) == 0.0
 
 
+def count_crcs(monkeypatch) -> list[int]:
+    """Patch the CRC the node calls; return the list of payload sizes."""
+    calls = []
+
+    def counted(data):
+        calls.append(len(data))
+        return crc16_ccitt(data)
+
+    monkeypatch.setattr(vpu, "crc16_ccitt", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 12])
+def test_imr_computes_a_crc_only_for_impaired_workers(monkeypatch, k):
+    """Code equal to the golden copy has the baseline CRC; only the k
+    impaired workers' code is checked, and exactly they are flagged."""
+    node = make_node("conv2d")
+    impaired = sorted((5 * i) % N_WORKERS for i in range(k))
+    for w in impaired:
+        node.corrupt_instr(w, [(w, 0x5A)])
+    calls = count_crcs(monkeypatch)
+    _, report = node.imr_run(node.dma_tiles())
+    assert calls == [vpu.INSTR_BYTES] * k
+    assert report.impaired == impaired
+
+
 # -- data memory recovery ---------------------------------------------------
 
 
@@ -303,6 +490,24 @@ def test_dmr_restores_corrupted_tiles():
     out, report = node.dmr_run(tiles)
     assert report.impaired == [3, 8]
     assert report.redispatched == [3, 8]
+    assert not report.unrecoverable_input
+    assert error_rate(out, golden_output(node.golden_input, "conv2d")) == 0.0
+
+
+@pytest.mark.parametrize("damaged", [(), (3,), (0, 5, 11)])
+def test_dmr_computes_a_crc_only_where_tile_bytes_differ(monkeypatch,
+                                                          damaged):
+    """An intact tile holds its verified copy's bytes and passes with no
+    CRC; a damaged tile costs its own CRC and its copy's seal, and its
+    restored copy, equal to the verified bytes, passes with none."""
+    node = make_node("conv2d")
+    calls = count_crcs(monkeypatch)
+    tiles = node.dma_tiles()
+    for w in damaged:
+        tiles[w].data[0, 0] ^= 1
+    out, report = node.dmr_run(tiles)
+    assert len(calls) == 2 * len(damaged)
+    assert report.impaired == list(damaged)
     assert not report.unrecoverable_input
     assert error_rate(out, golden_output(node.golden_input, "conv2d")) == 0.0
 
