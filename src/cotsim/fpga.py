@@ -34,8 +34,7 @@ from cotsim.ecc import secded_encode, secded_decode
 from cotsim.engine import SimEngine, Event
 
 FRAME_BITS = FRAME_BYTES * 8
-WORD_BYTES = 4
-WORD_BITS = WORD_BYTES * 8
+WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
 TARGET = "fpga"  # the node's handler id on the engine
 
@@ -56,28 +55,37 @@ def _no_hook() -> None:
     pass
 
 
-_FRAME_RAMP = np.arange(FRAME_BYTES, dtype=np.int64) * 7
+def _frame_ints(rows: np.ndarray) -> list[int]:
+    """Each row of a (frames, FRAME_BYTES) uint8 array as one
+    little-endian integer: bit b of the frame is bit b % 8 of byte b // 8."""
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def _golden_frame(index: int) -> bytes:
-    """Byte i of frame `index` is (index * 131 + i * 7) mod 256."""
-    return ((_FRAME_RAMP + index * 131) & 0xFF).astype(np.uint8).tobytes()
+def _set_bits(mask: int):
+    """The positions of the bits set in `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 class ConfigMemory:
     """Configuration frames plus a pristine golden copy.
 
-    The frame bytes are the one source of truth.  Every write ends in
-    `_update`, which keeps two derived views in step with them: `dirty`,
-    the frames whose bytes differ from golden, and `flipped_essential`,
-    each component's flipped essential bits as a sorted list of
-    (frame, bit) marks, next to their `repr` texts so a tag never sorts
-    or formats the whole set.  `version` bumps whenever a component's
-    marks change, and `changed[name]` is the version at the last change
-    of component `name`'s marks, which is what its memoized corruption
-    tag is keyed on.  `_update` ends by calling `after_write`, so the
-    scrubber can replan.  The essential bits themselves are kept once, as
-    the per-frame byte masks `essential_mask`; `essential_bits` decodes a
+    Each frame, its golden copy and its essential-bit mask are one
+    little-endian integer of FRAME_BITS bits.  The frames are the one
+    source of truth, and `flip_bits` is their one write: every flip,
+    word write and restore XORs a mask into a frame there.  It keeps two
+    derived views in step with the frames: `dirty`, the frames that
+    differ from golden, and `flipped_essential`, each component's flipped
+    essential bits as a sorted list of (frame, bit) marks, next to their
+    `repr` texts so a tag never sorts or formats the whole set.
+    `version` bumps whenever a component's marks change, and
+    `changed[name]` is the version at the last change of component
+    `name`'s marks, which is what its memoized corruption tag is keyed
+    on.  Each write ends by calling `after_write`, so the scrubber can
+    replan.  The essential bits themselves are kept once, as the
+    per-frame masks `essential_mask`; `essential_bits` decodes a
     component's addresses.
     """
 
@@ -91,11 +99,12 @@ class ConfigMemory:
             self.frame_owner.extend([comp.name] * comp.frames)
             start += comp.frames
         self.n_frames = start
-        self.golden = [_golden_frame(i) for i in range(self.n_frames)]
-        self.frames = [bytearray(g) for g in self.golden]
-        # evenly spread essential bits across each component's region;
-        # essential_mask[f] has frame f's essential bits set, bit b being
-        # bit b % 8 of byte b // 8 as in flip_bit
+        # byte i of golden frame f is (f * 131 + i * 7) mod 256
+        ramp = (np.arange(self.n_frames, dtype=np.int64)[:, None] * 131
+                + np.arange(FRAME_BYTES, dtype=np.int64) * 7)
+        self.golden = tuple(_frame_ints((ramp & 0xFF).astype(np.uint8)))
+        self.frames = list(self.golden)
+        # evenly spread essential bits across each component's region
         mask = np.zeros((self.n_frames, FRAME_BYTES), dtype=np.uint8)
         for comp in components:
             g = (np.arange(comp.essential_bits, dtype=np.int64)
@@ -104,7 +113,7 @@ class ConfigMemory:
             frames += self.comp_frames[comp.name].start
             np.bitwise_or.at(mask, (frames, bits // 8),
                              (1 << (bits % 8)).astype(np.uint8))
-        self.essential_mask = [row.tobytes() for row in mask]
+        self.essential_mask = _frame_ints(mask)
         self.dirty: set[int] = set()
         self.flipped_essential: dict[str, list] = {
             c.name: [] for c in components}
@@ -120,19 +129,36 @@ class ConfigMemory:
 
     # -- mutation -----------------------------------------------------------
 
-    def flip_bit(self, frame: int, bit: int) -> bool:
-        """XOR one configuration bit; returns whether it is essential."""
-        byte, value = bit // 8, 1 << (bit % 8)
-        self.frames[frame][byte] ^= value
-        toggled = self.essential_mask[frame][byte] & value
-        self._update(frame, byte * 8, toggled)
-        return toggled != 0
+    def flip_bits(self, frame: int, mask: int) -> None:
+        """XOR `mask` into frame `frame`: the one write."""
+        value = self.frames[frame] = self.frames[frame] ^ mask
+        if value == self.golden[frame]:
+            self.dirty.discard(frame)
+        else:
+            self.dirty.add(frame)
+        toggled = mask & self.essential_mask[frame]
+        if toggled:
+            comp = self.frame_owner[frame]
+            marks = self.flipped_essential[comp]
+            texts = self._mark_texts[comp]
+            for bit in _set_bits(toggled):
+                addr = (frame, bit)
+                i = bisect_left(marks, addr)
+                if i < len(marks) and marks[i] == addr:
+                    del marks[i], texts[i]
+                else:
+                    marks.insert(i, addr)
+                    texts.insert(i, repr(addr))
+            self.version += 1
+            self.changed[comp] = self.version
+        self.after_write()
+
+    def flip_bit(self, frame: int, bit: int) -> None:
+        self.flip_bits(frame, 1 << bit)
 
     def restore_frame(self, frame: int) -> None:
-        if frame not in self.dirty:
-            return  # the bytes already equal the golden frame
-        self.frames[frame][:] = self.golden[frame]
-        self._update(frame)
+        if frame in self.dirty:
+            self.flip_bits(frame, self.frames[frame] ^ self.golden[frame])
 
     def restore_component(self, name: str) -> None:
         for f in self.comp_frames[name]:
@@ -142,78 +168,29 @@ class ConfigMemory:
         for f in range(self.n_frames):
             self.restore_frame(f)
 
-    def flip_bits(self, frame: int, mask: int) -> None:
-        """XOR `mask`, the frame read as one little-endian integer, into
-        the frame: bit b of `mask` flips bit b as in flip_bit."""
-        data = self.frames[frame]
-        data[:] = (int.from_bytes(data, "little") ^ mask).to_bytes(
-            FRAME_BYTES, "little")
-        self._update(frame, 0, mask & int.from_bytes(
-            self.essential_mask[frame], "little"))
-
     # only tests write single words; the benchmark's tracer looks the name
     # up on this class
     def write_word(self, frame: int, word: int, value: int) -> None:
-        """Write a 32-bit little-endian word."""
-        self.flip_bits(frame, (self.read_word(frame, word) ^ value)
-                       << word * WORD_BITS)
-
-    def _update(self, frame: int, base: int = 0, toggled=None) -> None:
-        """Bring the derived views in step after a write to `frame` that
-        toggled essential bit base + k for each bit k set in `toggled`
-        (None: the frame was restored to golden, clearing its marks)."""
-        if self.frames[frame] == self.golden[frame]:
-            self.dirty.discard(frame)
-        else:
-            self.dirty.add(frame)
-        if toggled != 0:  # a restore, or some essential bits toggled
-            comp = self.frame_owner[frame]
-            marks = self.flipped_essential[comp]
-            texts = self._mark_texts[comp]
-            if toggled is None:
-                lo = bisect_left(marks, (frame, 0))
-                hi = bisect_left(marks, (frame + 1, 0))
-                del marks[lo:hi], texts[lo:hi]
-                changed = lo < hi
-            else:
-                changed = True
-                while toggled:
-                    low = toggled & -toggled
-                    toggled ^= low
-                    addr = (frame, base + low.bit_length() - 1)
-                    i = bisect_left(marks, addr)
-                    if i < len(marks) and marks[i] == addr:
-                        del marks[i], texts[i]
-                    else:
-                        marks.insert(i, addr)
-                        texts.insert(i, repr(addr))
-            if changed:
-                self.version += 1
-                self.changed[comp] = self.version
-        self.after_write()
+        """Write a 32-bit word."""
+        shift = word * WORD_BITS
+        self.flip_bits(frame, ((self.frames[frame] >> shift ^ value)
+                               & WORD_MASK) << shift)
 
     # -- queries ------------------------------------------------------------
 
-    def read_word(self, frame: int, word: int) -> int:
-        base = word * WORD_BYTES
-        return int.from_bytes(self.frames[frame][base:base + WORD_BYTES],
-                              "little")
-
     def parity_store(self, frame: int) -> list[int]:
         if frame not in self._parity:
-            self._parity[frame] = [secded_encode(w) for w in np.frombuffer(
-                self.golden[frame], "<u4").tolist()]
+            golden = self.golden[frame]
+            self._parity[frame] = [
+                secded_encode(golden >> shift & WORD_MASK)
+                for shift in range(0, FRAME_BITS, WORD_BITS)]
         return self._parity[frame]
 
     def essential_bits(self, name: str) -> list[tuple[int, int]]:
         """Component `name`'s essential (frame, bit) addresses, sorted,
         decoded from `essential_mask`."""
-        frames = self.comp_frames[name]
-        bits = np.unpackbits(np.frombuffer(
-            b"".join(self.essential_mask[frames.start:frames.stop]),
-            np.uint8), bitorder="little").reshape(len(frames), FRAME_BITS)
-        rows, cols = np.nonzero(bits)
-        return list(zip((rows + frames.start).tolist(), cols.tolist()))
+        return [(f, bit) for f in self.comp_frames[name]
+                for bit in _set_bits(self.essential_mask[f])]
 
     def healthy(self, name: str) -> bool:
         """Absent from this design, or no essential bit flipped."""
@@ -333,9 +310,9 @@ class Scrubber:
     one flipped bit per 32-bit word from the stored ECC, then compares
     the frame with golden, reporting (but not fixing) multi-bit words.
     An enhanced repair is one pass over the words that differ from golden,
-    found from the frame and golden XORed as two integers, and commits
-    every correction with one frame write (`ConfigMemory.flip_bits`), so
-    its cost follows the damaged words, not the frame size.
+    found from the frame XOR golden, and commits every correction with one
+    frame write (`ConfigMemory.flip_bits`), so its cost follows the
+    damaged words, not the frame size.
 
     The scan ticks every scan_period_us from the start of its chain (node
     start, and each reset_done), but only a tick that finds damage is an
@@ -368,8 +345,8 @@ class Scrubber:
         self.period = node.arch.scan_period_us
         self.pointer = 0
         self.repair_frame: int | None = None
-        # frame -> its bytes when enhanced repair last left it dirty
-        self.known_uncorrectable: dict[int, bytes] = {}
+        # frame -> its contents when enhanced repair last left it dirty
+        self.known_uncorrectable: dict[int, int] = {}
         self.report = ScrubReport()
         self.start: int | None = None  # tick 0 of the chain; None in reset
         self.ticks_done = 0  # ticks of the chain accounted so far
@@ -481,10 +458,10 @@ class Scrubber:
         self.replan()
 
     def _enhanced_repair(self, frame: int) -> None:
-        current = int.from_bytes(self.mem.frames[frame], "little")
+        current = self.mem.frames[frame]
         # golden never changes, so the words that differ from it are
         # exactly the words with flipped bits
-        damaged = current ^ int.from_bytes(self.mem.golden[frame], "little")
+        damaged = current ^ self.mem.golden[frame]
         parity = self.mem.parity_store(frame)
         fix = 0  # every bit the decoder flips, over the whole frame
         while damaged:  # highest damaged word first
@@ -502,7 +479,7 @@ class Scrubber:
             # still differs from golden: some word had more than one
             # flipped bit
             self.report.uncorrectable += 1
-            self.known_uncorrectable[frame] = bytes(self.mem.frames[frame])
+            self.known_uncorrectable[frame] = self.mem.frames[frame]
         else:
             self.report.repairs += 1
             self.known_uncorrectable.pop(frame, None)

@@ -19,7 +19,7 @@ from cotsim.config import ArchConfig, CampaignConfig, make_architecture
 from cotsim.engine import SimEngine
 from cotsim.fpga import FpgaNode, InvariantViolation
 from cotsim.injector import (MutationLog, build_fpga_campaign,
-                             inject_config_bit)
+                             inject_config_bit, mutation_log)
 from cotsim import vpu as vpu_mod
 from cotsim.vpu import (VpuNode, error_rate, golden_output,
                         CRC_CHECK_US)
@@ -86,18 +86,19 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
     """One architecture under one campaign; deterministic given (config, seed).
 
     One loop applies the injections and windows in time order, an
-    injection first at equal times, as inputs (see `cotsim.engine`)."""
+    injection first at equal times, as inputs (see `cotsim.engine`).  The
+    mutation log follows from the campaign (`mutation_log`)."""
     if isinstance(arch, str):
         arch = make_architecture(arch)
     engine = SimEngine(seed)
     node = FpgaNode(engine, arch)
     try:
         node.start()
-        log = MutationLog()
-        golden_before = _golden_digest(node)
+        golden = node.mem.golden
 
         rng = engine.fork_rng("fpga-inj")
         addresses = build_fpga_campaign(campaign, node.mem, rng)
+        log = mutation_log(campaign, node.mem, addresses)
         end, period, window = (campaign.duration_us, campaign.period_us,
                                campaign.window_us)
         injections = [(t, 0, address) for t, address
@@ -109,12 +110,12 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
             if is_window:
                 classes.append(node.evaluate_window(seed))
             else:
-                log.append(inject_config_bit(node.mem, t, address))
+                inject_config_bit(node.mem, address)
         engine.run_until(end)
     finally:
         node.close()
 
-    if _golden_digest(node) != golden_before:
+    if node.mem.golden != golden:
         raise InvariantViolation("golden configuration store was mutated")
 
     pct = {c: 100.0 * classes.count(c) / len(classes) for c in CLASSES}
@@ -138,13 +139,6 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
         window_classes=classes,
     )
     return report, log
-
-
-def _golden_digest(node: FpgaNode) -> str:
-    h = hashlib.sha256()
-    for frame in node.mem.golden:
-        h.update(frame)
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 A campaign flips configuration-memory bits of the FPGA node:
 `build_fpga_campaign` lists one (frame, bit) address per injection, and
-injection i fires at (i + 1) * period_us.  Each executed injection yields
-one mutation-log line, "<time_us> fpga_config_bit <frame>:<bit> <effect>",
+injection i fires at (i + 1) * period_us.  `inject_config_bit` executes
+one.  Every injection executes, even while the node is in reset, and
+whether a bit is essential is fixed by `ConfigMemory.essential_mask`, so
+the mutation log is a function of the campaign: `mutation_log` gives one
+line per injection, "<time_us> fpga_config_bit <frame>:<bit> <effect>",
 the effect being the owning component if the bit is essential, else
 "non_essential".  VPU trials corrupt their node directly
 (`cotsim.harness.run_vpu_trial`), and a frame on the link is corrupted
@@ -66,12 +69,22 @@ def build_fpga_campaign(cfg: CampaignConfig, mem: ConfigMemory,
 # mutation execution
 
 
-def inject_config_bit(mem: ConfigMemory, time_us: int,
-                      address: tuple) -> str:
-    """Flip the bit at `address`; returns its mutation-log line."""
+def mutation_log(cfg: CampaignConfig, mem: ConfigMemory,
+                 addresses: list[tuple[int, int]]) -> MutationLog:
+    """The log lines of the campaign's injections at `addresses`, as
+    `build_fpga_campaign` returns them, in firing order."""
+    owner, essential = mem.frame_owner, mem.essential_mask
+    return MutationLog(
+        f"{t} {FPGA_KIND} {frame}:{bit} "
+        f"{owner[frame] if essential[frame] >> bit & 1 else 'non_essential'}"
+        for t, (frame, bit) in zip(
+            range(cfg.period_us, cfg.duration_us + 1, cfg.period_us),
+            addresses))
+
+
+def inject_config_bit(mem: ConfigMemory, address: tuple) -> None:
+    """Flip the bit at `address`."""
     frame, bit = address
     if not (0 <= frame < mem.n_frames and 0 <= bit < FRAME_BITS):
         raise CampaignError(f"address {address} outside configuration memory")
-    effect = mem.frame_owner[frame] if mem.flip_bit(frame, bit) \
-        else "non_essential"
-    return f"{time_us} {FPGA_KIND} {frame}:{bit} {effect}"
+    mem.flip_bit(frame, bit)

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from cotsim import ecc
-from cotsim.config import make_architecture
+from cotsim.config import FRAME_BYTES, make_architecture
 from cotsim.ecc import secded_encode, secded_decode
 from cotsim.fpga import ConfigMemory
 
@@ -156,7 +156,7 @@ def test_byte_tables_equal_the_mask_defined_checks():
 def test_parity_store_encodes_every_golden_word():
     mem = ConfigMemory(make_architecture("CMS+DPR+TMR+WD").components)
     for frame in range(mem.n_frames):
-        golden = mem.golden[frame]
+        golden = mem.golden[frame].to_bytes(FRAME_BYTES, "little")
         assert mem.parity_store(frame) == [
             secded_encode(int.from_bytes(golden[i:i + 4], "little"))
             for i in range(0, len(golden), 4)]

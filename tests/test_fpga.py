@@ -107,7 +107,8 @@ def test_flip_tracking_and_health():
     assert mem.healthy("app") and mem.healthy("ctrl")
     assert mem.healthy("wd_link")  # absent from this design
     frame, bit = mem.essential_bits("app")[0]
-    assert mem.flip_bit(frame, bit)  # essential
+    mem.flip_bit(frame, bit)
+    assert mem.flipped_essential["app"] == [(frame, bit)]  # essential
     assert mem.frame_owner[frame] == "app"
     assert not mem.healthy("app")
     assert frame in mem.dirty
@@ -124,7 +125,8 @@ def test_non_essential_flip_dirties_without_breaking():
     essential = mem.essential_bits("app")
     frame = mem.comp_frames["app"].start
     bit = next(b for b in range(FRAME_BITS) if (frame, b) not in essential)
-    assert not mem.flip_bit(frame, bit)
+    mem.flip_bit(frame, bit)
+    assert not any(mem.flipped_essential.values())
     assert mem.healthy("app")
     assert frame in mem.dirty
 
@@ -136,7 +138,7 @@ def test_restore_component_heals_all_frames():
     mem.restore_component("app")
     assert mem.healthy("app")
     assert all(f not in mem.dirty for f in mem.comp_frames["app"])
-    assert bytes(mem.frames[0]) == mem.golden[0]
+    assert mem.frames[0] == mem.golden[0]
 
 
 def test_corruption_tag_tracks_flip_set():
@@ -152,7 +154,11 @@ def test_corruption_tag_tracks_flip_set():
 
 
 def golden_word(mem, frame, word):
-    return int.from_bytes(mem.golden[frame][4 * word:4 * word + 4], "little")
+    return mem.golden[frame] >> 32 * word & 0xFFFFFFFF
+
+
+def read_word(mem, frame, word):
+    return mem.frames[frame] >> 32 * word & 0xFFFFFFFF
 
 
 def test_write_word_keeps_flip_tracking_exact():
@@ -160,7 +166,7 @@ def test_write_word_keeps_flip_tracking_exact():
     mem.flip_bit(0, 37)  # inside word 1
     mem.write_word(0, 1, golden_word(mem, 0, 1))
     assert 0 not in mem.dirty
-    assert bytes(mem.frames[0]) == mem.golden[0]
+    assert mem.frames[0] == mem.golden[0]
 
 
 def old_essential(components):
@@ -180,11 +186,12 @@ def old_essential(components):
 def test_golden_frames_and_essential_bits_match_the_old_generators(arch):
     components = make_architecture(arch).components
     mem = ConfigMemory(components)
-    assert mem.golden == [
+    assert [g.to_bytes(FRAME_BYTES, "little") for g in mem.golden] == [
         bytes((index * 131 + i * 7) & 0xFF for i in range(FRAME_BYTES))
         for index in range(mem.n_frames)]
-    assert all(isinstance(g, bytes) for g in mem.golden)
-    assert mem.frames == [bytearray(g) for g in mem.golden]
+    assert type(mem.golden) is tuple
+    assert all(type(g) is int for g in mem.golden)
+    assert mem.frames == list(mem.golden)
     assert_essential_bits_match(mem, components)
 
 
@@ -203,7 +210,8 @@ def assert_essential_bits_match(mem, components):
         {name: sorted(addrs) for name, addrs in old.items()}
     assert all(type(f) is int and type(b) is int
                for name in mem.components for f, b in mem.essential_bits(name))
-    assert all(len(row) == FRAME_BYTES for row in mem.essential_mask)
+    assert all(type(row) is int and 0 <= row < 1 << FRAME_BITS
+               for row in mem.essential_mask)
     assert len(mem.essential_mask) == mem.n_frames
     assert set_bits(mem.essential_mask, mem.n_frames) == \
         sorted(set().union(*old.values()))
@@ -212,9 +220,11 @@ def assert_essential_bits_match(mem, components):
 
 
 def set_bits(rows, n_frames) -> list[tuple[int, int]]:
-    """Every (frame, bit) set in per-frame byte strings, in sorted order;
-    bit b of a frame is bit b % 8 of its byte b // 8."""
-    bits = np.unpackbits(np.frombuffer(b"".join(rows), np.uint8),
+    """Every (frame, bit) set in per-frame integers, in sorted order, read
+    from their little-endian bytes: bit b of a frame is bit b % 8 of its
+    byte b // 8."""
+    data = b"".join(row.to_bytes(FRAME_BYTES, "little") for row in rows)
+    bits = np.unpackbits(np.frombuffer(data, np.uint8),
                          bitorder="little").reshape(n_frames, FRAME_BITS)
     return [(int(f), int(b)) for f, b in zip(*np.nonzero(bits))]
 
@@ -253,16 +263,18 @@ def test_config_memory_tracking_and_tag_memo(ops):
         if op == "write":
             frame, word, mask, from_golden = args
             base = golden_word(mem, frame, word) if from_golden \
-                else mem.read_word(frame, word)
+                else read_word(mem, frame, word)
             mem.write_word(frame, word, base ^ mask)
         elif op == "flip_bit":
             frame, bit = args
-            assert mem.flip_bit(frame, bit) == any(
+            owner = mem.frame_owner[frame]
+            before = mem.changed[owner]
+            mem.flip_bit(frame, bit)
+            assert (mem.changed[owner] != before) == any(
                 (frame, bit) in addrs for addrs in essential.values())
         else:
             getattr(mem, op)(*args)
-        flipped = set_bits([bytes(a ^ b for a, b in zip(f, g))
-                            for f, g in zip(mem.frames, mem.golden)],
+        flipped = set_bits([f ^ g for f, g in zip(mem.frames, mem.golden)],
                            mem.n_frames)
         assert mem.dirty == {f for f, _ in flipped}
         for name in mem.components:
@@ -565,18 +577,20 @@ def reference_enhanced_repair(scrubber, frame):
     """The enhanced repair as first written: numpy finds the damaged words,
     and each corrected word is written back on its own."""
     mem, report = scrubber.mem, scrubber.report
+    def words(value):
+        return np.frombuffer(value.to_bytes(FRAME_BYTES, "little"), "<u4")
+
     damaged_words = np.flatnonzero(
-        np.frombuffer(mem.frames[frame], "<u4")
-        != np.frombuffer(mem.golden[frame], "<u4")).tolist()
+        words(mem.frames[frame]) != words(mem.golden[frame])).tolist()
     parity = mem.parity_store(frame)
     for w in damaged_words:
-        value, status = secded_decode(mem.read_word(frame, w), parity[w])
+        value, status = secded_decode(read_word(mem, frame, w), parity[w])
         if status == "corrected":
             mem.write_word(frame, w, value)
             report.corrected_bits += 1
     if frame in mem.dirty:
         report.uncorrectable += 1
-        scrubber.known_uncorrectable[frame] = bytes(mem.frames[frame])
+        scrubber.known_uncorrectable[frame] = mem.frames[frame]
     else:
         report.repairs += 1
         scrubber.known_uncorrectable.pop(frame, None)
@@ -584,7 +598,7 @@ def reference_enhanced_repair(scrubber, frame):
 
 def repair_state(node, frame):
     mem, scrubber = node.mem, node.scrubber
-    return (bytes(mem.frames[frame]), mem.dirty, mem.flipped_essential,
+    return (mem.frames[frame], mem.dirty, mem.flipped_essential,
             scrubber.report, scrubber.known_uncorrectable)
 
 

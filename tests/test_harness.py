@@ -1,7 +1,9 @@
 """Campaign harness tests: window classification, failure-rate fitting,
 run reports and determinism."""
 
+import dataclasses
 import gc
+import hashlib
 import json
 import math
 import statistics
@@ -13,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from cotsim import harness
 from cotsim.config import CampaignConfig, make_architecture
-from cotsim.fpga import FRAME_BITS
+from cotsim.fpga import FRAME_BITS, InvariantViolation
+from cotsim.injector import inject_config_bit
 from cotsim.harness import (CLASSES, emit_matrix, fit_lambda,
                             reliability_curve, run_fpga, run_matrix,
                             run_vpu_trial)
@@ -128,6 +131,71 @@ def test_run_fpga_accepts_prebuilt_config():
     assert report.architecture == "TMR"
     # every wrong window is erroneous, none down
     assert report.down_pct == 0.0 < report.erroneous_pct
+
+
+# the watchdog-reset campaign of tests/test_fpga_lock.py; its injections
+# miss the 115 us resets, which those every 100 us hit
+DEATHS = CampaignConfig(duration_us=2_000_000, period_us=2_000,
+                        target_mode="components",
+                        target_components=["cms_ctrl", "wd_link", "fir_0"])
+FAST_DEATHS = dataclasses.replace(DEATHS, duration_us=600_000, period_us=100)
+
+
+@pytest.mark.parametrize("arch, campaign, seed, in_reset", [
+    ("CMS+DPR+TMR", CampaignConfig(period_us=1_000), 0, 0),
+    ("TMR", CampaignConfig(duration_us=400_000, period_us=500,
+                           target_mode="components",
+                           target_components=["fir_1", "voter_in"]), 1, 0),
+    ("CMS+DPR+TMR+WD", DEATHS, 0, 0),
+    ("CMS+DPR+TMR+WD", FAST_DEATHS, 0, 3)])
+def test_mutation_log_equals_the_executed_flips(monkeypatch, arch, campaign,
+                                               seed, in_reset):
+    """The log built from the campaign reads as if each line were written
+    when its flip executed: stamped with the engine's clock, with the
+    owner as the effect iff the owner's flipped essential bits changed.
+    `in_reset` of the flips execute while a watchdog reset is under way."""
+    nodes, live = [], []
+
+    class Recorded(harness.FpgaNode):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            nodes.append(self)
+
+    def inject(mem, address):
+        frame, bit = address
+        owner = mem.frame_owner[frame]
+        before = list(mem.flipped_essential[owner])
+        inject_config_bit(mem, address)
+        changed = mem.flipped_essential[owner] != before
+        live.append((f"{nodes[0].engine.now} fpga_config_bit {frame}:{bit} "
+                     f"{owner if changed else 'non_essential'}\n",
+                     nodes[0].in_reset))
+
+    monkeypatch.setattr(harness, "FpgaNode", Recorded)
+    monkeypatch.setattr(harness, "inject_config_bit", inject)
+    report, log = run_fpga(arch, campaign, seed)
+    assert len(live) == campaign.n_events()
+    assert log.text() == "".join(line for line, _ in live)
+    assert report.mutation_digest == \
+        hashlib.sha256(log.text().encode()).hexdigest()
+    effects = {line.split()[-1] for line in log}
+    if campaign.target_mode == "components":
+        assert effects == set(campaign.target_components)
+    else:
+        assert "non_essential" in effects and len(effects) > 1
+    assert (report.resets > 0) == (arch == "CMS+DPR+TMR+WD")
+    assert sum(during for _, during in live) == in_reset
+
+
+def test_run_fpga_detects_a_mutated_golden_store(monkeypatch):
+    def inject(mem, address):
+        inject_config_bit(mem, address)
+        mem.golden = mem.golden[:-1] + (0,)
+
+    monkeypatch.setattr(harness, "inject_config_bit", inject)
+    with pytest.raises(InvariantViolation,
+                       match="golden configuration store was mutated"):
+        run_fpga("CMS", short_campaign(), seed=0)
 
 
 def closed_form_correct_pct(arch_name: str, campaign: CampaignConfig):

@@ -7,7 +7,7 @@ import numpy as np
 from cotsim.config import CampaignConfig, ComponentSpec, make_architecture
 from cotsim.fpga import FRAME_BITS, ConfigMemory
 from cotsim.injector import (CampaignError, MutationLog, build_fpga_campaign,
-                             inject_config_bit)
+                             inject_config_bit, mutation_log)
 
 
 def rng(seed):
@@ -67,19 +67,27 @@ def test_bad_campaigns_rejected():
 
 def test_inject_config_bit_records_effect():
     mem = memory()
-    log = MutationLog()
-    assert log.text() == ""
+    assert MutationLog().text() == ""
     frame, bit = mem.essential_bits("app")[0]
-    log.append(inject_config_bit(mem, 4_000, (frame, bit)))
+    inject_config_bit(mem, (frame, bit))
     assert not mem.healthy("app")
     non_essential = next(b for b in range(FRAME_BITS)
                          if (0, b) not in mem.essential_bits("app"))
-    log.append(inject_config_bit(mem, 8_000, (0, non_essential)))
+    inject_config_bit(mem, (0, non_essential))
+    assert mem.dirty == {0, frame}
+    log = mutation_log(CampaignConfig(duration_us=8_000, period_us=4_000),
+                       mem, [(frame, bit), (0, non_essential)])
     assert log.text() == (f"4000 fpga_config_bit {frame}:{bit} app\n"
                           f"8000 fpga_config_bit 0:{non_essential} "
                           "non_essential\n")
-    with pytest.raises(CampaignError):
-        inject_config_bit(mem, 0, (99, 0))
+    # an integer frame would silently widen where a byte array raised
+    frames = list(mem.frames)
+    for address in ((99, 0), (mem.n_frames, 0), (-1, 0), (0, FRAME_BITS),
+                    (0, -1)):
+        with pytest.raises(CampaignError, match="outside configuration"):
+            inject_config_bit(mem, address)
+    assert mem.frames == frames
+    assert all(f < 1 << FRAME_BITS for f in mem.frames)
 
 
 def scalar_campaign(cfg, mem, rng):
