@@ -6,18 +6,19 @@ repair, reload durations) are exact multiples of 1 us, so the clock never
 accumulates floating-point drift.
 
 Events fire in order of the key (fire time, time the event was scheduled,
-order slot, seq).  seq counts schedule calls, and an ordinary event's
-order slot is its own seq, so ordinary events fire by (fire time, seq):
-equal fire times break ties in scheduling order.
+seq).  seq counts schedule calls, so equal fire times break ties in
+scheduling order.
 
 A periodic process whose ticks rarely do anything need not be an event
 on every tick.  It registers as a watcher and keeps `watch_key` at the
-key its next tick would have had as an event; before handling any event
-that sorts after that key, the engine calls the watcher's
-`advance(bound)` with the event's key, so the watcher accounts for its
-ticks at the point in the event order where they would have run.  An
-order slot taken there with `reserve_slot` sorts exactly like the seq of
-an event that tick would have scheduled.  See `cotsim.fpga.Scrubber`.
+key its next tick would have had as an event, with an order slot taken
+by `reserve_slot` at the point where the previous tick would have
+scheduled it, so the slot sorts exactly like that event's seq.  Before
+handling any event that sorts after that key, the engine moves the
+clock to the tick's time and calls the watcher's `advance(bound)` with
+the event's key; the watcher handles its ticks that sort before bound,
+either by arithmetic or, when a tick has work to do, by running it
+then and there.  See `cotsim.fpga.Scrubber`.
 
 Inputs known before a run starts (a campaign's injections, the
 measurement windows) are not events.  The caller applies them in time
@@ -33,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,18 +65,17 @@ class SimEngine:
 
     Handlers are registered per target id; an event with no registered
     handler is still counted in `run_until`'s return value (useful for
-    pure accounting tests).  Cancellation is lazy: cancelled ids are
-    skipped on pop and not counted.
+    pure accounting tests).  A watcher's ticks are not events and are not
+    counted.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.now = 0
-        # (fire_at, scheduled_at, order slot, seq, event)
-        self._heap: list[tuple[int, int, int, int, Event]] = []
+        # (fire_at, scheduled_at, seq, event)
+        self._heap: list[tuple[int, int, int, Event]] = []
         self._seq = 0
         self._watchers: list = []
-        self._cancelled: set[int] = set()
         self._handlers: dict[str, Callable[[Event], None]] = {}
 
     # -- randomness ---------------------------------------------------------
@@ -90,25 +90,19 @@ class SimEngine:
         self._handlers[target] = handler
 
     def schedule(self, fire_at: int, target: str, kind: str,
-                 params: tuple = (),
-                 order: Optional[tuple[int, int]] = None) -> int:
-        """Enqueue an event; returns an id usable for cancellation.
-
-        order = (scheduled_at, slot) replaces the key's (now, seq) part.
-        """
+                 params: tuple = ()) -> None:
+        """Enqueue an event firing at `fire_at`, not before now."""
         if fire_at < self.now:
             raise SchedulingError(
                 f"cannot schedule at t={fire_at} us (clock is {self.now} us)")
         seq = self._seq
         self._seq += 1
-        scheduled_at, slot = (self.now, seq) if order is None else order
-        ev = Event(fire_at, target, kind, params)
-        heapq.heappush(self._heap, (fire_at, scheduled_at, slot, seq, ev))
-        return seq
+        heapq.heappush(self._heap, (fire_at, self.now, seq,
+                                    Event(fire_at, target, kind, params)))
 
     def schedule_in(self, delay: int, target: str, kind: str,
-                    params: tuple = ()) -> int:
-        return self.schedule(self.now + delay, target, kind, params)
+                    params: tuple = ()) -> None:
+        self.schedule(self.now + delay, target, kind, params)
 
     def reserve_slot(self) -> int:
         """An order slot that sorts like an event scheduled right now."""
@@ -119,13 +113,12 @@ class SimEngine:
     def add_watcher(self, watcher) -> None:
         """Call `watcher.advance(bound)` whenever the next event's key
         `bound` (or, at the end of `run_until`, its bound) sorts after
-        `watcher.watch_key`; None means nothing to watch.  advance
-        may schedule events, and must leave watch_key at or above the
-        key of the next event it wants to see handled."""
+        `watcher.watch_key`, a (time, scheduled_at, slot) key or None
+        for nothing to watch.  During the call the clock reads the
+        watch key's time, which lies between the last event's time and
+        bound's.  advance may schedule events, and must move watch_key
+        up or to None."""
         self._watchers.append(watcher)
-
-    def cancel(self, event_id: int) -> None:
-        self._cancelled.add(event_id)
 
     # -- execution ----------------------------------------------------------
 
@@ -136,7 +129,7 @@ class SimEngine:
             raise SchedulingError(
                 f"run_until({t_end}) is in the past (clock is {self.now})")
         count = 0
-        heap, watchers, cancelled = self._heap, self._watchers, self._cancelled
+        heap, watchers = self._heap, self._watchers
         handlers = self._handlers
         heappop = heapq.heappop
         end = (t_end, scheduled_before, -math.inf)
@@ -145,15 +138,13 @@ class SimEngine:
             for watcher in watchers:
                 key = watcher.watch_key
                 if key is not None and key < bound:
+                    self.now = key[0]
                     watcher.advance(bound)
                     break  # it may have scheduled an event before bound
             else:
                 if bound is end:
                     break
-                fire_at, _at, _slot, seq, ev = heappop(heap)
-                if seq in cancelled:
-                    cancelled.discard(seq)
-                    continue
+                fire_at, _at, _seq, ev = heappop(heap)
                 assert fire_at >= self.now, "clock would move backwards"
                 self.now = fire_at
                 handler = handlers.get(ev.target)

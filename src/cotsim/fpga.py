@@ -51,10 +51,6 @@ class InvariantViolation(Exception):
 # configuration memory
 
 
-def _no_hook() -> None:
-    pass
-
-
 def _frame_ints(rows: np.ndarray) -> list[int]:
     """Each row of a (frames, FRAME_BYTES) uint8 array as one
     little-endian integer: bit b of the frame is bit b % 8 of byte b // 8."""
@@ -83,8 +79,7 @@ class ConfigMemory:
     `version` bumps whenever a component's marks change, and
     `changed[name]` is the version at the last change of component
     `name`'s marks, which is what its memoized corruption tag is keyed
-    on.  Each write ends by calling `after_write`, so the scrubber can
-    replan.  The essential bits themselves are kept once, as the
+    on.  The essential bits themselves are kept once, as the
     per-frame masks `essential_mask`; `essential_bits` decodes a
     component's addresses.
     """
@@ -125,7 +120,6 @@ class ConfigMemory:
         self.version = 0
         self.changed: dict[str, int] = {c.name: 0 for c in components}
         self._tags: dict[str, tuple[int, int]] = {}  # name -> (changed, tag)
-        self.after_write = _no_hook
 
     # -- mutation -----------------------------------------------------------
 
@@ -151,7 +145,6 @@ class ConfigMemory:
                     texts.insert(i, repr(addr))
             self.version += 1
             self.changed[comp] = self.version
-        self.after_write()
 
     def flip_bit(self, frame: int, bit: int) -> None:
         self.flip_bits(frame, 1 << bit)
@@ -315,27 +308,24 @@ class Scrubber:
     damaged words, not the frame size.
 
     The scan ticks every scan_period_us from the start of its chain (node
-    start, and each reset_done), but only a tick that finds damage is an
-    engine event (`step`).  As an event, tick k would have the key
-    (t_k, t_k - scan_period_us, slot): scheduled by tick k - 1, after
-    everything tick k - 1 scheduled itself.  The scrubber watches the
-    engine (`SimEngine.add_watcher`): just before each event, `advance`
-    accounts for the ticks that sort before it by arithmetic.  While the
-    controller is functional, each tick sends a heartbeat stamped with
-    its time and, while no repair is in progress, moves the pointer on by
-    one frame; nothing else those ticks read changes between two events.
-    The chain start, `advance` and `step` reserve the order slot of the
-    next tick at the point where the last tick would have scheduled it,
-    so a skipped tick sorts among same-time events exactly as a scheduled
-    one would: the first tick of a chain before a campaign injection at
-    the same time, a tick after a repair that the previous tick started
-    and that ends at the same time.
+    start, and each reset_done), and no tick is an engine event.  As an
+    event, tick k would have the key (t_k, t_k - scan_period_us, slot):
+    scheduled by tick k - 1, after everything tick k - 1 scheduled
+    itself.  The scrubber keeps its next tick's key as `watch_key`
+    (`SimEngine.add_watcher`), reserving the slot at the point where the
+    last tick would have scheduled it, so a tick sorts among same-time
+    events exactly as a scheduled one would: the first tick of a chain
+    before a campaign injection at the same time, a tick after a repair
+    that the previous tick started and that ends at the same time.
 
-    After every configuration write, finished repair, step and chain
-    start, `replan` picks the first tick whose frame is dirty with
-    contents not already known to be uncorrectable, and cancels the
-    plan it replaces.  The planned tick becomes a cms_scan event once the
-    tick before it is accounted and its key is known.
+    Just before each event that sorts after the next tick, the engine
+    calls `advance` with its clock at that tick.  If `_plan` says the
+    tick finds damage, `advance` runs it (`step`); otherwise it accounts
+    by arithmetic for the ticks before the event or before the planned
+    one, whichever comes first.  While the controller is functional,
+    each tick sends a heartbeat stamped with its time and, while no
+    repair is in progress, moves the pointer on by one frame; nothing
+    else those ticks read changes between two events.
     """
 
     def __init__(self, node: "FpgaNode"):
@@ -348,35 +338,42 @@ class Scrubber:
         # frame -> its contents when enhanced repair last left it dirty
         self.known_uncorrectable: dict[int, int] = {}
         self.report = ScrubReport()
-        self.start: int | None = None  # tick 0 of the chain; None in reset
+        self.start: int | None = None  # tick 0 of the chain
         self.ticks_done = 0  # ticks of the chain accounted so far
-        self.watch_key: tuple | None = None  # key of tick ticks_done + 1
-        self.plan: int | None = None  # index of the tick that will find damage
-        self.plan_event: int | None = None  # its event id, once scheduled
-        self.mem.after_write = self.replan
+        # key of tick ticks_done + 1; None in reset
+        self.watch_key: tuple | None = None
         node.engine.add_watcher(self)
 
     def start_chain(self) -> None:
         self.start = self.node.engine.now
         self.ticks_done = 0
         self._next_tick()
-        self.replan()
 
     def _next_tick(self) -> None:
         """Key the next tick as if the last tick had just scheduled it."""
         t = self.start + (self.ticks_done + 1) * self.period
         self.watch_key = (t, t - self.period, self.node.engine.reserve_slot())
-        if self.plan == self.ticks_done + 1:
-            self._schedule_plan()
 
-    def _schedule_plan(self) -> None:
-        t, scheduled_at, slot = self.watch_key
-        self.plan_event = self.node.engine.schedule(
-            t, TARGET, "cms_scan", (self.node.epoch,),
-            order=(scheduled_at, slot))
+    def _plan(self) -> int | None:
+        """The next tick that will find damage: the first whose frame is
+        dirty with contents not already known to be uncorrectable, while
+        the controller is functional and no repair is in progress."""
+        if self.repair_frame is not None or not self.mem.healthy("cms_ctrl"):
+            return None
+        n, frames = self.mem.n_frames, self.mem.frames
+        ahead = min(((f - self.pointer) % n for f in self.mem.dirty
+                     if self.known_uncorrectable.get(f) != frames[f]),
+                    default=None)
+        return None if ahead is None else self.ticks_done + 1 + ahead
 
     def advance(self, bound: tuple) -> None:
-        """Account every tick that sorts before the event keyed `bound`."""
+        """Run the next tick if it finds damage; otherwise account for
+        every tick that sorts before the event keyed `bound` and before
+        the one that will find damage."""
+        plan = self._plan()
+        if plan == self.ticks_done + 1:
+            self.step()
+            return
         fire_at, scheduled_at, _slot = bound
         # a tick sorts before bound if it fires earlier, or at the same
         # time and counts as scheduled (one period earlier) before bound
@@ -388,8 +385,8 @@ class Scrubber:
                 fire_at - self.period < scheduled_at:
             last += 1
         last = max(last, self.ticks_done + 1)
-        if self.plan is not None:
-            last = min(last, self.plan - 1)
+        if plan is not None:
+            last = min(last, plan - 1)
         skipped = last - self.ticks_done
         self.ticks_done = last
         if self.mem.healthy("cms_ctrl"):
@@ -398,49 +395,16 @@ class Scrubber:
                 self.pointer = (self.pointer + skipped) % self.mem.n_frames
         self._next_tick()
 
-    def replan(self) -> None:
-        """Plan the next tick that will find damage."""
-        plan = None
-        if (self.start is not None and self.repair_frame is None
-                and self.mem.healthy("cms_ctrl")):
-            n, frames = self.mem.n_frames, self.mem.frames
-            ahead = min(((f - self.pointer) % n for f in self.mem.dirty
-                         if self.known_uncorrectable.get(f) != frames[f]),
-                        default=None)
-            if ahead is not None:
-                plan = self.ticks_done + 1 + ahead
-        if plan == self.plan:
-            return
-        self._drop_plan()
-        self.plan = plan
-        if plan == self.ticks_done + 1:
-            self._schedule_plan()
-
-    def _drop_plan(self) -> None:
-        if self.plan_event is not None:
-            self.node.engine.cancel(self.plan_event)
-        self.plan = self.plan_event = None
-
     def step(self) -> None:
-        """The planned scan tick: check the current frame, start a repair."""
+        """The tick that finds damage (`_plan`): detect the frame at the
+        pointer and start its repair."""
         self.ticks_done += 1
-        self.plan = self.plan_event = None
-        if self.mem.healthy("cms_ctrl"):
-            self.node.heartbeat(self.node.engine.now)
-            if self.repair_frame is None:
-                self._scan_frame()
-        self._next_tick()
-        self.replan()
-
-    def _scan_frame(self) -> None:
-        frame = self.pointer
+        self.node.heartbeat(self.node.engine.now)
+        self.repair_frame = self.pointer
         self.pointer = (self.pointer + 1) % self.mem.n_frames
-        if frame not in self.mem.dirty or \
-                self.known_uncorrectable.get(frame) == self.mem.frames[frame]:
-            return
         self.report.detections += 1
-        self.repair_frame = frame
         self.node.icap.acquire("cms", self._on_grant)
+        self._next_tick()
 
     def _on_grant(self) -> None:
         self.node.engine.schedule_in(
@@ -455,7 +419,6 @@ class Scrubber:
             self._enhanced_repair(frame)
         self.repair_frame = None
         self.node.icap.release("cms")
-        self.replan()
 
     def _enhanced_repair(self, frame: int) -> None:
         current = self.mem.frames[frame]
@@ -486,8 +449,7 @@ class Scrubber:
 
     def reset(self) -> None:
         """End the tick chain; the node starts a new one at reset_done."""
-        self._drop_plan()
-        self.start = self.watch_key = None
+        self.watch_key = None
         self.pointer = 0
         self.repair_frame = None
         self.known_uncorrectable.clear()
@@ -613,11 +575,10 @@ class FpgaNode:
 
     def close(self) -> None:
         """Drop the references that close cycles (node -> engine -> handler
-        and watcher -> node, parts -> node, memory hook -> scrubber), so a
-        finished run is freed as soon as it is dropped.  The node's counts
-        and reports stay readable; it cannot run again."""
+        and watcher -> node, parts -> node), so a finished run is freed as
+        soon as it is dropped.  The node's counts and reports stay
+        readable; it cannot run again."""
         self.engine = None
-        self.mem.after_write = _no_hook
         for part in (self.scrubber, self.dpr, self.wd):
             if part is not None:
                 part.node = None
@@ -636,9 +597,7 @@ class FpgaNode:
     def _handle(self, ev: Event) -> None:
         if ev.params and ev.params[0] != self.epoch:
             return  # stale event from before a full reset
-        if ev.kind == "cms_scan":
-            self.scrubber.step()
-        elif ev.kind == "cms_repair_done":
+        if ev.kind == "cms_repair_done":
             self.scrubber.finish_repair(ev.params[1])
         elif ev.kind == "dpr_blind":
             if self.dpr is not None:

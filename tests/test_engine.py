@@ -1,4 +1,4 @@
-"""Event queue ordering, cancellation and seeded stream tests."""
+"""Event queue ordering, watcher and seeded stream tests."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,40 +49,24 @@ def test_handler_scheduling_during_run():
     assert seen == [(3, "ping"), (10, "pong")]
 
 
-def test_cancellation_is_effective_and_lazy():
-    eng = SimEngine()
-    seen = collect(eng)
-    keep = eng.schedule(10, "t", "keep")
-    drop = eng.schedule(10, "t", "drop")
-    eng.cancel(drop)
-    assert eng.run_until(20) == 1
-    assert seen == [(10, "keep")]
-    assert keep != drop
-
-
-def test_order_override_sorts_as_if_scheduled_earlier():
-    eng = SimEngine()
-    seen = collect(eng)
-    slot = eng.reserve_slot()
-    eng.schedule(100, "t", "scheduled-at-0")
-    eng.run_until(50)
-    eng.schedule(100, "t", "scheduled-at-50")
-    eng.schedule(100, "t", "as-if-at-0", order=(0, slot))
-    eng.run_until(100)
-    assert [k for _, k in seen] == ["as-if-at-0", "scheduled-at-0",
-                                    "scheduled-at-50"]
-
-
 class Ticker:
-    """A 10 us tick that is never an event, only a watcher."""
+    """A 10 us tick that is never an event, only a watcher.  Tick k in
+    `busy` has work: it schedules an event ("tick", k) busy[k] us later,
+    as a tick that starts a repair would."""
 
-    def __init__(self, eng):
+    def __init__(self, eng, busy=None):
         self.eng = eng
+        self.busy = busy or {}
         self.ticks = 0
+        self.clock = []  # (engine clock, tick time) at each advance
         self.watch_key = (10, 0, eng.reserve_slot())
 
     def advance(self, _bound):
+        self.clock.append((self.eng.now, self.watch_key[0]))
         self.ticks += 1
+        if self.ticks in self.busy:
+            self.eng.schedule_in(self.busy[self.ticks], "t", "e",
+                                 ("tick", self.ticks))
         t = 10 * (self.ticks + 1)
         self.watch_key = (t, t - 10, self.eng.reserve_slot())
 
@@ -101,6 +85,22 @@ def test_watcher_advances_where_its_ticks_would_have_fired():
     assert ticker.ticks == 4
 
 
+def test_watcher_advances_with_the_clock_at_its_tick():
+    eng = SimEngine()
+    ticker = Ticker(eng, busy={2: 0, 3: 5})
+    eng.add_watcher(ticker)
+    seen = collect(eng)
+    eng.schedule(17, "t", "e")
+    eng.run_until(33)
+    assert ticker.clock == [(10, 10), (20, 20), (30, 30)]
+    # an event a tick schedules at its own time fires right after it
+    assert seen == [(17, "e"), (20, "e")]
+    assert eng.now == 33
+    eng.run_until(40)
+    assert seen[-1] == (35, "e")
+    assert ticker.clock[-1] == (40, 40)
+
+
 def test_cannot_schedule_in_the_past():
     eng = SimEngine()
     eng.run_until(100)
@@ -108,14 +108,6 @@ def test_cannot_schedule_in_the_past():
         eng.schedule(99, "t", "late")
     with pytest.raises(SchedulingError):
         eng.run_until(50)
-
-
-def test_processed_counts_exclude_cancelled():
-    eng = SimEngine()
-    eng.schedule(1, "t", "a")
-    eng.cancel(eng.schedule(2, "t", "b"))
-    eng.schedule(3, "t", "c")
-    assert eng.run_until(10) == 2
 
 
 def test_event_log_replay_identical():
@@ -175,44 +167,41 @@ def test_run_until_scheduled_before_stops_at_later_scheduled_events():
     assert seen[-1] == (5, "at-2")
 
 
-# one step of a scheduling script: (op, delays, index)
+# one step of a scheduling script: (op, delays)
 STEP = st.tuples(
-    st.sampled_from(["one", "many", "order", "reserve", "cancel"]),
-    st.lists(st.integers(0, 12), min_size=0, max_size=6),
-    st.integers(0, 50))
+    st.sampled_from(["one", "many", "reserve"]),
+    st.lists(st.integers(0, 12), min_size=0, max_size=6))
 # inputs at t >= 1, like a campaign's injections and windows
 INPUTS = st.lists(st.tuples(st.integers(1, 45), STEP), max_size=25)
+# ticks with work, and how long after the tick their event fires
+BUSY = st.dictionaries(st.integers(1, 6), st.integers(0, 12), max_size=4)
 
 
-def play(setup, inputs, as_events):
+def play(setup, inputs, busy, as_events):
     """Run `setup` at time 0, then apply `inputs` in time order (ties in
-    list order), each running one script step.  `as_events` schedules the
-    inputs as events at time 0 after the setup; otherwise each input is
-    applied after `run_until(t, scheduled_before=1)`.  Every event and
-    input records the clock and what the watcher has seen."""
+    list order), each running one script step, with a ticker whose `busy`
+    ticks schedule events.  `as_events` schedules the inputs as events
+    at time 0 after the setup; otherwise each input is applied after
+    `run_until(t, scheduled_before=1)`.  Every event and input records
+    the clock and what the watcher has seen."""
     eng = SimEngine()
-    ticker = Ticker(eng)
+    ticker = Ticker(eng, busy)
     eng.add_watcher(ticker)
-    seen, ids, slots = [], [], []
+    seen = []
     eng.register("t", lambda ev: seen.append(
         (eng.now, ev.params, ticker.ticks)))
 
     def apply(label, step):
-        op, delays, index = step
+        op, delays = step
         seen.append((eng.now, label, ticker.ticks))
         times = [eng.now + d for d in delays]
         if op == "one" and times:
-            ids.append(eng.schedule(times[0], "t", "e", (label,)))
+            eng.schedule(times[0], "t", "e", (label,))
         elif op == "many":
-            ids.extend(eng.schedule(t, "t", "e", (label, i))
-                       for i, t in enumerate(times))
-        elif op == "order" and times and slots:
-            ids.append(eng.schedule(times[0], "t", "e", (label,),
-                                    order=slots[index % len(slots)]))
+            for i, t in enumerate(times):
+                eng.schedule(t, "t", "e", (label, i))
         elif op == "reserve":
-            slots.append((eng.now, eng.reserve_slot()))
-        elif op == "cancel" and ids:
-            eng.cancel(ids[index % len(ids)])
+            eng.reserve_slot()
 
     for n, step in enumerate(setup):
         apply(("setup", n), step)
@@ -226,11 +215,12 @@ def play(setup, inputs, as_events):
             eng.run_until(t, scheduled_before=1)
             apply(("input", n), step)
     eng.run_until(60)
-    return seen, ticker.ticks
+    return seen, ticker.clock
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(STEP, max_size=8), INPUTS)
-def test_inputs_after_bounded_runs_fire_like_time_0_events(setup, inputs):
-    assert play(setup, inputs, as_events=False) == \
-        play(setup, inputs, as_events=True)
+@given(st.lists(STEP, max_size=8), INPUTS, BUSY)
+def test_inputs_after_bounded_runs_fire_like_time_0_events(setup, inputs,
+                                                           busy):
+    assert play(setup, inputs, busy, as_events=False) == \
+        play(setup, inputs, busy, as_events=True)

@@ -371,14 +371,51 @@ def test_enhanced_repair_flags_multibit_word_uncorrectable():
     assert node.scrubber.report.detections == 1
 
 
-def test_scrubber_keeps_the_tick_grid_but_is_an_event_only_on_damage():
+def test_scrubber_keeps_the_tick_grid_and_runs_no_tick_as_an_event():
     eng, node = cms_node()
     assert eng.run_until(1_000_000) == 0  # a clean memory needs no ticks
     assert node.scrubber.pointer == 10_000 % node.mem.n_frames
     frame = (node.scrubber.pointer + 5) % node.mem.n_frames
     node.mem.flip_bit(frame, 3)
-    # the sixth tick after 1 s reaches the frame: one event, the detection
-    assert eng.run_until(1_000_600) == 1
+    # the sixth tick after 1 s reaches the frame and starts its repair
+    assert eng.run_until(1_000_599) == 0
+    assert node.scrubber.report.detections == 0
+    assert eng.run_until(1_000_600) == 0
+    assert node.scrubber.repair_frame == frame
+    assert node.scrubber.report.detections == 1
+    # the repair ends 18 ms after that tick: the one event
+    assert eng.run_until(1_018_599) == 0
+    assert frame in node.mem.dirty
+    assert eng.run_until(1_018_600) == 1
+    assert frame not in node.mem.dirty
+
+
+def test_damage_undone_between_two_ticks_is_never_detected():
+    eng, node = cms_node()
+    eng.run_until(1_000_020)
+    frame = node.scrubber.pointer  # what the tick at 1,000,100 reads
+    node.mem.flip_bit(frame, 3)
+    eng.run_until(1_000_080)
+    node.mem.flip_bit(frame, 3)
+    assert eng.run_until(1_100_000) == 0
+    assert node.scrubber.report.detections == 0
+    assert node.scrubber.pointer == 11_000 % node.mem.n_frames
+
+
+def test_a_plan_made_before_a_reset_never_runs_after_it():
+    eng, node = cms_node()
+    node.mem.flip_bit(5, 3)  # tick 6 of the chain would find it
+    eng.run_until(50)
+    node.full_reset()
+    done = 50 + node.reset_duration_us()
+    assert eng.run_until(done + 1_000) == 1  # reset_done
+    assert node.scrubber.report.detections == 0
+    # damage in the new chain is found on the new chain's tick grid
+    frame = node.scrubber.pointer + 2
+    node.mem.flip_bit(frame, 3)
+    eng.run_until(done + 1_299)
+    assert node.scrubber.report.detections == 0
+    eng.run_until(done + 1_300)
     assert node.scrubber.repair_frame == frame
     assert node.scrubber.report.detections == 1
 

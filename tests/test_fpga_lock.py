@@ -3,9 +3,9 @@
 Each case pins sha256(report JSON + mutation log) of one run. The
 campaigns put many events on the same microsecond: an injection every
 scan tick (`period_us=100`), controller and watchdog-link deaths with
-watchdog resets that cut repairs short, enhanced repair with a fast
-injection rate, and scan periods equal to the repair latency or to a
-region reload time. A change to event ordering or scrubber accounting
+watchdog resets that cut repairs short, injections and windows during a
+reset, enhanced repair with a fast injection rate, and scan periods
+equal to the repair latency or to a region reload time. A change to event ordering or scrubber accounting
 shows up here as a digest mismatch.
 
 Regenerate only for an intended output change:
@@ -32,6 +32,13 @@ def _cases():
                             target_components=["cms_ctrl", "wd_link", "fir_0"])
     for seed in (0, 1, 2):
         yield f"deaths-CMS+DPR+TMR+WD-s{seed}", "CMS+DPR+TMR+WD", deaths, seed
+    # injections and windows that fall while a watchdog reset reloads the
+    # node
+    reset = CampaignConfig(duration_us=600_000, period_us=100, window_us=100,
+                           target_mode="components",
+                           target_components=["cms_ctrl", "wd_link", "fir_0"])
+    for seed in (0, 1):
+        yield f"reset-CMS+DPR+TMR+WD-s{seed}", "CMS+DPR+TMR+WD", reset, seed
     enhanced = CampaignConfig(period_us=500)
     for seed in (0, 1):
         yield (f"enhanced-CMS+DPR+TMR-s{seed}",
@@ -101,6 +108,10 @@ DIGESTS = {
         '2df43580e40fa2b1f357262cb71d7d14ae2badf8d5508c7e1d929b6978b7afe0',
     'deaths-CMS+DPR+TMR+WD-s2':
         '7ab0f1500779bfc6dedd58c035db8fbb19bd9e6e721bff1d98229d85d4cf3159',
+    'reset-CMS+DPR+TMR+WD-s0':
+        '672da23aa20fb3882fed1fd6a857b63773a705d2b1bd45d8474ecfa45a3517a3',
+    'reset-CMS+DPR+TMR+WD-s1':
+        '79ac943c316628c42b7dd266bc271ef56f6641b7028dd8ba8b6ca4370478450a',
     'enhanced-CMS+DPR+TMR-s0':
         '7c9a70a1a8e892aa9cc7773c2b3bb96844531a0c7ad9f26a4f628d5105baa11c',
     'enhanced-CMS+DPR+TMR-s1':
