@@ -1,20 +1,24 @@
-"""Discrete-event simulation substrate: virtual clock, event queue, seeded RNG streams.
+"""Discrete-event simulation substrate: a virtual clock and a queue of
+calls.
 
 Time is an integer number of microseconds since simulation start.  All
 hardware latencies modeled elsewhere (4 ms injection period, 18 ms frame
 repair, reload durations) are exact multiples of 1 us, so the clock never
 accumulates floating-point drift.
 
-Events fire in order of the key (fire time, time the event was scheduled,
-seq).  seq counts schedule calls, so equal fire times break ties in
-scheduling order.
+An event is a call: `schedule(fire_at, action, *args)` makes the engine
+call `action(*args)` with its clock at fire_at.  Events fire in order of
+the key (fire time, time the event was scheduled, seq).  seq counts
+schedule calls, so equal fire times break ties in scheduling order.  The
+engine draws no random numbers; a campaign's stream is seeded in
+`cotsim.injector`.
 
 A periodic process whose ticks rarely do anything need not be an event
 on every tick.  It registers as a watcher and keeps `watch_key` at the
 key its next tick would have had as an event, with an order slot taken
 by `reserve_slot` at the point where the previous tick would have
 scheduled it, so the slot sorts exactly like that event's seq.  Before
-handling any event that sorts after that key, the engine moves the
+running any event that sorts after that key, the engine moves the
 clock to the tick's time and calls the watcher's `advance(bound)` with
 the event's key; the watcher handles its ticks that sort before bound,
 either by arithmetic or, when a tick has work to do, by running it
@@ -22,7 +26,7 @@ then and there.  See `cotsim.fpga.Scrubber`.
 
 Inputs known before a run starts (a campaign's injections, the
 measurement windows) are not events.  The caller applies them in time
-order, each after `run_until(t, scheduled_before=1)`, which handles every
+order, each after `run_until(t, scheduled_before=1)`, which runs every
 event keyed before (t, 1).  So an input at t sorts exactly like an event
 scheduled at time 0 after all the events then scheduled: after those
 that fire at t and were scheduled at time 0, before every event
@@ -31,78 +35,42 @@ scheduled later.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import Callable
 
 
 class SchedulingError(Exception):
     """Raised when an event is scheduled in the past."""
 
 
-class Event(NamedTuple):
-    """A scheduled occurrence; see the module docstring for firing order."""
-
-    fire_at: int
-    target: str
-    kind: str
-    params: tuple = ()
-
-
-def derive_stream_seed(root_seed: int, label: str) -> int:
-    """Deterministic child seed from (root seed, label)."""
-    digest = hashlib.blake2b(
-        f"{root_seed}:{label}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
-
-
 class SimEngine:
     """Single-threaded event loop with a monotone microsecond clock.
 
-    Handlers are registered per target id; an event with no registered
-    handler is still counted in `run_until`'s return value (useful for
-    pure accounting tests).  A watcher's ticks are not events and are not
-    counted.
+    `run_until` returns how many events it ran.  A watcher's ticks are
+    not events and are not counted.
     """
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed
+    def __init__(self):
         self.now = 0
-        # (fire_at, scheduled_at, seq, event)
-        self._heap: list[tuple[int, int, int, Event]] = []
+        # (fire_at, scheduled_at, seq, action, args)
+        self._heap: list[tuple[int, int, int, Callable, tuple]] = []
         self._seq = 0
         self._watchers: list = []
-        self._handlers: dict[str, Callable[[Event], None]] = {}
-
-    # -- randomness ---------------------------------------------------------
-
-    def fork_rng(self, label: str) -> np.random.Generator:
-        """Child stream deterministically derived from (root seed, label)."""
-        return np.random.default_rng(derive_stream_seed(self.seed, label))
 
     # -- scheduling ---------------------------------------------------------
 
-    def register(self, target: str, handler: Callable[[Event], None]) -> None:
-        self._handlers[target] = handler
-
-    def schedule(self, fire_at: int, target: str, kind: str,
-                 params: tuple = ()) -> None:
-        """Enqueue an event firing at `fire_at`, not before now."""
+    def schedule(self, fire_at: int, action: Callable, *args) -> None:
+        """Call `action(*args)` at `fire_at`, not before now."""
         if fire_at < self.now:
             raise SchedulingError(
                 f"cannot schedule at t={fire_at} us (clock is {self.now} us)")
         seq = self._seq
         self._seq += 1
-        heapq.heappush(self._heap, (fire_at, self.now, seq,
-                                    Event(fire_at, target, kind, params)))
+        heapq.heappush(self._heap, (fire_at, self.now, seq, action, args))
 
-    def schedule_in(self, delay: int, target: str, kind: str,
-                    params: tuple = ()) -> None:
-        self.schedule(self.now + delay, target, kind, params)
+    def schedule_in(self, delay: int, action: Callable, *args) -> None:
+        self.schedule(self.now + delay, action, *args)
 
     def reserve_slot(self) -> int:
         """An order slot that sorts like an event scheduled right now."""
@@ -123,14 +91,13 @@ class SimEngine:
     # -- execution ----------------------------------------------------------
 
     def run_until(self, t_end: int, scheduled_before: float = math.inf) -> int:
-        """Process every event keyed before (t_end, scheduled_before), by
+        """Run every event keyed before (t_end, scheduled_before), by
         default every event with fire_at <= t_end; the clock ends at t_end."""
         if t_end < self.now:
             raise SchedulingError(
                 f"run_until({t_end}) is in the past (clock is {self.now})")
         count = 0
         heap, watchers = self._heap, self._watchers
-        handlers = self._handlers
         heappop = heapq.heappop
         end = (t_end, scheduled_before, -math.inf)
         while True:
@@ -144,12 +111,10 @@ class SimEngine:
             else:
                 if bound is end:
                     break
-                fire_at, _at, _seq, ev = heappop(heap)
+                fire_at, _at, _seq, action, args = heappop(heap)
                 assert fire_at >= self.now, "clock would move backwards"
                 self.now = fire_at
-                handler = handlers.get(ev.target)
-                if handler is not None:
-                    handler(ev)
+                action(*args)
                 count += 1
         self.now = t_end
         return count

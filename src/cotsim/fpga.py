@@ -31,12 +31,11 @@ from cotsim.config import ArchConfig, ComponentSpec, FRAME_BYTES, DPR_BYTES_PER_
 # unused here, but the benchmark's tracer looks the name up in this module
 from cotsim.crc import crc16_ccitt  # noqa: F401
 from cotsim.ecc import secded_encode, secded_decode
-from cotsim.engine import SimEngine, Event
+from cotsim.engine import SimEngine
 
 FRAME_BITS = FRAME_BYTES * 8
 WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
-TARGET = "fpga"  # the node's handler id on the engine
 
 
 class IcapError(Exception):
@@ -254,14 +253,13 @@ class IcapArbiter:
         self.grants = 0
         self.releases = 0
 
-    def acquire(self, owner: str, on_grant) -> str:
+    def acquire(self, owner: str, on_grant) -> None:
         if self.owner == owner or any(o == owner for o, _ in self.queue):
             raise IcapError(f"re-entrant ICAP request by {owner!r}")
         if self.owner is None:
             self._grant(owner, on_grant)
-            return "grant"
-        self.queue.append((owner, on_grant))
-        return "queued"
+        else:
+            self.queue.append((owner, on_grant))
 
     def release(self, owner: str) -> None:
         if self.owner != owner:
@@ -293,7 +291,6 @@ class ScrubReport:
     detections: int = 0
     repairs: int = 0
     uncorrectable: int = 0
-    corrected_bits: int = 0
 
 
 class Scrubber:
@@ -308,8 +305,8 @@ class Scrubber:
     damaged words, not the frame size.
 
     The scan ticks every scan_period_us from the start of its chain (node
-    start, and each reset_done), and no tick is an engine event.  As an
-    event, tick k would have the key (t_k, t_k - scan_period_us, slot):
+    start, and the end of each reset), and no tick is an engine event.  As
+    an event, tick k would have the key (t_k, t_k - scan_period_us, slot):
     scheduled by tick k - 1, after everything tick k - 1 scheduled
     itself.  The scrubber keeps its next tick's key as `watch_key`
     (`SimEngine.add_watcher`), reserving the slot at the point where the
@@ -407,9 +404,8 @@ class Scrubber:
         self._next_tick()
 
     def _on_grant(self) -> None:
-        self.node.engine.schedule_in(
-            self.node.arch.frame_repair_latency_us, TARGET,
-            "cms_repair_done", (self.node.epoch, self.repair_frame))
+        self.node.after(self.node.arch.frame_repair_latency_us,
+                        self.finish_repair, self.repair_frame)
 
     def finish_repair(self, frame: int) -> None:
         if self.mode == "replace":
@@ -435,7 +431,6 @@ class Scrubber:
             value, status = secded_decode(word, parity[w])
             if status == "corrected":
                 fix ^= (value ^ word) << shift
-                self.report.corrected_bits += 1
         if fix:
             self.mem.flip_bits(frame, fix)
         if frame in self.mem.dirty:
@@ -448,7 +443,7 @@ class Scrubber:
             self.known_uncorrectable.pop(frame, None)
 
     def reset(self) -> None:
-        """End the tick chain; the node starts a new one at reset_done."""
+        """End the tick chain; the node starts a new one after the reset."""
         self.watch_key = None
         self.pointer = 0
         self.repair_frame = None
@@ -480,11 +475,9 @@ class DprController:
         self.rotation = [c.name for c in node.arch.components if c.reloadable]
         self.rotation_idx = 0
         self.reloads = 0
-        self.dropped = 0
 
     def request_reload(self, comp: str) -> None:
         if not self.mem.healthy("dpr_ctrl"):
-            self.dropped += 1
             return
         if comp == self.active or comp in self.queue:
             return
@@ -509,9 +502,7 @@ class DprController:
     def _on_grant(self) -> None:
         duration = reload_duration_us(
             self.mem.components[self.active].size_bytes())
-        self.node.engine.schedule_in(
-            duration, TARGET, "dpr_reload_done",
-            (self.node.epoch, self.active))
+        self.node.after(duration, self.finish_reload, self.active)
 
     def finish_reload(self, comp: str) -> None:
         self.mem.restore_component(comp)
@@ -548,7 +539,11 @@ class Watchdog:
 
 
 class FpgaNode:
-    """Event-driven FPGA model wired onto a simulation engine."""
+    """Event-driven FPGA model wired onto a simulation engine.
+
+    Every event of the node is a call scheduled with `after` and run by
+    `_handle`, which drops it if a full reset came in between (the epoch
+    moved)."""
 
     def __init__(self, engine: SimEngine, arch: ArchConfig):
         self.engine = engine
@@ -564,54 +559,48 @@ class FpgaNode:
         # (mem.version, reload requests, output correct?, unhealthy state
         # as the text the window hash formats)
         self._window: tuple | None = None
-        engine.register(TARGET, self._handle)
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        self._schedule_periodic()
+        """Start the periodic chains: the scan, the blind DPR rotation and
+        the watchdog check."""
+        if self.scrubber is not None:
+            self.scrubber.start_chain()
+        if self.dpr is not None:
+            self.after(self.arch.dpr_blind_period_us, self._blind_tick)
         if self.wd is not None:
             self.wd.last_heartbeat = self.engine.now
+            self.after(self.arch.wd_timeout_us // 2, self._wd_tick)
 
     def close(self) -> None:
-        """Drop the references that close cycles (node -> engine -> handler
-        and watcher -> node, parts -> node), so a finished run is freed as
-        soon as it is dropped.  The node's counts and reports stay
-        readable; it cannot run again."""
+        """Drop the references that close cycles (node -> engine -> heap ->
+        bound actions and watcher -> node, parts -> node), so a finished
+        run is freed as soon as it is dropped.  The node's counts and
+        reports stay readable; it cannot run again."""
         self.engine = None
         for part in (self.scrubber, self.dpr, self.wd):
             if part is not None:
                 part.node = None
 
-    def _schedule_periodic(self) -> None:
-        ep = self.epoch
-        if self.scrubber is not None:
-            self.scrubber.start_chain()
-        if self.dpr is not None:
-            self.engine.schedule_in(self.arch.dpr_blind_period_us, TARGET,
-                                    "dpr_blind", (ep,))
-        if self.wd is not None:
-            self.engine.schedule_in(self.arch.wd_timeout_us // 2, TARGET,
-                                    "wd_check", (ep,))
+    def after(self, delay: int, action, *args) -> None:
+        """Call `action(*args)` `delay` us from now, unless a full reset
+        comes first."""
+        self.engine.schedule_in(delay, self._handle, self.epoch, action, args)
 
-    def _handle(self, ev: Event) -> None:
-        if ev.params and ev.params[0] != self.epoch:
-            return  # stale event from before a full reset
-        if ev.kind == "cms_repair_done":
-            self.scrubber.finish_repair(ev.params[1])
-        elif ev.kind == "dpr_blind":
-            if self.dpr is not None:
-                self.dpr.blind_step()
-            self.engine.schedule_in(self.arch.dpr_blind_period_us, TARGET,
-                                    "dpr_blind", (self.epoch,))
-        elif ev.kind == "dpr_reload_done":
-            self.dpr.finish_reload(ev.params[1])
-        elif ev.kind == "wd_check":
-            self.wd.check()
-            self.engine.schedule_in(self.arch.wd_timeout_us // 2, TARGET,
-                                    "wd_check", (self.epoch,))
-        elif ev.kind == "reset_done":
-            self._finish_reset()
+    def _handle(self, epoch: int, action, args: tuple) -> None:
+        if epoch == self.epoch:  # else stale: from before a full reset
+            action(*args)
+
+    def _blind_tick(self) -> None:
+        self.dpr.blind_step()
+        self.after(self.arch.dpr_blind_period_us, self._blind_tick)
+
+    def _wd_tick(self) -> None:
+        self.wd.check()
+        # in the epoch after the check, so a check that resets keeps a chain
+        # beside `_finish_reset`'s; pinned outputs have both (ROADMAP item 4)
+        self.after(self.arch.wd_timeout_us // 2, self._wd_tick)
 
     def heartbeat(self, at_us: int) -> None:
         # a corrupted status channel loses the heartbeat
@@ -635,15 +624,12 @@ class FpgaNode:
             self.scrubber.reset()
         if self.dpr is not None:
             self.dpr.reset()
-        self.engine.schedule_in(self.reset_duration_us(), TARGET,
-                                "reset_done", (self.epoch,))
+        self.after(self.reset_duration_us(), self._finish_reset)
 
     def _finish_reset(self) -> None:
         self.mem.restore_all()
         self.in_reset = False
-        if self.wd is not None:
-            self.wd.last_heartbeat = self.engine.now
-        self._schedule_periodic()
+        self.start()
 
     # -- datapath -----------------------------------------------------------
 

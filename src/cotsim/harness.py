@@ -19,7 +19,8 @@ from cotsim.config import ArchConfig, CampaignConfig, make_architecture
 from cotsim.engine import SimEngine
 from cotsim.fpga import FpgaNode, InvariantViolation
 from cotsim.injector import (MutationLog, build_fpga_campaign,
-                             inject_config_bit, mutation_log)
+                             derive_stream_seed, inject_config_bit,
+                             mutation_log)
 from cotsim import vpu as vpu_mod
 from cotsim.vpu import (VpuNode, error_rate, golden_output,
                         CRC_CHECK_US)
@@ -90,13 +91,13 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
     mutation log follows from the campaign (`mutation_log`)."""
     if isinstance(arch, str):
         arch = make_architecture(arch)
-    engine = SimEngine(seed)
+    engine = SimEngine()
     node = FpgaNode(engine, arch)
     try:
         node.start()
         golden = node.mem.golden
 
-        rng = engine.fork_rng("fpga-inj")
+        rng = np.random.default_rng(derive_stream_seed(seed, "fpga-inj"))
         addresses = build_fpga_campaign(campaign, node.mem, rng)
         log = mutation_log(campaign, node.mem, addresses)
         end, period, window = (campaign.duration_us, campaign.period_us,

@@ -2,18 +2,21 @@
 
 A campaign flips configuration-memory bits of the FPGA node:
 `build_fpga_campaign` lists one (frame, bit) address per injection, and
-injection i fires at (i + 1) * period_us.  `inject_config_bit` executes
-one.  Every injection executes, even while the node is in reset, and
-whether a bit is essential is fixed by `ConfigMemory.essential_mask`, so
-the mutation log is a function of the campaign: `mutation_log` gives one
-line per injection, "<time_us> fpga_config_bit <frame>:<bit> <effect>",
-the effect being the owning component if the bit is essential, else
-"non_essential".  VPU trials corrupt their node directly
+injection i fires at (i + 1) * period_us.  A run draws its addresses
+from the PCG64 stream seeded with `derive_stream_seed(seed, "fpga-inj")`.
+`inject_config_bit` executes one.  Every injection executes, even while
+the node is in reset, and whether a bit is essential is fixed by
+`ConfigMemory.essential_mask`, so the mutation log is a function of the
+campaign: `mutation_log` gives one line per injection, "<time_us>
+fpga_config_bit <frame>:<bit> <effect>", the effect being the owning
+component if the bit is essential, else "non_essential".  VPU trials corrupt their node directly
 (`cotsim.harness.run_vpu_trial`), and a frame on the link is corrupted
 with `cotsim.frame_link.flip_wire_bit`.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -36,6 +39,14 @@ class MutationLog(list):
 
 # ---------------------------------------------------------------------------
 # campaign construction
+
+
+def derive_stream_seed(root_seed: int, label: str) -> int:
+    """Deterministic child seed from (root seed, label)."""
+    digest = hashlib.blake2b(
+        f"{root_seed}:{label}".encode(), digest_size=8
+    ).digest()
+    return int.from_bytes(digest, "big")
 
 
 def build_fpga_campaign(cfg: CampaignConfig, mem: ConfigMemory,

@@ -255,14 +255,18 @@ def test_criterion_8_icap_exclusivity():
         node = FpgaNode(eng, make_architecture("CMS+DPR+TMR"))
         node.start()
         comps = ["fir_0", "fir_1", "fir_2", "voter_in", "voter_out"]
-        eng.register("stress", lambda ev: node.dpr.request_reload(
-            comps[ev.params[0] % len(comps)]))
-        eng.register("dirt", lambda ev: node.mem.flip_bit(
-            node.mem.comp_frames["cms_ctrl"].start, 8 * (ev.params[0] % 50)))
+
+        def stress(i):
+            node.dpr.request_reload(comps[i % len(comps)])
+
+        def dirt(i):
+            node.mem.flip_bit(node.mem.comp_frames["cms_ctrl"].start,
+                              8 * (i % 50))
+
         for i in range(25_000):
-            eng.schedule(10 + i * 15, "stress", "request", (i,))
+            eng.schedule(10 + i * 15, stress, i)
         for i in range(5):
-            eng.schedule(500 + i * 60_000, "dirt", "flip", (i,))
+            eng.schedule(500 + i * 60_000, dirt, i)
         eng.run_until(400_000)  # a double grant raises InvariantViolation
         assert node.icap.grants >= 10_000
         assert node.icap.releases in (node.icap.grants,

@@ -28,7 +28,8 @@ def test_run_writes_report(tmp_path, capsys):
     code = main(["run", "--arch", "CMS", "--seed", "2",
                  "--campaign", campaign, "--out", out_dir])
     assert code == 0
-    report = json.load(open(os.path.join(out_dir, "report.json")))
+    with open(os.path.join(out_dir, "report.json")) as fh:
+        report = json.load(fh)
     assert report["architecture"] == "CMS"
     assert os.path.exists(os.path.join(out_dir, "mutations.log"))
     assert "CMS seed=2" in capsys.readouterr().out

@@ -56,8 +56,8 @@ def test_valid_campaign_still_runs(tmp_path, capsys):
     ({"scan_period_us": 0}, "scan_period_us must be positive"),
     ({"scan_period_us": -100}, "scan_period_us must be positive"),
     ({"dpr_blind_period_us": 0}, "dpr_blind_period_us must be positive"),
-    # wd_timeout_us // 2 == 0 would reschedule wd_check at the same
-    # microsecond forever, so this is only validated, never run
+    # wd_timeout_us // 2 == 0 would reschedule the watchdog check at the
+    # same microsecond forever, so this is only validated, never run
     ({"wd_timeout_us": 1}, "wd_timeout_us must be at least 2"),
     # the window verdict follows from component health alone, so the
     # sample-level knobs are gone, whatever their value

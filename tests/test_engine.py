@@ -1,25 +1,28 @@
-"""Event queue ordering, watcher and seeded stream tests."""
+"""Event queue ordering and watcher tests."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import numpy as np
-
-from cotsim.engine import SimEngine, SchedulingError, derive_stream_seed
+from cotsim.engine import SimEngine, SchedulingError
 
 
-def collect(engine):
+def recorder(engine):
+    """(seen, record): `record(name)` as an event appends (clock, name)."""
     seen = []
-    engine.register("t", lambda ev: seen.append((engine.now, ev.kind)))
-    return seen
+
+    def record(name):
+        seen.append((engine.now, name))
+    return seen, record
 
 
 def test_events_fire_in_time_order():
     eng = SimEngine()
-    seen = collect(eng)
-    eng.schedule(30, "t", "c")
-    eng.schedule(10, "t", "a")
-    eng.schedule(20, "t", "b")
+    seen, record = recorder(eng)
+    eng.schedule(30, record, "c")
+    eng.schedule(10, record, "a")
+    eng.schedule(20, record, "b")
     eng.run_until(100)
     assert seen == [(10, "a"), (20, "b"), (30, "c")]
     assert eng.now == 100
@@ -27,35 +30,34 @@ def test_events_fire_in_time_order():
 
 def test_equal_timestamps_break_ties_by_insertion():
     eng = SimEngine()
-    seen = collect(eng)
-    for kind in "abcde":
-        eng.schedule(5, "t", kind)
+    seen, record = recorder(eng)
+    for name in "abcde":
+        eng.schedule(5, record, name)
     eng.run_until(5)
     assert [k for _, k in seen] == list("abcde")
 
 
 def test_handler_scheduling_during_run():
     eng = SimEngine()
-    seen = []
+    seen, record = recorder(eng)
 
-    def handler(ev):
-        seen.append((eng.now, ev.kind))
-        if ev.kind == "ping":
-            eng.schedule_in(7, "t", "pong")
+    def ping():
+        record("ping")
+        eng.schedule_in(7, record, "pong")
 
-    eng.register("t", handler)
-    eng.schedule(3, "t", "ping")
+    eng.schedule(3, ping)
     eng.run_until(50)
     assert seen == [(3, "ping"), (10, "pong")]
 
 
 class Ticker:
     """A 10 us tick that is never an event, only a watcher.  Tick k in
-    `busy` has work: it schedules an event ("tick", k) busy[k] us later,
+    `busy` has work: it schedules `action("tick", k)` busy[k] us later,
     as a tick that starts a repair would."""
 
-    def __init__(self, eng, busy=None):
+    def __init__(self, eng, busy=None, action=None):
         self.eng = eng
+        self.action = action
         self.busy = busy or {}
         self.ticks = 0
         self.clock = []  # (engine clock, tick time) at each advance
@@ -65,8 +67,8 @@ class Ticker:
         self.clock.append((self.eng.now, self.watch_key[0]))
         self.ticks += 1
         if self.ticks in self.busy:
-            self.eng.schedule_in(self.busy[self.ticks], "t", "e",
-                                 ("tick", self.ticks))
+            self.eng.schedule_in(self.busy[self.ticks], self.action,
+                                 "tick", self.ticks)
         t = 10 * (self.ticks + 1)
         self.watch_key = (t, t - 10, self.eng.reserve_slot())
 
@@ -76,9 +78,8 @@ def test_watcher_advances_where_its_ticks_would_have_fired():
     ticker = Ticker(eng)
     eng.add_watcher(ticker)
     seen = []
-    eng.register("t", lambda ev: seen.append((eng.now, ticker.ticks)))
     for t in (5, 25, 30):
-        eng.schedule(t, "t", "e")
+        eng.schedule(t, lambda: seen.append((eng.now, ticker.ticks)))
     assert eng.run_until(42) == 3
     # the tick at 30 was scheduled at 20, after the event at 30
     assert seen == [(5, 0), (25, 2), (30, 2)]
@@ -87,10 +88,11 @@ def test_watcher_advances_where_its_ticks_would_have_fired():
 
 def test_watcher_advances_with_the_clock_at_its_tick():
     eng = SimEngine()
-    ticker = Ticker(eng, busy={2: 0, 3: 5})
+    seen, record = recorder(eng)
+    ticker = Ticker(eng, busy={2: 0, 3: 5},
+                    action=lambda *_tick: record("e"))
     eng.add_watcher(ticker)
-    seen = collect(eng)
-    eng.schedule(17, "t", "e")
+    eng.schedule(17, record, "e")
     eng.run_until(33)
     assert ticker.clock == [(10, 10), (20, 20), (30, 30)]
     # an event a tick schedules at its own time fires right after it
@@ -105,61 +107,36 @@ def test_cannot_schedule_in_the_past():
     eng = SimEngine()
     eng.run_until(100)
     with pytest.raises(SchedulingError):
-        eng.schedule(99, "t", "late")
+        eng.schedule(99, print, "late")
     with pytest.raises(SchedulingError):
         eng.run_until(50)
 
 
 def test_event_log_replay_identical():
     def run():
-        eng = SimEngine(seed=42)
-        rng = eng.fork_rng("drive")
+        eng = SimEngine()
+        rng = random.Random(42)
         log = []
 
-        def handler(ev):
-            log.append(f"{ev.fire_at} {ev.target} {ev.kind}")
+        def tick():
+            log.append(eng.now)
             if eng.now < 500:
-                eng.schedule_in(int(rng.integers(1, 20)), "t", "tick")
+                eng.schedule_in(rng.randrange(1, 20), tick)
 
-        eng.register("t", handler)
-        eng.schedule(0, "t", "tick")
+        eng.schedule(0, tick)
         eng.run_until(1000)
         return log
 
     assert run() == run()
 
 
-def test_fork_rng_streams_are_independent_and_stable():
-    eng = SimEngine(seed=7)
-    a1 = eng.fork_rng("alpha").integers(0, 1 << 30, size=8).tolist()
-    a2 = SimEngine(seed=7).fork_rng("alpha").integers(0, 1 << 30, size=8).tolist()
-    b = eng.fork_rng("beta").integers(0, 1 << 30, size=8).tolist()
-    assert a1 == a2
-    assert a1 != b
-
-
-def test_derive_stream_seed_depends_on_both_inputs():
-    assert derive_stream_seed(1, "x") != derive_stream_seed(2, "x")
-    assert derive_stream_seed(1, "x") != derive_stream_seed(1, "y")
-
-
-def test_fork_rng_is_pcg64_of_the_derived_seed():
-    eng = SimEngine(seed=99)
-    ref = np.random.Generator(np.random.PCG64(derive_stream_seed(99, "x")))
-    rng = eng.fork_rng("x")
-    assert rng.integers(0, 1 << 30, size=5).tolist() == \
-        ref.integers(0, 1 << 30, size=5).tolist()
-    assert rng.choice(np.arange(16), size=4, replace=False).tolist() == \
-        ref.choice(np.arange(16), size=4, replace=False).tolist()
-
-
 def test_run_until_scheduled_before_stops_at_later_scheduled_events():
     eng = SimEngine()
-    seen = collect(eng)
-    eng.schedule(5, "t", "at-0")
+    seen, record = recorder(eng)
+    eng.schedule(5, record, "at-0")
     eng.run_until(2)
-    eng.schedule(5, "t", "at-2")
-    eng.schedule(4, "t", "early")
+    eng.schedule(5, record, "at-2")
+    eng.schedule(4, record, "early")
     assert eng.run_until(5, scheduled_before=1) == 2
     assert seen == [(4, "early"), (5, "at-0")]
     assert eng.now == 5
@@ -185,21 +162,23 @@ def play(setup, inputs, busy, as_events):
     `run_until(t, scheduled_before=1)`.  Every event and input records
     the clock and what the watcher has seen."""
     eng = SimEngine()
-    ticker = Ticker(eng, busy)
-    eng.add_watcher(ticker)
     seen = []
-    eng.register("t", lambda ev: seen.append(
-        (eng.now, ev.params, ticker.ticks)))
+
+    def event(*params):
+        seen.append((eng.now, params, ticker.ticks))
+
+    ticker = Ticker(eng, busy, event)
+    eng.add_watcher(ticker)
 
     def apply(label, step):
         op, delays = step
         seen.append((eng.now, label, ticker.ticks))
         times = [eng.now + d for d in delays]
         if op == "one" and times:
-            eng.schedule(times[0], "t", "e", (label,))
+            eng.schedule(times[0], event, label)
         elif op == "many":
             for i, t in enumerate(times):
-                eng.schedule(t, "t", "e", (label, i))
+                eng.schedule(t, event, label, i)
         elif op == "reserve":
             eng.reserve_slot()
 
@@ -207,9 +186,8 @@ def play(setup, inputs, busy, as_events):
         apply(("setup", n), step)
     inputs = sorted(inputs, key=lambda timed: timed[0])
     if as_events:
-        eng.register("in", lambda ev: apply(*ev.params))
         for n, (t, step) in enumerate(inputs):
-            eng.schedule(t, "in", "input", (("input", n), step))
+            eng.schedule(t, apply, ("input", n), step)
     else:
         for n, (t, step) in enumerate(inputs):
             eng.run_until(t, scheduled_before=1)

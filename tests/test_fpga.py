@@ -290,11 +290,14 @@ def test_config_memory_tracking_and_tag_memo(ops):
 def test_icap_fifo_and_exclusivity():
     icap = IcapArbiter()
     granted = []
-    assert icap.acquire("cms", lambda: granted.append("cms")) == "grant"
-    assert icap.acquire("dpr", lambda: granted.append("dpr")) == "queued"
+    icap.acquire("cms", lambda: granted.append("cms"))
+    assert icap.owner == "cms" and not icap.queue
+    icap.acquire("dpr", lambda: granted.append("dpr"))
+    assert icap.owner == "cms" and [o for o, _ in icap.queue] == ["dpr"]
     assert granted == ["cms"]
     icap.release("cms")
     assert granted == ["cms", "dpr"]
+    assert icap.owner == "dpr" and not icap.queue
     icap.release("dpr")
     assert icap.owner is None
     assert icap.grants == 2 and icap.releases == 2
@@ -354,7 +357,8 @@ def test_enhanced_repair_corrects_single_bit_per_word():
     detected_at = run_until_detection(eng, node)
     eng.run_until(detected_at + 18_000)
     assert frame not in node.mem.dirty
-    assert node.scrubber.report.corrected_bits == 1
+    assert node.scrubber.report.repairs == 1
+    assert node.scrubber.report.uncorrectable == 0
 
 
 def test_enhanced_repair_flags_multibit_word_uncorrectable():
@@ -408,7 +412,7 @@ def test_a_plan_made_before_a_reset_never_runs_after_it():
     eng.run_until(50)
     node.full_reset()
     done = 50 + node.reset_duration_us()
-    assert eng.run_until(done + 1_000) == 1  # reset_done
+    assert eng.run_until(done + 1_000) == 1  # the end of the reset
     assert node.scrubber.report.detections == 0
     # damage in the new chain is found on the new chain's tick grid
     frame = node.scrubber.pointer + 2
@@ -477,8 +481,8 @@ def test_dpr_requests_dropped_when_controller_dead():
     for addr in node.mem.essential_bits("dpr_ctrl")[:1]:
         node.mem.flip_bit(*addr)
     node.dpr.request_reload("fir_0")
-    assert node.dpr.dropped == 1
-    assert node.dpr.active is None
+    assert node.dpr.active is None and not node.dpr.queue
+    assert node.icap.owner is None
 
 
 def test_non_reloadable_region_is_refused():
@@ -624,7 +628,6 @@ def reference_enhanced_repair(scrubber, frame):
         value, status = secded_decode(read_word(mem, frame, w), parity[w])
         if status == "corrected":
             mem.write_word(frame, w, value)
-            report.corrected_bits += 1
     if frame in mem.dirty:
         report.uncorrectable += 1
         scrubber.known_uncorrectable[frame] = mem.frames[frame]
@@ -688,14 +691,41 @@ def test_watchdog_resets_on_lost_heartbeat():
 
 
 def test_reset_invalidates_stale_events():
+    """A repair and a reload in flight when a full reset starts never
+    finish: a stale finish would count work the new epoch did not do and
+    release an ICAP grant it no longer holds (IcapError)."""
     eng = SimEngine()
     node = FpgaNode(eng, make_architecture("CMS+DPR+TMR+WD"))
     node.start()
+    scrubber, dpr = node.scrubber, node.dpr
+    frame, bit = node.mem.essential_bits("fir_1")[0]
+
+    def put_in_flight():
+        """Damage fir_1; the scrubber's repair of it holds the ICAP and a
+        reload of fir_1 waits behind it.  Returns when the repair ends."""
+        node.mem.flip_bit(frame, bit)
+        detected_at = run_until_detection(eng, node)
+        dpr.request_reload("fir_1")
+        assert node.icap.owner == "cms" and dpr.active == "fir_1"
+        return detected_at + node.arch.frame_repair_latency_us
+
+    old_due = put_in_flight()
     epoch_before = node.epoch
     node.full_reset()
     assert node.epoch == epoch_before + 1
-    eng.run_until(2_000_000)
-    assert not node.in_reset
-    # periodic services keep running in the new epoch
-    assert node.scrubber.pointer >= 0
+    eng.run_until(eng.now + node.reset_duration_us())
+    assert not node.in_reset and node.mem.healthy("fir_1")
+    new_due = put_in_flight()
+    assert new_due > old_due
+    reload_us = reload_duration_us(node.mem.components["fir_1"].size_bytes())
+    # past the old repair's and the old reload's due times
+    eng.run_until(old_due + reload_us)
+    assert scrubber.report.repairs == 0 and dpr.reloads == 0
+    assert frame in node.mem.dirty and node.icap.owner == "cms"
+    # the new epoch's repair and reload finish on their own schedule
+    eng.run_until(new_due)
+    assert scrubber.report.repairs == 1 and node.mem.healthy("fir_1")
+    assert node.icap.owner == "dpr" and dpr.reloads == 0
+    eng.run_until(new_due + reload_us)
+    assert dpr.reloads == 1 and node.icap.owner is None
     assert node.evaluate_window() == "correct"

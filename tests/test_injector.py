@@ -6,8 +6,10 @@ import numpy as np
 
 from cotsim.config import CampaignConfig, ComponentSpec, make_architecture
 from cotsim.fpga import FRAME_BITS, ConfigMemory
+from cotsim.harness import run_fpga
 from cotsim.injector import (CampaignError, MutationLog, build_fpga_campaign,
-                             inject_config_bit, mutation_log)
+                             derive_stream_seed, inject_config_bit,
+                             mutation_log)
 
 
 def rng(seed):
@@ -119,3 +121,39 @@ def test_vectorised_draw_matches_scalar_draws(frames, essential, mode):
         addresses = build_fpga_campaign(cfg, mem, rng(seed))
         assert addresses == scalar_campaign(cfg, mem, rng(seed))
         assert all(type(f) is int and type(b) is int for f, b in addresses)
+
+
+# -- the campaign's random stream -------------------------------------------
+
+
+def stream(seed, label):
+    return np.random.default_rng(derive_stream_seed(seed, label))
+
+
+def test_campaign_streams_are_independent_and_stable():
+    a1 = stream(7, "alpha").integers(0, 1 << 30, size=8).tolist()
+    a2 = stream(7, "alpha").integers(0, 1 << 30, size=8).tolist()
+    b = stream(7, "beta").integers(0, 1 << 30, size=8).tolist()
+    assert a1 == a2
+    assert a1 != b
+
+
+def test_derive_stream_seed_depends_on_both_inputs():
+    assert derive_stream_seed(1, "x") != derive_stream_seed(2, "x")
+    assert derive_stream_seed(1, "x") != derive_stream_seed(1, "y")
+
+
+def test_campaign_stream_is_pcg64_of_the_derived_seed():
+    ref = np.random.Generator(np.random.PCG64(derive_stream_seed(99, "x")))
+    rng = stream(99, "x")
+    assert rng.integers(0, 1 << 30, size=5).tolist() == \
+        ref.integers(0, 1 << 30, size=5).tolist()
+    assert rng.choice(np.arange(16), size=4, replace=False).tolist() == \
+        ref.choice(np.arange(16), size=4, replace=False).tolist()
+    # a run draws its campaign from that stream under the label "fpga-inj"
+    cfg = CampaignConfig(duration_us=200_000, period_us=4_000)
+    mem = ConfigMemory(make_architecture("No-FT").components)
+    pcg = np.random.Generator(
+        np.random.PCG64(derive_stream_seed(3, "fpga-inj")))
+    _report, log = run_fpga("No-FT", cfg, seed=3)
+    assert log == mutation_log(cfg, mem, build_fpga_campaign(cfg, mem, pcg))
