@@ -48,12 +48,13 @@ def _campaign(args) -> CampaignConfig:
     return CampaignConfig()
 
 
-def _check_targets(campaign: CampaignConfig, archs: list[str]) -> None:
-    """Every components-mode target must exist in every architecture."""
-    if campaign.target_mode != "components":
-        return
+def _check_archs(campaign: CampaignConfig, archs: list[str]) -> None:
+    """Every architecture must be known, and every components-mode target
+    must exist in every architecture."""
     for arch in archs:
         names = {c.name for c in make_architecture(arch).components}
+        if campaign.target_mode != "components":
+            continue
         missing = [t for t in campaign.target_components if t not in names]
         if missing:
             raise ValueError(f"unknown target component {missing[0]!r} "
@@ -62,7 +63,7 @@ def _check_targets(campaign: CampaignConfig, archs: list[str]) -> None:
 
 def cmd_run(args) -> int:
     campaign = _campaign(args)
-    _check_targets(campaign, [args.arch])
+    _check_archs(campaign, [args.arch])
     os.makedirs(args.out, exist_ok=True)  # fail before the run, not after
     report, log = run_fpga(args.arch, campaign, args.seed)
     with open(os.path.join(args.out, "report.json"), "w") as fh:
@@ -83,7 +84,7 @@ def cmd_matrix(args) -> int:
     if len(set(archs)) < len(archs):
         raise ValueError(f"--archs {args.archs!r}: architectures must be "
                          f"distinct")
-    _check_targets(campaign, archs)
+    _check_archs(campaign, archs)
     seeds = _parse_seeds(args.seeds)
     os.makedirs(args.out, exist_ok=True)  # fail before the run, not after
     result = run_matrix(archs, seeds, campaign)

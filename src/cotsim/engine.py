@@ -18,19 +18,22 @@ on every tick.  It registers as a watcher and keeps `watch_key` at the
 key its next tick would have had as an event, with an order slot taken
 by `reserve_slot` at the point where the previous tick would have
 scheduled it, so the slot sorts exactly like that event's seq.  Before
-running any event that sorts after that key, the engine moves the
-clock to the tick's time and calls the watcher's `advance(bound)` with
-the event's key; the watcher handles its ticks that sort before bound,
-either by arithmetic or, when a tick has work to do, by running it
-then and there.  See `cotsim.fpga.Scrubber`.
+running any event that sorts after the smallest watch key, the engine
+moves the clock to that tick's time and calls its watcher's
+`advance(bound)`, bound being the event's key or, if smaller, another
+watcher's key; the watcher handles its ticks that sort before bound,
+either by arithmetic or, when a tick has work to do, by running it then
+and there.  So watchers run in key order, among themselves and among
+the events.  See `cotsim.fpga.Scrubber` and `cotsim.fpga.WindowWatcher`.
 
-Inputs known before a run starts (a campaign's injections, the
-measurement windows) are not events.  The caller applies them in time
-order, each after `run_until(t, scheduled_before=1)`, which runs every
-event keyed before (t, 1).  So an input at t sorts exactly like an event
-scheduled at time 0 after all the events then scheduled: after those
-that fire at t and were scheduled at time 0, before every event
-scheduled later.
+Inputs known before a run starts (a campaign's injections) are not
+events.  The caller applies them in time order, each after
+`run_until(t, scheduled_before=1)`, which runs every event keyed before
+(t, 1).  So an input at t sorts exactly like an event scheduled at time 0
+after all the events then scheduled: after those that fire at t and were
+scheduled at time 0, before every event scheduled later.  A watcher
+tick keyed (t, 1, -1) sorts there too, after such an input; the
+measurement windows' watcher uses it (`cotsim.fpga.WindowWatcher`).
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ class SimEngine:
     """Single-threaded event loop with a monotone microsecond clock.
 
     `run_until` returns how many events it ran.  A watcher's ticks are
-    not events and are not counted.
+    not events and are not counted.  While an event runs, `scheduled_at`
+    is the time it was scheduled at.
     """
 
     def __init__(self):
@@ -57,6 +61,7 @@ class SimEngine:
         self._heap: list[tuple[int, int, int, Callable, tuple]] = []
         self._seq = 0
         self._watchers: list = []
+        self.scheduled_at = 0
 
     # -- scheduling ---------------------------------------------------------
 
@@ -79,13 +84,14 @@ class SimEngine:
         return seq
 
     def add_watcher(self, watcher) -> None:
-        """Call `watcher.advance(bound)` whenever the next event's key
-        `bound` (or, at the end of `run_until`, its bound) sorts after
-        `watcher.watch_key`, a (time, scheduled_at, slot) key or None
-        for nothing to watch.  During the call the clock reads the
-        watch key's time, which lies between the last event's time and
-        bound's.  advance may schedule events, and must move watch_key
-        up or to None."""
+        """Call `watcher.advance(bound)` whenever `watcher.watch_key`, a
+        (time, scheduled_at, slot) key or None for nothing to watch, is
+        the smallest watch key and sorts before the next event's key (or,
+        at the end of `run_until`, its bound); `bound` is the smaller of
+        that key and every other watcher's.  During the call the clock
+        reads the watch key's time, which lies between the last event's
+        time and bound's.  advance may schedule events, and must move
+        watch_key up or to None."""
         self._watchers.append(watcher)
 
     # -- execution ----------------------------------------------------------
@@ -102,19 +108,26 @@ class SimEngine:
         end = (t_end, scheduled_before, -math.inf)
         while True:
             bound = heap[0][:3] if heap and heap[0] < end else end
+            first = None  # the watcher with the smallest key below bound
             for watcher in watchers:
                 key = watcher.watch_key
                 if key is not None and key < bound:
-                    self.now = key[0]
-                    watcher.advance(bound)
-                    break  # it may have scheduled an event before bound
-            else:
-                if bound is end:
-                    break
-                fire_at, _at, _seq, action, args = heappop(heap)
-                assert fire_at >= self.now, "clock would move backwards"
-                self.now = fire_at
-                action(*args)
-                count += 1
+                    if first is None or key < first_key:
+                        if first is not None:
+                            bound = first_key
+                        first, first_key = watcher, key
+                    else:
+                        bound = key
+            if first is not None:
+                self.now = first_key[0]
+                first.advance(bound)  # it may schedule an event before bound
+                continue
+            if bound is end:
+                break
+            fire_at, self.scheduled_at, _seq, action, args = heappop(heap)
+            assert fire_at >= self.now, "clock would move backwards"
+            self.now = fire_at
+            action(*args)
+            count += 1
         self.now = t_end
         return count

@@ -16,10 +16,17 @@ One faulty replica is requested for repair alone, two or more request
 all three; voter_in's health does not change the requests.  The only
 exception, masks that coincide in a sample (about 2**-31 per sample), is
 defined away.
+
+Measurement windows: health changes only at events and injections, so
+the node logs each change (`FpgaNode.health_log`) and classifies every
+window from the log after the run (`FpgaNode.evaluate_window`).  The
+one thing a window did to the node, raising the TMR vote's reload
+requests, is a watcher on the window grid (`WindowWatcher`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from bisect import bisect_left
 from collections import deque
@@ -535,6 +542,54 @@ class Watchdog:
 
 
 # ---------------------------------------------------------------------------
+# measurement windows
+
+
+def first_window_after(window_us: int, key: tuple) -> int:
+    """The time of the first measurement window that sorts after `key`,
+    an engine key.  A window at W (a positive multiple of window_us) sorts
+    like an input at W, which the key (W, 1, -1) does: after the events
+    at W scheduled at time 0 and an injection at W, before every event
+    scheduled later (`cotsim.engine`)."""
+    t = max(-(-key[0] // window_us), 1) * window_us
+    return t + window_us if (t, 1, -1) <= key else t
+
+
+class WindowWatcher:
+    """The TMR vote's reload requests, raised at every measurement window
+    as the window once raised them: the observer effect.
+
+    The node's health log arms it (`arm`) while the requests are
+    non-empty, `dpr_ctrl` is healthy and the node is not in reset.  A
+    tick that moves neither `dpr.active` nor `dpr.queue` is repeated
+    exactly by every tick before the next event or watcher tick, so the
+    watcher then skips to the first window after `bound`."""
+
+    def __init__(self, node: "FpgaNode", window_us: int):
+        self.node = node
+        self.window = window_us
+        self.requests: list[str] = []
+        self.watch_key: tuple | None = None
+        node.engine.add_watcher(self)
+
+    def arm(self, requests: list[str], key: tuple) -> None:
+        """Raise `requests` at every window after `key`; none: disarm."""
+        self.requests = requests
+        self.watch_key = ((first_window_after(self.window, key), 1, -1)
+                          if requests else None)
+
+    def advance(self, bound: tuple) -> None:
+        dpr = self.node.dpr
+        before = (dpr.active, len(dpr.queue))
+        for comp in self.requests:
+            dpr.request_reload(comp)
+        t = (self.watch_key[0] + self.window
+             if (dpr.active, len(dpr.queue)) != before
+             else first_window_after(self.window, bound))
+        self.watch_key = (t, 1, -1)
+
+
+# ---------------------------------------------------------------------------
 # node
 
 
@@ -543,9 +598,19 @@ class FpgaNode:
 
     Every event of the node is a call scheduled with `after` and run by
     `_handle`, which drops it if a full reset came in between (the epoch
-    moved)."""
+    moved).
 
-    def __init__(self, engine: SimEngine, arch: ArchConfig):
+    `health_log` holds one entry per change of `mem.version` or
+    `in_reset`, checked after each event and, through `log_change`, after
+    each injection: (time, scheduled_at, in_reset, output correct?,
+    unhealthy state as the text the window hash formats).  Its first
+    entry is the healthy node at construction.  Given `window_us`, the
+    node classifies its measurement windows from the log after the run
+    (`evaluate_window`); with DPR and TMR it also registers a
+    `WindowWatcher`, which raises the reload requests at each window."""
+
+    def __init__(self, engine: SimEngine, arch: ArchConfig,
+                 window_us: int | None = None):
         self.engine = engine
         self.arch = arch
         self.mem = ConfigMemory(arch.components)
@@ -553,12 +618,15 @@ class FpgaNode:
         self.scrubber = Scrubber(self) if arch.cms else None
         self.dpr = DprController(self) if arch.dpr else None
         self.wd = Watchdog(self) if arch.wd else None
+        self.window_us = window_us
+        self.windows = (WindowWatcher(self, window_us)
+                        if window_us and arch.dpr and arch.tmr else None)
         self.in_reset = False
         self.epoch = 0
         self.resets = 0
-        # (mem.version, reload requests, output correct?, unhealthy state
-        # as the text the window hash formats)
-        self._window: tuple | None = None
+        self.health_log: list[tuple] = []
+        self._logged: tuple | None = None  # (mem.version, in_reset)
+        self.log_change()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -579,7 +647,7 @@ class FpgaNode:
         run is freed as soon as it is dropped.  The node's counts and
         reports stay readable; it cannot run again."""
         self.engine = None
-        for part in (self.scrubber, self.dpr, self.wd):
+        for part in (self.scrubber, self.dpr, self.wd, self.windows):
             if part is not None:
                 part.node = None
 
@@ -591,6 +659,31 @@ class FpgaNode:
     def _handle(self, epoch: int, action, args: tuple) -> None:
         if epoch == self.epoch:  # else stale: from before a full reset
             action(*args)
+            self.log_change(self.engine.scheduled_at)
+
+    def log_change(self, scheduled_at: int = 0) -> None:
+        """Append a `health_log` entry if `mem.version` or `in_reset`
+        moved since the last one, placed at the clock and `scheduled_at`
+        (an injection counts as scheduled at time 0), and arm the window
+        watcher from it."""
+        mem = self.mem
+        logged = (mem.version, self.in_reset)
+        if logged == self._logged:
+            return
+        self._logged = logged
+        if self.in_reset:
+            correct, requests, state = False, [], None
+        else:
+            correct, requests = self._datapath()
+            state = None if correct else str(sorted(
+                (name, mem.corruption_tag(name)) for name in mem.components
+                if not mem.healthy(name)))
+        now = self.engine.now
+        self.health_log.append((now, scheduled_at, self.in_reset, correct,
+                                state))
+        if self.windows is not None:
+            self.windows.arm(requests if mem.healthy("dpr_ctrl") else [],
+                             (now, scheduled_at, 0))
 
     def _blind_tick(self) -> None:
         self.dpr.blind_step()
@@ -646,32 +739,50 @@ class FpgaNode:
             faulty = ["fir_0", "fir_1", "fir_2"]
         return correct, faulty
 
-    def evaluate_window(self, state_seed: int = 0) -> str:
-        """Classify the node's current functionality: down/erroneous/correct.
+    def evaluate_window(self, state_seed: int, end_us: int) -> list[str]:
+        """Classify every window, at window_us, 2 window_us, ..., end_us,
+        as down, erroneous or correct, in one merge of the windows with
+        the health log after the run.
 
-        A wrong output maps to "down" (hang) or "erroneous" (garbage) as a
-        deterministic pseudo-random function of the window time and the
-        current fault state, calibrated by arch.app_down_fraction.  The
-        verdict and the fault state depend only on the flipped essential
-        bits, so they are recomputed only when `mem.version` changes.
+        A window reads the last entry that sorts before it
+        (`first_window_after`).  In reset it is down.  A wrong output
+        maps to "down" (hang) or "erroneous" (garbage) as a deterministic
+        pseudo-random function of the window time and the entry's fault
+        state, calibrated by arch.app_down_fraction.
         """
-        if self.in_reset:
-            return "down"
-        if self._window is None or self._window[0] != self.mem.version:
-            correct, requests = self._datapath()
-            state = None if correct else str(sorted(
-                (name, self.mem.corruption_tag(name))
-                for name in self.mem.components
-                if not self.mem.healthy(name)))
-            self._window = (self.mem.version, requests, correct, state)
-        _version, requests, correct, state = self._window
-        if self.dpr is not None:
-            for comp in requests:
-                self.dpr.request_reload(comp)
-        if correct:
-            return "correct"
-        digest = hashlib.blake2b(
-            f"{state_seed}:{self.engine.now}:{state}".encode(),
-            digest_size=8).digest()
-        u = int.from_bytes(digest, "big") / 2**64
-        return "down" if u < self.arch.app_down_fraction else "erroneous"
+        w, log = self.window_us, self.health_log
+        n = end_us // w
+        # the index of the first window that reads each entry
+        starts = [first_window_after(w, (t, s, 0)) // w for t, s, *_ in log]
+        seed = f"{state_seed}:".encode()
+        down_below = _down_below(self.arch.app_down_fraction)
+        classes: list[str] = []
+        for (_t, _s, in_reset, correct, state), lo, hi in zip(
+                log, starts, starts[1:] + [n + 1]):
+            hi = min(hi, n + 1)
+            if in_reset or correct:
+                classes += ["down" if in_reset else "correct"] * (hi - lo)
+                continue
+            # the blake2b of f"{state_seed}:{time}:{state}"
+            text = f":{state}".encode()
+            classes += [
+                "down" if hashlib.blake2b(b"%b%d%b" % (seed, k * w, text),
+                                          digest_size=8).digest() < down_below
+                else "erroneous" for k in range(lo, hi)]
+        return classes
+
+
+@functools.lru_cache(maxsize=16)  # one entry per app_down_fraction in use
+def _down_below(fraction: float) -> bytes:
+    """The 8-byte big-endian bound under which a window digest d maps to
+    down, that is int(d) / 2**64 < fraction.  Rounded division by 2**64
+    never decreases as d grows, so those digests are exactly the ones
+    below the smallest x with x / 2**64 >= fraction."""
+    lo, hi = 0, 2**64 - 1  # fraction <= 1.0 == (2**64 - 1) / 2**64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / 2**64 < fraction:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo.to_bytes(8, "big")

@@ -86,13 +86,15 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
              seed: int) -> tuple[RunReport, MutationLog]:
     """One architecture under one campaign; deterministic given (config, seed).
 
-    One loop applies the injections and windows in time order, an
-    injection first at equal times, as inputs (see `cotsim.engine`).  The
-    mutation log follows from the campaign (`mutation_log`)."""
+    One loop applies the injections in time order, as inputs (see
+    `cotsim.engine`), so the engine runs once per injection and once to
+    the end; the node classifies the windows from its health log after
+    the run (`FpgaNode.evaluate_window`).  The mutation log follows from
+    the campaign (`mutation_log`)."""
     if isinstance(arch, str):
         arch = make_architecture(arch)
     engine = SimEngine()
-    node = FpgaNode(engine, arch)
+    node = FpgaNode(engine, arch, campaign.window_us)
     try:
         node.start()
         golden = node.mem.golden
@@ -100,21 +102,15 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
         rng = np.random.default_rng(derive_stream_seed(seed, "fpga-inj"))
         addresses = build_fpga_campaign(campaign, node.mem, rng)
         log = mutation_log(campaign, node.mem, addresses)
-        end, period, window = (campaign.duration_us, campaign.period_us,
-                               campaign.window_us)
-        injections = [(t, 0, address) for t, address
-                      in zip(range(period, end + 1, period), addresses)]
-        windows = [(t, 1, None) for t in range(window, end + 1, window)]
-        classes: list[str] = []
-        for t, is_window, address in sorted(injections + windows):
+        end, period = campaign.duration_us, campaign.period_us
+        for t, address in zip(range(period, end + 1, period), addresses):
             engine.run_until(t, scheduled_before=1)
-            if is_window:
-                classes.append(node.evaluate_window(seed))
-            else:
-                inject_config_bit(node.mem, address)
+            inject_config_bit(node.mem, address)
+            node.log_change()
         engine.run_until(end)
     finally:
         node.close()
+    classes = node.evaluate_window(seed, end)
 
     if node.mem.golden != golden:
         raise InvariantViolation("golden configuration store was mutated")
@@ -129,7 +125,7 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
         down_pct=pct["down"],
         erroneous_pct=pct["erroneous"],
         correct_pct=pct["correct"],
-        lam_per_s=fit_lambda((window, c) for c in classes),
+        lam_per_s=fit_lambda((campaign.window_us, c) for c in classes),
         resets=node.resets,
         scrub_detections=scrub.detections if scrub else 0,
         scrub_repairs=scrub.repairs if scrub else 0,

@@ -160,6 +160,13 @@ def test_duplicate_architectures_are_rejected_before_any_run(
     assert err.startswith(f"error: --archs {archs!r}")
 
 
+@pytest.mark.parametrize("archs", ["Bogus", "CMS,Bogus"])
+def test_unknown_architectures_are_rejected_before_out_exists(
+        tmp_path, capsys, monkeypatch, archs):
+    err = _matrix_rejected(tmp_path, capsys, monkeypatch, archs, "0:1")
+    assert err.startswith("error: unknown architecture 'Bogus'")
+
+
 def test_a_target_component_missing_from_an_architecture_is_rejected(
         tmp_path, capsys, monkeypatch):
     path = tmp_path / "targets.json"

@@ -202,3 +202,101 @@ def test_inputs_after_bounded_runs_fire_like_time_0_events(setup, inputs,
                                                            busy):
     assert play(setup, inputs, busy, as_events=False) == \
         play(setup, inputs, busy, as_events=True)
+
+
+class Chain:
+    """A periodic tick: tick k >= 1 falls at phase + (k - 1) * period, the
+    first as if scheduled at time 0.  A tick in `busy` records (clock,
+    name, k, every chain's tick count) and schedules a recording event
+    busy[k] us later; the other ticks only count.  With `as_event` every
+    tick is an event that schedules the next; otherwise the chain is a
+    watcher that, like the scrubber, runs a busy tick on its own and
+    accounts in one call for the idle ticks up to the bound."""
+
+    def __init__(self, eng, name, period, phase, busy, seen, as_event):
+        self.eng, self.name, self.busy, self.seen = eng, name, busy, seen
+        self.period, self.phase = period, phase
+        self.ticks = 0
+        seen.chains.append(self)
+        if as_event:
+            eng.schedule(self.time(1), self.fire)
+        else:
+            self._key()
+            eng.add_watcher(self)
+
+    def time(self, k):
+        return self.phase + (k - 1) * self.period if k else 0
+
+    def _run(self, k):
+        self.ticks = k
+        if k in self.busy:
+            self.seen.record(self.name, k)
+            self.eng.schedule_in(self.busy[k], self.seen.record, self.name,
+                                 -k)
+
+    def fire(self):
+        self._run(self.ticks + 1)
+        self.eng.schedule(self.time(self.ticks + 1), self.fire)
+
+    def advance(self, bound):
+        k = self.ticks + 1
+        self._run(k)
+        # an idle tick sorts before bound if its (time, scheduled_at) is
+        # below bound's: on a tie its slot, reserved from now on, is above
+        if k not in self.busy:
+            while self.ticks + 1 not in self.busy and \
+                    (self.time(self.ticks + 1),
+                     self.time(self.ticks)) < bound[:2]:
+                self.ticks += 1
+        self._key()
+
+    def _key(self):
+        k = self.ticks + 1
+        self.watch_key = (self.time(k), self.time(k - 1),
+                          self.eng.reserve_slot())
+
+
+class Seen(list):
+    """What the events and busy ticks saw, with every chain's count."""
+
+    def __init__(self, eng):
+        super().__init__()
+        self.eng = eng
+        self.chains = []
+
+    def record(self, *what):
+        self.append((self.eng.now, what,
+                     tuple(c.ticks for c in self.chains)))
+
+
+def play_chains(chains, events, as_event):
+    eng = SimEngine()
+    seen = Seen(eng)
+    for name, (period, phase, busy) in enumerate(chains):
+        Chain(eng, name, period, phase, busy, seen, as_event)
+    for t, label in events:
+        eng.schedule(t, seen.record, "event", label)
+    eng.run_until(70)
+    return seen
+
+
+CHAIN = st.tuples(st.integers(1, 8), st.integers(1, 8),
+                  st.dictionaries(st.integers(1, 12), st.integers(0, 9),
+                                  max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(CHAIN, st.one_of(CHAIN, st.integers(0, 3)),
+       st.lists(st.tuples(st.integers(0, 60), st.integers(0, 5)),
+                max_size=12))
+def test_two_watchers_tick_in_key_order_like_events(first, second, events):
+    """Two watcher chains, their ticks and the events interleave exactly
+    as when every tick is an event.  An integer `second` gives the second
+    chain the first one's period and phase and so ties every key but the
+    slot."""
+    if isinstance(second, int):
+        second = (first[0], first[1], {k + second: d
+                                       for k, d in first[2].items()})
+    chains = [first, second]
+    assert play_chains(chains, events, as_event=False) == \
+        play_chains(chains, events, as_event=True)

@@ -17,7 +17,8 @@ from cotsim.engine import SimEngine
 from cotsim.fpga import (FRAME_BITS, ConfigMemory, FpgaNode, IcapArbiter,
                          IcapError, InvariantViolation, Scrubber,
                          VOTE_CORRECTED, VOTE_UNANIMOUS, VOTE_UNCORRECTABLE,
-                         corrupt_samples, reload_duration_us, tmr_vote)
+                         _down_below, corrupt_samples, reload_duration_us,
+                         tmr_vote)
 
 
 def small_memory():
@@ -611,6 +612,77 @@ def test_datapath_matches_the_pipeline(arch, ops):
         assert node._datapath() == reference_pipeline(node)
 
 
+# -- health log and window watcher ------------------------------------------
+
+
+def test_a_window_reads_the_last_log_entry_that_sorts_before_it():
+    """A window at W reads entries placed before (W, 1): an injection or
+    an event scheduled at time 0 that falls at W counts, an event
+    scheduled later does not.  In reset a window is down."""
+    node = FpgaNode(SimEngine(), make_architecture("No-FT"), window_us=100)
+    node.health_log += [(100, 1, True, False, None),
+                        (200, 0, True, False, None),
+                        (250, 7, False, True, None),
+                        (300, 0, False, False, "[('fir_0', 5)]")]
+    node.health_log.append((500, 2, False, True, None))
+
+    def wrong(t):
+        digest = hashlib.blake2b(f"3:{t}:[('fir_0', 5)]".encode(),
+                                 digest_size=8).digest()
+        u = int.from_bytes(digest, "big") / 2**64
+        return "down" if u < node.arch.app_down_fraction else "erroneous"
+
+    assert node.evaluate_window(3, 600) == [
+        "correct", "down", wrong(300), wrong(400), wrong(500), "correct"]
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, 0.92, 0.5, 1e-300,
+                                      0.1 + 0.2, 1 - 2**-53])
+def test_the_down_bound_splits_digests_as_the_float_rule_does(fraction):
+    """A digest maps to down iff int(d) / 2**64 < fraction; the bound is
+    the first digest that does not."""
+    bound = int.from_bytes(_down_below(fraction), "big")
+    assert bound / 2**64 >= fraction
+    assert bound == 0 or (bound - 1) / 2**64 < fraction
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_only_dpr_with_tmr_registers_a_window_watcher(arch):
+    eng = SimEngine()
+    node = FpgaNode(eng, make_architecture(arch), window_us=4_000)
+    assert (node.windows is not None) == ("DPR+TMR" in arch)
+    assert eng._watchers == [w for w in (node.scrubber, node.windows)
+                             if w is not None]
+    assert FpgaNode(SimEngine(), make_architecture(arch)).windows is None
+
+
+def test_window_watcher_is_armed_only_while_a_fir_replica_needs_a_reload():
+    eng = SimEngine()
+    node = FpgaNode(eng, make_architecture("DPR+TMR"), window_us=1_000)
+    node.start()
+    windows, dpr = node.windows, node.dpr
+    assert windows.watch_key is None
+    # an injection at a window time comes before that window
+    eng.run_until(3_000, scheduled_before=1)
+    fir_1 = node.mem.essential_bits("fir_1")[0]
+    node.mem.flip_bit(*fir_1)
+    node.log_change()
+    assert windows.watch_key == (3_000, 1, -1)
+    assert windows.requests == ["fir_1"]
+    eng.run_until(3_000)
+    assert dpr.active == "fir_1"
+    # the reload ends, fir_1 is healthy again, and nothing is requested
+    eng.run_until(3_000 + reload_duration_us(
+        node.mem.components["fir_1"].size_bytes()))
+    assert node.mem.healthy("fir_1") and dpr.reloads == 1
+    assert windows.watch_key is None
+    # a dead DPR controller drops every request, so none arms the watcher
+    node.mem.flip_bit(*node.mem.essential_bits("dpr_ctrl")[0])
+    node.mem.flip_bit(*fir_1)
+    node.log_change()
+    assert not node.mem.healthy("fir_1") and windows.watch_key is None
+
+
 # -- enhanced repair oracle -------------------------------------------------
 
 
@@ -687,7 +759,10 @@ def test_watchdog_resets_on_lost_heartbeat():
     eng.run_until(node.arch.wd_timeout_us * 2 + node.reset_duration_us())
     assert not node.in_reset
     assert node.mem.healthy("cms_ctrl")
-    assert node.evaluate_window() == "correct"
+    # the health log saw the reset start and end, and its last entry is a
+    # correct output out of reset
+    assert [entry[2] for entry in node.health_log].count(True) == 1
+    assert node.health_log[-1][2:] == (False, True, None)
 
 
 def test_reset_invalidates_stale_events():
@@ -728,4 +803,4 @@ def test_reset_invalidates_stale_events():
     assert node.icap.owner == "dpr" and dpr.reloads == 0
     eng.run_until(new_due + reload_us)
     assert dpr.reloads == 1 and node.icap.owner is None
-    assert node.evaluate_window() == "correct"
+    assert node.health_log[-1][2:] == (False, True, None)

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cotsim import harness
-from cotsim.config import CampaignConfig, make_architecture
-from cotsim.fpga import FRAME_BITS, InvariantViolation
-from cotsim.injector import inject_config_bit
+from cotsim.config import ARCHITECTURES, CampaignConfig, make_architecture
+from cotsim.engine import SimEngine
+from cotsim.fpga import FRAME_BITS, FpgaNode, InvariantViolation
+from cotsim.injector import (build_fpga_campaign, derive_stream_seed,
+                             inject_config_bit, mutation_log)
 from cotsim.harness import (CLASSES, emit_matrix, fit_lambda,
                             reliability_curve, run_fpga, run_matrix,
                             run_vpu_trial)
@@ -185,6 +187,144 @@ def test_mutation_log_equals_the_executed_flips(monkeypatch, arch, campaign,
         assert "non_essential" in effects and len(effects) > 1
     assert (report.resets > 0) == (arch == "CMS+DPR+TMR+WD")
     assert sum(during for _, during in live) == in_reset
+
+
+# -- the live-window loop as an oracle --------------------------------------
+
+
+def live_verdict(node, state_seed):
+    """A window's verdict from the node as it is, raising the TMR vote's
+    reload requests as it goes: the window input that `run_fpga` once
+    applied at every window time."""
+    if node.in_reset:
+        return "down"
+    correct, requests = node._datapath()
+    if node.dpr is not None:
+        for comp in requests:
+            node.dpr.request_reload(comp)
+    if correct:
+        return "correct"
+    mem = node.mem
+    state = str(sorted((name, mem.corruption_tag(name))
+                       for name in mem.components if not mem.healthy(name)))
+    digest = hashlib.blake2b(
+        f"{state_seed}:{node.engine.now}:{state}".encode(),
+        digest_size=8).digest()
+    u = int.from_bytes(digest, "big") / 2**64
+    return "down" if u < node.arch.app_down_fraction else "erroneous"
+
+
+def live_window_run(arch, campaign, seed):
+    """`run_fpga` with every measurement window a live input: injections
+    and windows in one time-ordered loop, an injection first at equal
+    times, each after a bounded engine run.  The node has no window
+    watcher; the windows raise the reload requests themselves."""
+    engine = SimEngine()
+    node = FpgaNode(engine, arch)
+    node.start()
+    rng = np.random.default_rng(derive_stream_seed(seed, "fpga-inj"))
+    addresses = build_fpga_campaign(campaign, node.mem, rng)
+    log = mutation_log(campaign, node.mem, addresses)
+    end, period, window = (campaign.duration_us, campaign.period_us,
+                           campaign.window_us)
+    injections = [(t, 0, address) for t, address
+                  in zip(range(period, end + 1, period), addresses)]
+    windows = [(t, 1, None) for t in range(window, end + 1, window)]
+    classes = []
+    for t, is_window, address in sorted(injections + windows):
+        engine.run_until(t, scheduled_before=1)
+        if is_window:
+            classes.append(live_verdict(node, seed))
+        else:
+            inject_config_bit(node.mem, address)
+    engine.run_until(end)
+    node.close()
+
+    pct = {c: 100.0 * classes.count(c) / len(classes) for c in CLASSES}
+    scrub = node.scrubber.report if node.scrubber else None
+    report = harness.RunReport(
+        architecture=arch.name, seed=seed, duration_us=end, window_us=window,
+        down_pct=pct["down"], erroneous_pct=pct["erroneous"],
+        correct_pct=pct["correct"],
+        lam_per_s=fit_lambda((window, c) for c in classes),
+        resets=node.resets,
+        scrub_detections=scrub.detections if scrub else 0,
+        scrub_repairs=scrub.repairs if scrub else 0,
+        scrub_uncorrectable=scrub.uncorrectable if scrub else 0,
+        dpr_reloads=node.dpr.reloads if node.dpr else 0,
+        icap_grants=node.icap.grants,
+        mutation_digest=hashlib.sha256(log.text().encode()).hexdigest(),
+        window_classes=classes)
+    return report, log
+
+
+@st.composite
+def tie_heavy_runs(draw):
+    """(arch, campaign, seed): any architecture; windows off the injection
+    grid and injections off the window grid; scan periods, repair
+    latencies and watchdog checks on the window grid; components-mode
+    campaigns that kill controllers and force watchdog resets."""
+    window = draw(st.sampled_from([100, 300, 400, 1_000, 1_500]))
+    arch = make_architecture(
+        # the three with a window watcher, the watchdog's one most
+        draw(st.sampled_from(ARCHITECTURES) | st.sampled_from(
+            ["CMS+DPR+TMR+WD", "CMS+DPR+TMR+WD", "DPR+TMR",
+             "CMS+DPR+TMR"])),
+        scan_period_us=draw(st.sampled_from(
+            [13, 100, window // 2, window, 2 * window])),
+        frame_repair_latency_us=draw(st.sampled_from(
+            [0, 13, window, 3 * window, 18_000])),
+        dpr_blind_period_us=draw(st.sampled_from([5 * window, 200_000])),
+        wd_timeout_us=draw(st.sampled_from([2 * window, 2_000, 100_000])))
+    names = [c.name for c in arch.components]
+    targets = draw(st.none() | st.lists(
+        st.sampled_from([n for n in ("cms_ctrl", "wd_link", "dpr_ctrl",
+                                     "fir_0", "fir_1") if n in names]),
+        min_size=1, max_size=3, unique=True))
+    campaign = CampaignConfig(
+        duration_us=window * draw(st.integers(10, 120)),
+        period_us=draw(st.sampled_from([100, 150, 250, 400, 700, 3_000])),
+        window_us=window,
+        **({"target_mode": "components", "target_components": targets}
+           if targets else {}))
+    return arch, campaign, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=120, deadline=None)
+@given(tie_heavy_runs())
+def test_run_fpga_equals_the_live_window_loop(run):
+    """Classifying windows after the run from the health log, with the
+    window watcher raising the requests, gives the live-window loop's
+    report and mutation log."""
+    arch, campaign, seed = run
+    report, log = run_fpga(arch, campaign, seed)
+    expected, expected_log = live_window_run(arch, campaign, seed)
+    assert report == expected
+    assert log == expected_log
+
+
+@pytest.mark.parametrize("arch", ["No-FT", "CMS+DPR+TMR+WD"])
+def test_run_fpga_runs_the_engine_once_per_injection(monkeypatch, arch):
+    """The loop holds only the injections: one bounded engine run before
+    each and one to the end; the windows are classified in one call."""
+    calls = {"run_until": 0, "evaluate_window": 0}
+
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(SimEngine, "run_until")
+    counted(FpgaNode, "evaluate_window")
+    campaign = CampaignConfig(duration_us=200_000, period_us=3_000,
+                              window_us=1_000)
+    report, _log = run_fpga(arch, campaign, seed=0)
+    assert calls == {"run_until": campaign.n_events() + 1,
+                     "evaluate_window": 1}
+    assert len(report.window_classes) == 200
 
 
 def test_run_fpga_detects_a_mutated_golden_store(monkeypatch):
