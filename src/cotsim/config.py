@@ -2,10 +2,12 @@
 
 The eight FPGA architectures are the combinations of scrubbing (CMS),
 partial reconfiguration (DPR), triple modular redundancy (TMR) and the
-external watchdog (WD).  Component sizing defaults are calibration
-values: frame counts set the injection cross-section of each part of the
-design, essential-bit counts set how many of those bits actually break
-it.  Both are exposed here rather than hardcoded in the models.
+external watchdog (WD), so an architecture's name fixes its techniques,
+its components and its default scrub mode (`ArchConfig.__post_init__`).
+Component sizing is fixed per architecture: frame counts set the
+injection cross-section of each part of the design, essential-bit counts
+set how many of those bits actually break it.  `make_architecture`
+overrides only the six calibration values (`CALIBRATION`).
 """
 
 from __future__ import annotations
@@ -49,15 +51,34 @@ class ComponentSpec:
         return self.frames * FRAME_BYTES
 
 
+# every component as (name, frames, essential bits, reloadable, the
+# technique that brings it, None for every architecture)
+PARTS = (
+    ("fir_0", 2, 600, True, None),
+    ("fir_1", 2, 600, True, "TMR"),
+    ("fir_2", 2, 600, True, "TMR"),
+    ("voter_in", 1, 100, True, "TMR"),
+    ("voter_out", 1, 100, True, "TMR"),
+    ("cms_ctrl", 6, 30, False, "CMS"),
+    ("dpr_ctrl", 4, 30, False, "DPR"),
+    ("wd_link", 1, 8, False, "WD"),
+)
+
+# the ArchConfig fields that make_architecture lets a caller override
+CALIBRATION = ("scrub_mode", "scan_period_us", "frame_repair_latency_us",
+               "dpr_blind_period_us", "wd_timeout_us", "app_down_fraction")
+
+
 @dataclass
 class ArchConfig:
     name: str
-    cms: bool = False
-    dpr: bool = False
-    tmr: bool = False
-    wd: bool = False
-    components: list[ComponentSpec] = field(default_factory=list)
-    scrub_mode: str = "replace"  # "replace" | "enhanced_repair"
+    # derived from name
+    cms: bool = field(init=False)
+    dpr: bool = field(init=False)
+    tmr: bool = field(init=False)
+    wd: bool = field(init=False)
+    components: list[ComponentSpec] = field(init=False)
+    scrub_mode: str | None = None  # None: the default for the name
     scan_period_us: int = 100  # per frame
     frame_repair_latency_us: int = 18_000
     dpr_blind_period_us: int = 200_000
@@ -65,6 +86,20 @@ class ArchConfig:
     app_down_fraction: float = 0.92
 
     def __post_init__(self):
+        if self.name not in ARCHITECTURES:
+            raise ValueError(f"unknown architecture {self.name!r}; "
+                             f"choose from {', '.join(ARCHITECTURES)}")
+        techniques = set(self.name.split("+"))
+        self.cms = "CMS" in techniques
+        self.dpr = "DPR" in techniques
+        self.tmr = "TMR" in techniques
+        self.wd = "WD" in techniques
+        self.components = [ComponentSpec(*spec) for *spec, technique in PARTS
+                           if technique is None or technique in techniques]
+        # WD architectures keep the boot flash free, so the scrubber must
+        # repair algorithmically instead of reloading stored data
+        if self.scrub_mode is None:
+            self.scrub_mode = "enhanced_repair" if self.wd else "replace"
         if self.scrub_mode not in SCRUB_MODES:
             raise ValueError(f"unknown scrub_mode {self.scrub_mode!r}; "
                              f"choose from {', '.join(SCRUB_MODES)}")
@@ -81,47 +116,15 @@ class ArchConfig:
                              f"got {self.wd_timeout_us}")
 
 
-def _default_components(tmr: bool, cms: bool, dpr: bool, wd: bool,
-                        ) -> list[ComponentSpec]:
-    comps = []
-    n_fir = 3 if tmr else 1
-    for i in range(n_fir):
-        comps.append(ComponentSpec(f"fir_{i}", frames=2, essential_bits=600,
-                                   reloadable=True))
-    if tmr:
-        comps.append(ComponentSpec("voter_in", frames=1, essential_bits=100,
-                                   reloadable=True))
-        comps.append(ComponentSpec("voter_out", frames=1, essential_bits=100,
-                                   reloadable=True))
-    if cms:
-        comps.append(ComponentSpec("cms_ctrl", frames=6, essential_bits=30))
-    if dpr:
-        comps.append(ComponentSpec("dpr_ctrl", frames=4, essential_bits=30))
-    if wd:
-        comps.append(ComponentSpec("wd_link", frames=1, essential_bits=8))
-    return comps
-
-
-def make_architecture(name: str, **overrides) -> ArchConfig:
-    """Build one of the eight named architectures (or a custom variant)."""
-    if name not in ARCHITECTURES:
-        raise ValueError(f"unknown architecture {name!r}; "
-                         f"choose from {', '.join(ARCHITECTURES)}")
-    techniques = set(name.split("+")) if name != "No-FT" else set()
-    cms = "CMS" in techniques
-    dpr = "DPR" in techniques
-    tmr = "TMR" in techniques
-    wd = "WD" in techniques
-    values = dict(name=name, cms=cms, dpr=dpr, tmr=tmr, wd=wd,
-                  components=_default_components(tmr, cms, dpr, wd))
-    # WD architectures keep the boot flash free, so the scrubber must
-    # repair algorithmically instead of reloading stored data
-    if wd:
-        values["scrub_mode"] = "enhanced_repair"
+def make_architecture(name: str, /, **overrides) -> ArchConfig:
+    """One of the eight named architectures, with calibration overrides."""
     for key in overrides:
-        if key not in ArchConfig.__dataclass_fields__:
-            raise ValueError(f"unknown ArchConfig field {key!r}")
-    return ArchConfig(**{**values, **overrides})
+        if key not in CALIBRATION:
+            what = (f"ArchConfig field {key!r} is not a calibration value"
+                    if key in ArchConfig.__dataclass_fields__
+                    else f"unknown ArchConfig field {key!r}")
+            raise ValueError(f"{what}; choose from {', '.join(CALIBRATION)}")
+    return ArchConfig(name, **overrides)
 
 
 @dataclass

@@ -192,8 +192,8 @@ class ConfigMemory:
                 for bit in _set_bits(self.essential_mask[f])]
 
     def healthy(self, name: str) -> bool:
-        """Absent from this design, or no essential bit flipped."""
-        return not self.flipped_essential.get(name)
+        """No essential bit of component `name` is flipped."""
+        return not self.flipped_essential[name]
 
     def corruption_tag(self, name: str) -> int:
         """Deterministic 63-bit tag of the component's flipped essential
@@ -470,8 +470,10 @@ class DprController:
     """Reloads reconfigurable regions from the golden store.
 
     Requests queue FIFO; one reload at a time, holding the ICAP for the
-    region transfer.  Without redundancy-based detection the controller
-    also rotates blindly over the reloadable regions.
+    region transfer.  In every DPR architecture the controller also
+    rotates blindly over the reloadable regions, one request every
+    dpr_blind_period_us (`FpgaNode.start`); with TMR the vote's reload
+    requests come on top (`WindowWatcher`).
     """
 
     def __init__(self, node: "FpgaNode"):
@@ -560,10 +562,11 @@ class WindowWatcher:
     as the window once raised them: the observer effect.
 
     The node's health log arms it (`arm`) while the requests are
-    non-empty, `dpr_ctrl` is healthy and the node is not in reset.  A
-    tick that moves neither `dpr.active` nor `dpr.queue` is repeated
-    exactly by every tick before the next event or watcher tick, so the
-    watcher then skips to the first window after `bound`."""
+    non-empty, `dpr_ctrl` is healthy and the node is not in reset, and
+    it then ticks at every window.  A tick that queues no reload changes
+    nothing, so the watcher does not try to skip such ticks.  It pays
+    one call per window while armed, which shows only when window_us is
+    far below period_us, and `evaluate_window` walks every window anyway."""
 
     def __init__(self, node: "FpgaNode", window_us: int):
         self.node = node
@@ -578,15 +581,10 @@ class WindowWatcher:
         self.watch_key = ((first_window_after(self.window, key), 1, -1)
                           if requests else None)
 
-    def advance(self, bound: tuple) -> None:
-        dpr = self.node.dpr
-        before = (dpr.active, len(dpr.queue))
+    def advance(self, _bound: tuple) -> None:
         for comp in self.requests:
-            dpr.request_reload(comp)
-        t = (self.watch_key[0] + self.window
-             if (dpr.active, len(dpr.queue)) != before
-             else first_window_after(self.window, bound))
-        self.watch_key = (t, 1, -1)
+            self.node.dpr.request_reload(comp)
+        self.watch_key = (self.watch_key[0] + self.window, 1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +620,7 @@ class FpgaNode:
         self.windows = (WindowWatcher(self, window_us)
                         if window_us and arch.dpr and arch.tmr else None)
         self.in_reset = False
-        self.epoch = 0
-        self.resets = 0
+        self.epoch = 0  # the number of full resets so far
         self.health_log: list[tuple] = []
         self._logged: tuple | None = None  # (mem.version, in_reset)
         self.log_change()
@@ -710,7 +707,6 @@ class FpgaNode:
         if self.in_reset:
             return
         self.in_reset = True
-        self.resets += 1
         self.epoch += 1  # invalidates every pending repair/reload/periodic
         self.icap.reset()
         if self.scrubber is not None:

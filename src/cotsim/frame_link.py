@@ -1,9 +1,11 @@
 """Fault-tolerant pixel-frame link: the CRC-16 footer codec.
 
-A wire frame is the active image rows plus one footer row whose first
-pixel(s) carry the CRC-16 of the serialized active area; the remaining
-footer pixels are zero padding.  The canonical serialization is row-major
-with per-pixel big-endian bytes (1, 2 or 3 bytes for depths 8/16/24).
+A wire frame is the active image rows plus one footer row.  The CRC-16
+of the serialized active area sits right-aligned and big-endian in the
+footer's first ceil(16 / depth) pixels (`crc_pixels`: two at depth 8, one
+at depths 16 and 24); every other footer bit is zero padding.  The
+canonical serialization is row-major with per-pixel big-endian bytes (1,
+2 or 3 bytes for depths 8/16/24).
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ class FrameError(ValueError):
     """Malformed frame geometry or pixel values."""
 
 
+def crc_pixels(depth: int) -> int:
+    """The number of footer pixels that hold the 16-bit CRC."""
+    return -(-16 // depth)
+
+
 @dataclass
 class PixelFrame:
     """Active image: (height, width) array of unsigned pixel values."""
@@ -35,8 +42,9 @@ class PixelFrame:
         if self.pixels.ndim != 2 or self.pixels.size == 0:
             raise FrameError(f"pixel array of shape {self.pixels.shape} is "
                              f"not a 2-D image with at least one pixel")
-        if self.depth == 8 and self.pixels.shape[1] < 2:
-            raise FrameError("depth-8 footer needs width >= 2 to hold the CRC")
+        if self.pixels.shape[1] < crc_pixels(self.depth):
+            raise FrameError(f"depth-{self.depth} footer needs width >= "
+                             f"{crc_pixels(self.depth)} to hold the CRC")
         if np.any(self.pixels >= (1 << self.depth)):
             raise FrameError(f"pixel value out of range for depth {self.depth}")
 
@@ -63,67 +71,39 @@ class DecodeResult:
 
 def serialize_pixels(frame: PixelFrame) -> bytes:
     """Row-major, per-pixel big-endian bytes of the active area only."""
-    flat = np.asarray(frame.pixels, dtype=np.uint32).ravel()
-    if frame.depth == 8:
-        return flat.astype(np.uint8).tobytes()
-    if frame.depth == 16:
-        return flat.astype(">u2").tobytes()
-    # depth 24: three big-endian bytes per pixel
-    out = np.empty((flat.size, 3), dtype=np.uint8)
-    out[:, 0] = (flat >> 16) & 0xFF
-    out[:, 1] = (flat >> 8) & 0xFF
-    out[:, 2] = flat & 0xFF
-    return out.tobytes()
-
-
-def _footer_row(width: int, depth: int, crc: int) -> np.ndarray:
-    row = np.zeros(width, dtype=np.uint32)
-    if depth == 8:
-        row[0] = (crc >> 8) & 0xFF
-        row[1] = crc & 0xFF
-    else:
-        # 16-bit pixel holds the CRC; 24-bit pixel holds it in the low 16 bits
-        row[0] = crc
-    return row
-
-
-def _extract_crc(row: np.ndarray, depth: int) -> int:
-    if depth == 8:
-        return (int(row[0]) << 8) | int(row[1])
-    return int(row[0]) & 0xFFFF
-
-
-def _padding_clean(row: np.ndarray, depth: int) -> bool:
-    if depth == 8:
-        return not np.any(row[2:])
-    if depth == 24 and int(row[0]) >> 16:
-        return False
-    return not np.any(row[1:])
+    words = frame.pixels.astype(">u4").view(np.uint8).reshape(-1, 4)
+    return words[:, 4 - frame.depth // 8:].tobytes()
 
 
 def encode_frame(frame: PixelFrame) -> FrameWire:
     """Append the CRC footer row; active pixels are copied unchanged."""
     crc = crc16_ccitt(serialize_pixels(frame))
-    rows = np.vstack([frame.pixels,
-                      _footer_row(frame.pixels.shape[1], frame.depth, crc)])
-    return FrameWire(frame.depth, rows)
+    depth, n = frame.depth, crc_pixels(frame.depth)
+    footer = np.zeros(frame.pixels.shape[1], dtype=np.uint32)
+    for i in range(n):
+        footer[i] = (crc >> (n - 1 - i) * depth) & ((1 << depth) - 1)
+    return FrameWire(depth, np.vstack([frame.pixels, footer]))
 
 
 def decode_frame(wire: FrameWire) -> DecodeResult:
-    """Strip the footer, recompute the CRC and compare with the received one."""
+    """Strip the footer, recompute the CRC and compare with the received
+    one; any set bit above the CRC or in a later footer pixel fails the
+    padding check."""
     if wire.rows.shape[0] < 2:
         raise FrameError("wire has no footer row")
-    active = wire.rows[:-1]
-    footer = wire.rows[-1]
-    frame = PixelFrame(wire.depth, active.copy())
-    received = _extract_crc(footer, wire.depth)
+    frame = PixelFrame(wire.depth, wire.rows[:-1].copy())
+    footer, n = wire.rows[-1], crc_pixels(wire.depth)
+    value = 0  # the CRC pixels as one big-endian number
+    for pixel in footer[:n]:
+        value = value << wire.depth | int(pixel)
+    received = value & 0xFFFF
     computed = crc16_ccitt(serialize_pixels(frame))
     return DecodeResult(
         frame=frame,
         crc_ok=computed == received,
         received_crc=received,
         computed_crc=computed,
-        padding_ok=_padding_clean(footer, wire.depth),
+        padding_ok=not value >> 16 and not footer[n:].any(),
     )
 
 

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import statistics
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,7 +79,8 @@ class RunReport:
     window_classes: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        # vars, not asdict, which would deep-copy window_classes
+        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
 
 
 def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
@@ -126,7 +127,7 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
         erroneous_pct=pct["erroneous"],
         correct_pct=pct["correct"],
         lam_per_s=fit_lambda((campaign.window_us, c) for c in classes),
-        resets=node.resets,
+        resets=node.epoch,
         scrub_detections=scrub.detections if scrub else 0,
         scrub_repairs=scrub.repairs if scrub else 0,
         scrub_uncorrectable=scrub.uncorrectable if scrub else 0,

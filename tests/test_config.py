@@ -1,12 +1,14 @@
 """Configuration validation: bad values fail where the config is built,
 as an `error:` line and exit code 1 from the command line."""
 
+import dataclasses
 import json
 
 import pytest
 
 from cotsim.cli import main
-from cotsim.config import CampaignConfig, make_architecture
+from cotsim.config import (ARCHITECTURES, CALIBRATION, ArchConfig,
+                           CampaignConfig, make_architecture)
 
 
 def run_with_campaign(tmp_path, capsys, **fields):
@@ -99,6 +101,63 @@ def test_architecture_overrides_still_apply():
         make_architecture("CMS", no_such_field=1)
     with pytest.raises(ValueError, match="unknown ArchConfig field"):
         make_architecture("TMR", fir_coeffs=(1, 2, 3, 2, 1))
+
+
+# (frames, essential bits, reloadable) of every component
+SIZES = {"fir_0": (2, 600, True), "fir_1": (2, 600, True),
+         "fir_2": (2, 600, True), "voter_in": (1, 100, True),
+         "voter_out": (1, 100, True), "cms_ctrl": (6, 30, False),
+         "dpr_ctrl": (4, 30, False), "wd_link": (1, 8, False)}
+TMR_PARTS = ["fir_0", "fir_1", "fir_2", "voter_in", "voter_out"]
+# each name's (cms, dpr, tmr, wd, scrub_mode, components), as
+# make_architecture built them when a caller could override each one
+BUILT = {
+    "No-FT": (False, False, False, False, "replace", ["fir_0"]),
+    "TMR": (False, False, True, False, "replace", TMR_PARTS),
+    "DPR": (False, True, False, False, "replace", ["fir_0", "dpr_ctrl"]),
+    "CMS": (True, False, False, False, "replace", ["fir_0", "cms_ctrl"]),
+    "DPR+TMR": (False, True, True, False, "replace",
+                TMR_PARTS + ["dpr_ctrl"]),
+    "CMS+TMR": (True, False, True, False, "replace",
+                TMR_PARTS + ["cms_ctrl"]),
+    "CMS+DPR+TMR": (True, True, True, False, "replace",
+                    TMR_PARTS + ["cms_ctrl", "dpr_ctrl"]),
+    "CMS+DPR+TMR+WD": (True, True, True, True, "enhanced_repair",
+                       TMR_PARTS + ["cms_ctrl", "dpr_ctrl", "wd_link"]),
+}
+
+
+@pytest.mark.parametrize("name", ARCHITECTURES)
+def test_the_name_fixes_techniques_components_and_scrub_mode(name):
+    cms, dpr, tmr, wd, scrub_mode, parts = BUILT[name]
+    arch = make_architecture(name)
+    assert (arch.cms, arch.dpr, arch.tmr, arch.wd, arch.scrub_mode) == (
+        cms, dpr, tmr, wd, scrub_mode)
+    assert [(c.name, c.frames, c.essential_bits, c.reloadable)
+            for c in arch.components] == [(p, *SIZES[p]) for p in parts]
+    assert ArchConfig(name) == arch
+
+
+def test_only_the_name_and_the_calibration_values_are_settable():
+    assert [f.name for f in dataclasses.fields(ArchConfig) if f.init] == [
+        "name", *CALIBRATION]
+    with pytest.raises(ValueError, match="unknown architecture 'Foo'"):
+        ArchConfig("Foo")
+
+
+# each used to run and report the name with another design
+@pytest.mark.parametrize("name, overrides", [
+    ("No-FT", {"cms": True}),
+    ("DPR+TMR", {"tmr": False}),
+    ("CMS", {"wd": True}),
+    ("TMR", {"components": []}),
+    ("No-FT", {"name": "CMS+DPR+TMR+WD"}),
+])
+def test_what_the_name_fixes_cannot_be_overridden(name, overrides):
+    key = next(iter(overrides))
+    with pytest.raises(ValueError, match=f"field '{key}' is not a "
+                                         f"calibration value"):
+        make_architecture(name, **overrides)
 
 
 @pytest.mark.parametrize("fields, message", [

@@ -121,13 +121,18 @@ def test_burst_errors_detected():
 
 
 def test_flip_in_padding_fails_padding_check_only():
-    frame = PixelFrame(16, np.zeros((2, 4), dtype=np.uint32))
-    wire = encode_frame(frame)
-    # last footer pixel is pure padding
-    flip_wire_bit(wire, wire.total_bits() - 1)
-    res = decode_frame(wire)
-    assert res.crc_ok
-    assert not res.padding_ok
+    # (depth, footer pixel, bit of that pixel with 0 the LSB): the last
+    # footer pixel is pure padding, so is depth 8's third, and the depth-24
+    # CRC pixel holds the CRC in its low 16 bits only
+    for depth, pixel, bit in [(16, 3, 0), (8, 2, 7), (8, 3, 0), (24, 0, 16),
+                              (24, 0, 23)]:
+        wire = encode_frame(PixelFrame(depth, np.zeros((2, 4),
+                                                       dtype=np.uint32)))
+        footer_start = wire.rows[:-1].size * depth
+        flip_wire_bit(wire, footer_start + pixel * depth + depth - 1 - bit)
+        res = decode_frame(wire)
+        assert res.crc_ok, (depth, pixel, bit)
+        assert not res.padding_ok, (depth, pixel, bit)
 
 
 def test_flip_positions_validated():

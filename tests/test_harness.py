@@ -99,6 +99,15 @@ def test_run_fpga_report_fields():
     assert payload["seed"] == 1
 
 
+def test_report_json_is_the_asdict_text():
+    """`to_json` dumps the report's own field dict instead of a deep copy;
+    the text is the same."""
+    campaign = CampaignConfig(duration_us=400_000, period_us=1_000)
+    report, _log = run_fpga("CMS+DPR+TMR+WD", campaign, seed=0)
+    assert report.to_json() == json.dumps(
+        dataclasses.asdict(report), sort_keys=True, indent=2) + "\n"
+
+
 # every class occurs in both runs, and for one class of each the share
 # computed in another order (count / n * 100.0) differs in its last bit
 @pytest.mark.parametrize("arch, window_us, seed", [("TMR", 4_000, 1),
@@ -247,7 +256,7 @@ def live_window_run(arch, campaign, seed):
         down_pct=pct["down"], erroneous_pct=pct["erroneous"],
         correct_pct=pct["correct"],
         lam_per_s=fit_lambda((window, c) for c in classes),
-        resets=node.resets,
+        resets=node.epoch,
         scrub_detections=scrub.detections if scrub else 0,
         scrub_repairs=scrub.repairs if scrub else 0,
         scrub_uncorrectable=scrub.uncorrectable if scrub else 0,
