@@ -158,6 +158,9 @@ class CampaignConfig:
         if type(names) is not list or any(type(n) is not str for n in names):
             raise ValueError(f"target_components must be a list of component "
                              f"names, got {names!r}")
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"target_components names {name!r} twice")
         if self.target_mode == "components" and not names:
             raise ValueError("target_mode components needs at least one "
                              "target component")

@@ -34,6 +34,17 @@ after all the events then scheduled: after those that fire at t and were
 scheduled at time 0, before every event scheduled later.  A watcher
 tick keyed (t, 1, -1) sorts there too, after such an input; the
 measurement windows' watcher uses it (`cotsim.fpga.WindowWatcher`).
+
+An input schedules nothing and reserves no order slot, so a watcher
+that is `asleep` (its pending ticks schedule nothing and read nothing
+such an input changes) can be called after it instead: with wake=False,
+`run_until` leaves it uncalled unless an event or an awake watcher is
+due before the bound.  Its next call, before the next event, accounts
+for the ticks it passed and reserves the slot the skipped call would
+have.  That call moves the clock to its tick's time, which can be
+earlier than the last input applied; an asleep tick reads no clock.  An
+input that changes what an asleep tick reads needs wake=True, the
+default (`cotsim.fpga.Scrubber.wakers`).
 """
 
 from __future__ import annotations
@@ -48,7 +59,8 @@ class SchedulingError(Exception):
 
 
 class SimEngine:
-    """Single-threaded event loop with a monotone microsecond clock.
+    """Single-threaded event loop with a microsecond clock that no event
+    or input sees move backwards.
 
     `run_until` returns how many events it ran.  A watcher's ticks are
     not events and are not counted.  While an event runs, `scheduled_at`
@@ -91,14 +103,18 @@ class SimEngine:
         that key and every other watcher's.  During the call the clock
         reads the watch key's time, which lies between the last event's
         time and bound's.  advance may schedule events, and must move
-        watch_key up or to None."""
+        watch_key up or to None.  `watcher.asleep` is read by a run
+        with wake=False (see the module docstring)."""
         self._watchers.append(watcher)
 
     # -- execution ----------------------------------------------------------
 
-    def run_until(self, t_end: int, scheduled_before: float = math.inf) -> int:
+    def run_until(self, t_end: int, scheduled_before: float = math.inf,
+                  wake: bool = True) -> int:
         """Run every event keyed before (t_end, scheduled_before), by
-        default every event with fire_at <= t_end; the clock ends at t_end."""
+        default every event with fire_at <= t_end; the clock ends at t_end.
+        wake=False leaves asleep watchers due only before the bound
+        uncalled (see the module docstring)."""
         if t_end < self.now:
             raise SchedulingError(
                 f"run_until({t_end}) is in the past (clock is {self.now})")
@@ -119,6 +135,8 @@ class SimEngine:
                     else:
                         bound = key
             if first is not None:
+                if bound is end and not wake and first.asleep:
+                    break
                 self.now = first_key[0]
                 first.advance(bound)  # it may schedule an event before bound
                 continue

@@ -330,6 +330,15 @@ class Scrubber:
     each tick sends a heartbeat stamped with its time and, while no
     repair is in progress, moves the pointer on by one frame; nothing
     else those ticks read changes between two events.
+
+    While a repair is in progress or the controller is dead, the
+    scrubber is `asleep`: no tick finds damage or moves the pointer, and
+    a tick reads only the health of cms_ctrl and wd_link, to stamp a
+    heartbeat with its own time.  So an injection that flips neither's
+    essential bits (not in `wakers`) may pass it uncalled
+    (`SimEngine.run_until`): its next call, still before the next
+    event, accounts for those ticks by the same arithmetic, and stamps
+    the same heartbeat and reserves the same slot as the skipped call.
     """
 
     def __init__(self, node: "FpgaNode"):
@@ -358,11 +367,23 @@ class Scrubber:
         t = self.start + (self.ticks_done + 1) * self.period
         self.watch_key = (t, t - self.period, self.node.engine.reserve_slot())
 
+    @property
+    def asleep(self) -> bool:
+        return self.repair_frame is not None or \
+            not self.mem.healthy("cms_ctrl")
+
+    def wakers(self) -> frozenset:
+        """The addresses whose flip changes what an asleep tick reads:
+        the essential bits of cms_ctrl and wd_link."""
+        return frozenset(address for name in ("cms_ctrl", "wd_link")
+                         if name in self.mem.components
+                         for address in self.mem.essential_bits(name))
+
     def _plan(self) -> int | None:
         """The next tick that will find damage: the first whose frame is
         dirty with contents not already known to be uncorrectable, while
         the controller is functional and no repair is in progress."""
-        if self.repair_frame is not None or not self.mem.healthy("cms_ctrl"):
+        if self.asleep:
             return None
         n, frames = self.mem.n_frames, self.mem.frames
         ahead = min(((f - self.pointer) % n for f in self.mem.dirty
@@ -567,6 +588,8 @@ class WindowWatcher:
     nothing, so the watcher does not try to skip such ticks.  It pays
     one call per window while armed, which shows only when window_us is
     far below period_us, and `evaluate_window` walks every window anyway."""
+
+    asleep = False  # its ticks queue reloads
 
     def __init__(self, node: "FpgaNode", window_us: int):
         self.node = node

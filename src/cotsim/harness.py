@@ -104,8 +104,9 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
         addresses = build_fpga_campaign(campaign, node.mem, rng)
         log = mutation_log(campaign, node.mem, addresses)
         end, period = campaign.duration_us, campaign.period_us
+        wakers = node.scrubber.wakers() if node.scrubber else ()
         for t, address in zip(range(period, end + 1, period), addresses):
-            engine.run_until(t, scheduled_before=1)
+            engine.run_until(t, scheduled_before=1, wake=address in wakers)
             inject_config_bit(node.mem, address)
             node.log_change()
         engine.run_until(end)

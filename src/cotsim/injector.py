@@ -83,11 +83,13 @@ def build_fpga_campaign(cfg: CampaignConfig, mem: ConfigMemory,
 def mutation_log(cfg: CampaignConfig, mem: ConfigMemory,
                  addresses: list[tuple[int, int]]) -> MutationLog:
     """The log lines of the campaign's injections at `addresses`, as
-    `build_fpga_campaign` returns them, in firing order."""
-    owner, essential = mem.frame_owner, mem.essential_mask
+    `build_fpga_campaign` returns them, in firing order.  Each frame's
+    text and its two effects are formatted once per call."""
+    essential = mem.essential_mask
+    prefix = [f" {FPGA_KIND} {frame}:" for frame in range(mem.n_frames)]
+    effect = [(" non_essential", f" {owner}") for owner in mem.frame_owner]
     return MutationLog(
-        f"{t} {FPGA_KIND} {frame}:{bit} "
-        f"{owner[frame] if essential[frame] >> bit & 1 else 'non_essential'}"
+        f"{t}{prefix[frame]}{bit}{effect[frame][essential[frame] >> bit & 1]}"
         for t, (frame, bit) in zip(
             range(cfg.period_us, cfg.duration_us + 1, cfg.period_us),
             addresses))

@@ -197,7 +197,8 @@ def test_run_rejects_a_missing_target_component_before_out_exists(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("targets", [[["x"]], "cms_ctrl", []])
+@pytest.mark.parametrize("targets", [[["x"]], "cms_ctrl", [],
+                                     ["fir_0", "fir_1", "fir_0"]])
 def test_bad_target_components_are_rejected_before_any_run(
         tmp_path, capsys, monkeypatch, targets):
     path = tmp_path / "targets.json"

@@ -176,6 +176,10 @@ def test_what_the_name_fixes_cannot_be_overridden(name, overrides):
     ({"target_mode": "components", "target_components": []},
      "needs at least one target component"),
     ({"target_mode": "components"}, "needs at least one target component"),
+    # used to run, drawing fir_0's bits twice as often
+    ({"target_mode": "components",
+      "target_components": ["fir_0", "fir_1", "fir_0"]},
+     "target_components names 'fir_0' twice"),
 ])
 def test_bad_campaign_targets_are_a_config_error(tmp_path, capsys, fields,
                                                  message):

@@ -55,6 +55,8 @@ class Ticker:
     `busy` has work: it schedules `action("tick", k)` busy[k] us later,
     as a tick that starts a repair would."""
 
+    asleep = False
+
     def __init__(self, eng, busy=None, action=None):
         self.eng = eng
         self.action = action
@@ -101,6 +103,36 @@ def test_watcher_advances_with_the_clock_at_its_tick():
     eng.run_until(40)
     assert seen[-1] == (35, "e")
     assert ticker.clock[-1] == (40, 40)
+
+
+def test_an_input_that_does_not_wake_passes_an_asleep_watcher():
+    """wake=False leaves an asleep watcher due only before the bound
+    uncalled; its next call catches up with the clock at each tick, so
+    earlier than the input already applied."""
+    eng = SimEngine()
+    sleeper = Ticker(eng)
+    sleeper.asleep = True
+    eng.add_watcher(sleeper)
+    eng.run_until(35, scheduled_before=1, wake=False)
+    assert sleeper.clock == [] and eng.now == 35
+    eng.run_until(35, scheduled_before=1)
+    assert sleeper.clock == [(10, 10), (20, 20), (30, 30)]
+    assert eng.now == 35
+
+
+def test_an_asleep_watcher_runs_before_an_awake_one_due_first():
+    eng = SimEngine()
+    sleeper, awake = Ticker(eng), Ticker(eng)
+    sleeper.asleep = True
+    eng.add_watcher(sleeper)
+    eng.add_watcher(awake)
+    # the sleeper's tick at 10 sorts before the awake one's
+    eng.run_until(15, scheduled_before=1, wake=False)
+    assert sleeper.clock == awake.clock == [(10, 10)]
+    # an event is due before 25: every tick before it runs first
+    eng.schedule(22, lambda: None)
+    eng.run_until(25, scheduled_before=1, wake=False)
+    assert sleeper.clock == awake.clock == [(10, 10), (20, 20)]
 
 
 def test_cannot_schedule_in_the_past():

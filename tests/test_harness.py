@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from cotsim import harness
 from cotsim.config import ARCHITECTURES, CampaignConfig, make_architecture
 from cotsim.engine import SimEngine
-from cotsim.fpga import FRAME_BITS, FpgaNode, InvariantViolation
+from cotsim.fpga import FRAME_BITS, FpgaNode, InvariantViolation, Scrubber
 from cotsim.injector import (build_fpga_campaign, derive_stream_seed,
                              inject_config_bit, mutation_log)
 from cotsim.harness import (CLASSES, emit_matrix, fit_lambda,
@@ -226,8 +226,9 @@ def live_verdict(node, state_seed):
 def live_window_run(arch, campaign, seed):
     """`run_fpga` with every measurement window a live input: injections
     and windows in one time-ordered loop, an injection first at equal
-    times, each after a bounded engine run.  The node has no window
-    watcher; the windows raise the reload requests themselves."""
+    times, each after a bounded engine run that wakes every watcher, the
+    asleep scrubber too.  The node has no window watcher; the windows
+    raise the reload requests themselves."""
     engine = SimEngine()
     node = FpgaNode(engine, arch)
     node.start()
@@ -271,16 +272,19 @@ def live_window_run(arch, campaign, seed):
 def tie_heavy_runs(draw):
     """(arch, campaign, seed): any architecture; windows off the injection
     grid and injections off the window grid; scan periods, repair
-    latencies and watchdog checks on the window grid; components-mode
-    campaigns that kill controllers and force watchdog resets."""
-    window = draw(st.sampled_from([100, 300, 400, 1_000, 1_500]))
+    latencies and watchdog checks on the window grid; scan periods equal
+    to the voter and FIR reload durations (7 and 13 us), with windows on
+    the scan grid, so that the scrubber's ticks tie with reload ends and
+    window ticks for the ICAP; components-mode campaigns that kill
+    controllers and force watchdog resets."""
+    window = draw(st.sampled_from([7, 13, 100, 300, 400, 1_000, 1_500]))
     arch = make_architecture(
         # the three with a window watcher, the watchdog's one most
         draw(st.sampled_from(ARCHITECTURES) | st.sampled_from(
             ["CMS+DPR+TMR+WD", "CMS+DPR+TMR+WD", "DPR+TMR",
              "CMS+DPR+TMR"])),
         scan_period_us=draw(st.sampled_from(
-            [13, 100, window // 2, window, 2 * window])),
+            [7, 13, 100, window // 2, window, 2 * window])),
         frame_repair_latency_us=draw(st.sampled_from(
             [0, 13, window, 3 * window, 18_000])),
         dpr_blind_period_us=draw(st.sampled_from([5 * window, 200_000])),
@@ -291,7 +295,10 @@ def tie_heavy_runs(draw):
                                      "fir_0", "fir_1") if n in names]),
         min_size=1, max_size=3, unique=True))
     campaign = CampaignConfig(
-        duration_us=window * draw(st.integers(10, 120)),
+        # 7 and 13 us windows run 14 and 7 times as many, so that some
+        # injections land
+        duration_us=window * draw(st.integers(10, 120)) * max(
+            1, 100 // window),
         period_us=draw(st.sampled_from([100, 150, 250, 400, 700, 3_000])),
         window_us=window,
         **({"target_mode": "components", "target_components": targets}
@@ -310,6 +317,41 @@ def test_run_fpga_equals_the_live_window_loop(run):
     expected, expected_log = live_window_run(arch, campaign, seed)
     assert report == expected
     assert log == expected_log
+
+
+def test_injections_pass_an_asleep_scrubber(monkeypatch):
+    """While the scrubber repairs or its controller is dead, an injection
+    that flips no essential bit of cms_ctrl or wd_link does not wake it.
+    Woken before every injection, it would run 4,436 times here."""
+    calls = 0
+    advance = Scrubber.advance
+
+    def counted(self, bound):
+        nonlocal calls
+        calls += 1
+        advance(self, bound)
+
+    monkeypatch.setattr(Scrubber, "advance", counted)
+    report, _log = run_fpga("CMS", CampaignConfig(period_us=1_000), seed=0)
+    assert report.scrub_detections > 0
+    assert calls < 1_000
+
+
+@pytest.mark.parametrize("target", ["cms_ctrl", "wd_link"])
+def test_injections_into_what_an_asleep_scrubber_reads_wake_it(target):
+    """An asleep tick stamps a heartbeat iff cms_ctrl and wd_link are
+    healthy, so an injection into either wakes the scrubber before it
+    lands.  With 1 ms repairs, a 100 us scan and a 2 ms watchdog, ticks
+    accounted after such an injection instead would move the resets."""
+    arch = make_architecture("CMS+DPR+TMR+WD", scan_period_us=100,
+                             frame_repair_latency_us=1_000,
+                             wd_timeout_us=2_000)
+    campaign = CampaignConfig(duration_us=100_000, period_us=100,
+                              window_us=1_000, target_mode="components",
+                              target_components=[target, "fir_0"])
+    report, log = run_fpga(arch, campaign, seed=0)
+    assert (report, log) == live_window_run(arch, campaign, seed=0)
+    assert report.resets > 0
 
 
 @pytest.mark.parametrize("arch", ["No-FT", "CMS+DPR+TMR+WD"])
