@@ -10,8 +10,9 @@ An event is a call: `schedule(fire_at, action, *args)` makes the engine
 call `action(*args)` with its clock at fire_at.  Events fire in order of
 the key (fire time, time the event was scheduled, seq).  seq counts
 schedule calls, so equal fire times break ties in scheduling order.  The
-engine draws no random numbers; a campaign's stream is seeded in
-`cotsim.injector`.
+scheduling time is kept in that key only; an action that needs it gets
+it as an argument (`cotsim.fpga.FpgaNode.after`).  The engine draws no
+random numbers; a campaign's stream is seeded in `cotsim.injector`.
 
 A periodic process whose ticks rarely do anything need not be an event
 on every tick.  It registers as a watcher and keeps `watch_key` at the
@@ -63,8 +64,7 @@ class SimEngine:
     or input sees move backwards.
 
     `run_until` returns how many events it ran.  A watcher's ticks are
-    not events and are not counted.  While an event runs, `scheduled_at`
-    is the time it was scheduled at.
+    not events and are not counted.  An event does not see its key.
     """
 
     def __init__(self):
@@ -73,7 +73,6 @@ class SimEngine:
         self._heap: list[tuple[int, int, int, Callable, tuple]] = []
         self._seq = 0
         self._watchers: list = []
-        self.scheduled_at = 0
 
     # -- scheduling ---------------------------------------------------------
 
@@ -142,7 +141,7 @@ class SimEngine:
                 continue
             if bound is end:
                 break
-            fire_at, self.scheduled_at, _seq, action, args = heappop(heap)
+            fire_at, _scheduled_at, _seq, action, args = heappop(heap)
             assert fire_at >= self.now, "clock would move backwards"
             self.now = fire_at
             action(*args)

@@ -30,7 +30,6 @@ import functools
 import hashlib
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +42,6 @@ from cotsim.engine import SimEngine
 FRAME_BITS = FRAME_BYTES * 8
 WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
-
-
-class IcapError(Exception):
-    """Programming error in ICAP arbitration (re-entrant acquire)."""
 
 
 class InvariantViolation(Exception):
@@ -82,12 +77,10 @@ class ConfigMemory:
     differ from golden, and `flipped_essential`, each component's flipped
     essential bits as a sorted list of (frame, bit) marks, next to their
     `repr` texts so a tag never sorts or formats the whole set.
-    `version` bumps whenever a component's marks change, and
-    `changed[name]` is the version at the last change of component
-    `name`'s marks, which is what its memoized corruption tag is keyed
-    on.  The essential bits themselves are kept once, as the
-    per-frame masks `essential_mask`; `essential_bits` decodes a
-    component's addresses.
+    `version` bumps whenever a component's marks change, and the change
+    drops that component's memoized corruption tag.  The essential bits
+    themselves are kept once, as the per-frame masks `essential_mask`;
+    `essential_bits` decodes a component's addresses.
     """
 
     def __init__(self, components: list[ComponentSpec]):
@@ -124,8 +117,7 @@ class ConfigMemory:
         # the frame's first enhanced repair (`parity_store`)
         self._parity: dict[int, list[int]] = {}
         self.version = 0
-        self.changed: dict[str, int] = {c.name: 0 for c in components}
-        self._tags: dict[str, tuple[int, int]] = {}  # name -> (changed, tag)
+        self._tags: dict[str, int] = {}  # name -> corruption tag
 
     # -- mutation -----------------------------------------------------------
 
@@ -150,7 +142,7 @@ class ConfigMemory:
                     marks.insert(i, addr)
                     texts.insert(i, repr(addr))
             self.version += 1
-            self.changed[comp] = self.version
+            self._tags.pop(comp, None)
 
     def flip_bit(self, frame: int, bit: int) -> None:
         self.flip_bits(frame, 1 << bit)
@@ -198,14 +190,13 @@ class ConfigMemory:
     def corruption_tag(self, name: str) -> int:
         """Deterministic 63-bit tag of the component's flipped essential
         bits (blake2b of `repr(sorted(marks))`), recomputed only after
-        `changed[name]` moved."""
-        memo = self._tags.get(name)
-        if memo is None or memo[0] != self.changed[name]:
+        its marks changed."""
+        tag = self._tags.get(name)
+        if tag is None:
             text = "[" + ", ".join(self._mark_texts[name]) + "]"
             digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
-            memo = self._tags[name] = (self.changed[name],
-                                       int.from_bytes(digest, "big") >> 1)
-        return memo[1]
+            tag = self._tags[name] = int.from_bytes(digest, "big") >> 1
+        return tag
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +253,7 @@ class IcapArbiter:
 
     def acquire(self, owner: str, on_grant) -> None:
         if self.owner == owner or any(o == owner for o, _ in self.queue):
-            raise IcapError(f"re-entrant ICAP request by {owner!r}")
+            raise InvariantViolation(f"re-entrant ICAP request by {owner!r}")
         if self.owner is None:
             self._grant(owner, on_grant)
         else:
@@ -270,7 +261,8 @@ class IcapArbiter:
 
     def release(self, owner: str) -> None:
         if self.owner != owner:
-            raise IcapError(f"{owner!r} released ICAP it does not hold")
+            raise InvariantViolation(
+                f"{owner!r} released ICAP it does not hold")
         self.owner = None
         self.releases += 1
         if self.queue:
@@ -291,13 +283,6 @@ class IcapArbiter:
 
 # ---------------------------------------------------------------------------
 # scrubber
-
-
-@dataclass
-class ScrubReport:
-    detections: int = 0
-    repairs: int = 0
-    uncorrectable: int = 0
 
 
 class Scrubber:
@@ -350,7 +335,9 @@ class Scrubber:
         self.repair_frame: int | None = None
         # frame -> its contents when enhanced repair last left it dirty
         self.known_uncorrectable: dict[int, int] = {}
-        self.report = ScrubReport()
+        self.detections = 0
+        self.repairs = 0
+        self.uncorrectable = 0  # enhanced repairs that left the frame dirty
         self.start: int | None = None  # tick 0 of the chain
         self.ticks_done = 0  # ticks of the chain accounted so far
         # key of tick ticks_done + 1; None in reset
@@ -427,7 +414,7 @@ class Scrubber:
         self.node.heartbeat(self.node.engine.now)
         self.repair_frame = self.pointer
         self.pointer = (self.pointer + 1) % self.mem.n_frames
-        self.report.detections += 1
+        self.detections += 1
         self.node.icap.acquire("cms", self._on_grant)
         self._next_tick()
 
@@ -438,7 +425,7 @@ class Scrubber:
     def finish_repair(self, frame: int) -> None:
         if self.mode == "replace":
             self.mem.restore_frame(frame)
-            self.report.repairs += 1
+            self.repairs += 1
         else:
             self._enhanced_repair(frame)
         self.repair_frame = None
@@ -464,10 +451,10 @@ class Scrubber:
         if frame in self.mem.dirty:
             # still differs from golden: some word had more than one
             # flipped bit
-            self.report.uncorrectable += 1
+            self.uncorrectable += 1
             self.known_uncorrectable[frame] = self.mem.frames[frame]
         else:
-            self.report.repairs += 1
+            self.repairs += 1
             self.known_uncorrectable.pop(frame, None)
 
     def reset(self) -> None:
@@ -502,6 +489,7 @@ class DprController:
         self.mem = node.mem
         self.queue: deque[str] = deque()
         self.active: str | None = None
+        # never empty: every architecture has fir_0
         self.rotation = [c.name for c in node.arch.components if c.reloadable]
         self.rotation_idx = 0
         self.reloads = 0
@@ -517,8 +505,6 @@ class DprController:
         self._pump()
 
     def blind_step(self) -> None:
-        if not self.rotation:
-            return
         comp = self.rotation[self.rotation_idx]
         self.rotation_idx = (self.rotation_idx + 1) % len(self.rotation)
         self.request_reload(comp)
@@ -619,7 +605,9 @@ class FpgaNode:
 
     Every event of the node is a call scheduled with `after` and run by
     `_handle`, which drops it if a full reset came in between (the epoch
-    moved).
+    moved).  The event carries the time it was scheduled at, which places
+    its health-log entry.  Periodic work (the blind DPR rotation and the
+    watchdog check) is a chain of such events (`_every`).
 
     `health_log` holds one entry per change of `mem.version` or
     `in_reset`, checked after each event and, through `log_change`, after
@@ -656,10 +644,10 @@ class FpgaNode:
         if self.scrubber is not None:
             self.scrubber.start_chain()
         if self.dpr is not None:
-            self.after(self.arch.dpr_blind_period_us, self._blind_tick)
+            self._every(self.arch.dpr_blind_period_us, self.dpr.blind_step)
         if self.wd is not None:
             self.wd.last_heartbeat = self.engine.now
-            self.after(self.arch.wd_timeout_us // 2, self._wd_tick)
+            self._every(self.arch.wd_timeout_us // 2, self.wd.check)
 
     def close(self) -> None:
         """Drop the references that close cycles (node -> engine -> heap ->
@@ -674,12 +662,25 @@ class FpgaNode:
     def after(self, delay: int, action, *args) -> None:
         """Call `action(*args)` `delay` us from now, unless a full reset
         comes first."""
-        self.engine.schedule_in(delay, self._handle, self.epoch, action, args)
+        self.engine.schedule_in(delay, self._handle, self.epoch,
+                                self.engine.now, action, args)
 
-    def _handle(self, epoch: int, action, args: tuple) -> None:
+    def _handle(self, epoch: int, scheduled_at: int, action,
+                args: tuple) -> None:
         if epoch == self.epoch:  # else stale: from before a full reset
             action(*args)
-            self.log_change(self.engine.scheduled_at)
+            self.log_change(scheduled_at)
+
+    def _every(self, period: int, action) -> None:
+        """Call `action()` every `period` us from now, until a full reset."""
+        self.after(period, self._tick, period, action)
+
+    def _tick(self, period: int, action) -> None:
+        action()
+        # in the epoch after the action, so a watchdog check that resets
+        # keeps a chain beside `_finish_reset`'s; pinned outputs have both
+        # (ROADMAP item 4)
+        self.after(period, self._tick, period, action)
 
     def log_change(self, scheduled_at: int = 0) -> None:
         """Append a `health_log` entry if `mem.version` or `in_reset`
@@ -705,25 +706,12 @@ class FpgaNode:
             self.windows.arm(requests if mem.healthy("dpr_ctrl") else [],
                              (now, scheduled_at, 0))
 
-    def _blind_tick(self) -> None:
-        self.dpr.blind_step()
-        self.after(self.arch.dpr_blind_period_us, self._blind_tick)
-
-    def _wd_tick(self) -> None:
-        self.wd.check()
-        # in the epoch after the check, so a check that resets keeps a chain
-        # beside `_finish_reset`'s; pinned outputs have both (ROADMAP item 4)
-        self.after(self.arch.wd_timeout_us // 2, self._wd_tick)
-
     def heartbeat(self, at_us: int) -> None:
         # a corrupted status channel loses the heartbeat
         if self.wd is not None and self.mem.healthy("wd_link"):
             self.wd.last_heartbeat = at_us
 
     # -- reset --------------------------------------------------------------
-
-    def reset_duration_us(self) -> int:
-        return reload_duration_us(self.mem.n_frames * FRAME_BYTES)
 
     def full_reset(self) -> None:
         """Reboot from stored configuration: node is down for the reload."""
@@ -736,7 +724,8 @@ class FpgaNode:
             self.scrubber.reset()
         if self.dpr is not None:
             self.dpr.reset()
-        self.after(self.reset_duration_us(), self._finish_reset)
+        self.after(reload_duration_us(self.mem.n_frames * FRAME_BYTES),
+                   self._finish_reset)
 
     def _finish_reset(self) -> None:
         self.mem.restore_all()

@@ -5,7 +5,8 @@ of the serialized active area sits right-aligned and big-endian in the
 footer's first ceil(16 / depth) pixels (`crc_pixels`: two at depth 8, one
 at depths 16 and 24); every other footer bit is zero padding.  The
 canonical serialization is row-major with per-pixel big-endian bytes (1,
-2 or 3 bytes for depths 8/16/24).
+2 or 3 bytes for depths 8/16/24).  There is no transport model: the
+tests flip bits of that serialization (`tests/wire_bits.py`).
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ class FrameWire:
     depth: int
     rows: np.ndarray  # shape (active height + 1, width), dtype uint32
 
-    def total_bits(self) -> int:
-        return self.rows.size * self.depth
-
 
 @dataclass
 class DecodeResult:
@@ -106,16 +104,3 @@ def decode_frame(wire: FrameWire) -> DecodeResult:
         padding_ok=not value >> 16 and not footer[n:].any(),
     )
 
-
-def flip_wire_bit(wire: FrameWire, bit_position: int) -> None:
-    """Flip one bit of the canonical serialization, in place.
-
-    Bit 0 is the MSB of the first pixel; bits run row-major through the
-    footer row.
-    """
-    if not 0 <= bit_position < wire.total_bits():
-        raise FrameError(f"bit position {bit_position} out of range")
-    pixel_idx = bit_position // wire.depth
-    bit_in_pixel = wire.depth - 1 - (bit_position % wire.depth)
-    r, c = divmod(pixel_idx, wire.rows.shape[1])
-    wire.rows[r, c] = np.uint32(int(wire.rows[r, c]) ^ (1 << bit_in_pixel))

@@ -118,7 +118,7 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
         raise InvariantViolation("golden configuration store was mutated")
 
     pct = {c: 100.0 * classes.count(c) / len(classes) for c in CLASSES}
-    scrub = node.scrubber.report if node.scrubber else None
+    scrub = node.scrubber
     report = RunReport(
         architecture=arch.name,
         seed=seed,

@@ -9,9 +9,9 @@ the node is in reset, and whether a bit is essential is fixed by
 `ConfigMemory.essential_mask`, so the mutation log is a function of the
 campaign: `mutation_log` gives one line per injection, "<time_us>
 fpga_config_bit <frame>:<bit> <effect>", the effect being the owning
-component if the bit is essential, else "non_essential".  VPU trials corrupt their node directly
-(`cotsim.harness.run_vpu_trial`), and a frame on the link is corrupted
-with `cotsim.frame_link.flip_wire_bit`.
+component if the bit is essential, else "non_essential".  VPU trials
+corrupt their node directly (`cotsim.harness.run_vpu_trial`); only the
+tests corrupt a frame on the link (`tests/wire_bits.py`).
 """
 
 from __future__ import annotations

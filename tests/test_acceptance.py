@@ -19,11 +19,11 @@ from cotsim.fpga import (FpgaNode, VOTE_UNCORRECTABLE, reload_duration_us,
                          tmr_vote)
 from cotsim.harness import (fit_lambda, reliability_curve, run_fpga,
                             run_matrix, run_vpu_trial)
-from cotsim.frame_link import PixelFrame, decode_frame, encode_frame, \
-    flip_wire_bit
+from cotsim.frame_link import PixelFrame, decode_frame, encode_frame
 from cotsim import vpu
 from cotsim.vpu import (VpuNode, error_rate, golden_output,
                         partition_workload)
+from wire_bits import flip_wire_bit, total_bits
 
 
 @contextmanager
@@ -96,14 +96,14 @@ def test_criterion_2_frame_link_detection():
         # exhaustive single-bit flips on 16x16 frames
         for depth in (8, 16, 24):
             frame = _random_frame(rng, 16, 16, depth)
-            for pos in range(encode_frame(frame).total_bits()):
+            for pos in range(total_bits(encode_frame(frame))):
                 wire = encode_frame(frame)
                 flip_wire_bit(wire, pos)
                 assert _detected(wire), (depth, pos)
 
         # sampled single-bit flips on a larger frame
         frame = _random_frame(rng, 64, 64, 16)
-        total = encode_frame(frame).total_bits()
+        total = total_bits(encode_frame(frame))
         for pos in rng.choice(total, size=500, replace=False):
             wire = encode_frame(frame)
             flip_wire_bit(wire, int(pos))
@@ -112,7 +112,7 @@ def test_criterion_2_frame_link_detection():
         # bursts up to 16 bits, endpoints set, random interior
         for depth in (8, 16, 24):
             frame = _random_frame(rng, 8, 8, depth)
-            total = encode_frame(frame).total_bits()
+            total = total_bits(encode_frame(frame))
             for length in range(1, 17):
                 for _ in range(30):
                     start = int(rng.integers(0, total - length + 1))

@@ -15,10 +15,15 @@ from cotsim.config import (ARCHITECTURES, FRAME_BYTES, ComponentSpec,
 from cotsim.ecc import secded_decode
 from cotsim.engine import SimEngine
 from cotsim.fpga import (FRAME_BITS, ConfigMemory, FpgaNode, IcapArbiter,
-                         IcapError, InvariantViolation, Scrubber,
+                         InvariantViolation, Scrubber,
                          VOTE_CORRECTED, VOTE_UNANIMOUS, VOTE_UNCORRECTABLE,
                          _down_below, corrupt_samples, reload_duration_us,
                          tmr_vote)
+
+
+def reset_us(node) -> int:
+    """How long a full reset keeps the node down."""
+    return reload_duration_us(node.mem.n_frames * FRAME_BYTES)
 
 
 def small_memory():
@@ -267,10 +272,9 @@ def test_config_memory_tracking_and_tag_memo(ops):
             mem.write_word(frame, word, base ^ mask)
         elif op == "flip_bit":
             frame, bit = args
-            owner = mem.frame_owner[frame]
-            before = mem.changed[owner]
+            before = mem.version
             mem.flip_bit(frame, bit)
-            assert (mem.changed[owner] != before) == any(
+            assert (mem.version != before) == any(
                 (frame, bit) in addrs for addrs in essential.values())
         else:
             getattr(mem, op)(*args)
@@ -306,9 +310,9 @@ def test_icap_fifo_and_exclusivity():
 def test_icap_rejects_reentrant_and_foreign_release():
     icap = IcapArbiter()
     icap.acquire("cms", lambda: None)
-    with pytest.raises(IcapError):
+    with pytest.raises(InvariantViolation):
         icap.acquire("cms", lambda: None)
-    with pytest.raises(IcapError):
+    with pytest.raises(InvariantViolation):
         icap.release("dpr")
 
 
@@ -346,7 +350,7 @@ def test_scrubber_repairs_frame_after_exact_latency():
     assert frame in node.mem.dirty
     eng.run_until(detected_at + 18_000)
     assert frame not in node.mem.dirty
-    assert node.scrubber.report.repairs == 1
+    assert node.scrubber.repairs == 1
     assert node.icap.owner is None
 
 
@@ -357,8 +361,8 @@ def test_enhanced_repair_corrects_single_bit_per_word():
     detected_at = run_until_detection(eng, node)
     eng.run_until(detected_at + 18_000)
     assert frame not in node.mem.dirty
-    assert node.scrubber.report.repairs == 1
-    assert node.scrubber.report.uncorrectable == 0
+    assert node.scrubber.repairs == 1
+    assert node.scrubber.uncorrectable == 0
 
 
 def test_enhanced_repair_flags_multibit_word_uncorrectable():
@@ -369,10 +373,10 @@ def test_enhanced_repair_flags_multibit_word_uncorrectable():
     detected_at = run_until_detection(eng, node)
     eng.run_until(detected_at + 18_000)
     assert frame in node.mem.dirty
-    assert node.scrubber.report.uncorrectable == 1
+    assert node.scrubber.uncorrectable == 1
     # the scrubber remembers the signature and does not retry forever
     eng.run_until(detected_at + 200_000)
-    assert node.scrubber.report.detections == 1
+    assert node.scrubber.detections == 1
 
 
 def test_scrubber_keeps_the_tick_grid_and_runs_no_tick_as_an_event():
@@ -383,10 +387,10 @@ def test_scrubber_keeps_the_tick_grid_and_runs_no_tick_as_an_event():
     node.mem.flip_bit(frame, 3)
     # the sixth tick after 1 s reaches the frame and starts its repair
     assert eng.run_until(1_000_599) == 0
-    assert node.scrubber.report.detections == 0
+    assert node.scrubber.detections == 0
     assert eng.run_until(1_000_600) == 0
     assert node.scrubber.repair_frame == frame
-    assert node.scrubber.report.detections == 1
+    assert node.scrubber.detections == 1
     # the repair ends 18 ms after that tick: the one event
     assert eng.run_until(1_018_599) == 0
     assert frame in node.mem.dirty
@@ -402,7 +406,7 @@ def test_damage_undone_between_two_ticks_is_never_detected():
     eng.run_until(1_000_080)
     node.mem.flip_bit(frame, 3)
     assert eng.run_until(1_100_000) == 0
-    assert node.scrubber.report.detections == 0
+    assert node.scrubber.detections == 0
     assert node.scrubber.pointer == 11_000 % node.mem.n_frames
 
 
@@ -411,17 +415,17 @@ def test_a_plan_made_before_a_reset_never_runs_after_it():
     node.mem.flip_bit(5, 3)  # tick 6 of the chain would find it
     eng.run_until(50)
     node.full_reset()
-    done = 50 + node.reset_duration_us()
+    done = 50 + reset_us(node)
     assert eng.run_until(done + 1_000) == 1  # the end of the reset
-    assert node.scrubber.report.detections == 0
+    assert node.scrubber.detections == 0
     # damage in the new chain is found on the new chain's tick grid
     frame = node.scrubber.pointer + 2
     node.mem.flip_bit(frame, 3)
     eng.run_until(done + 1_299)
-    assert node.scrubber.report.detections == 0
+    assert node.scrubber.detections == 0
     eng.run_until(done + 1_300)
     assert node.scrubber.repair_frame == frame
-    assert node.scrubber.report.detections == 1
+    assert node.scrubber.detections == 1
 
 
 def test_skipped_ticks_still_send_heartbeats():
@@ -445,7 +449,7 @@ def test_dead_controller_stops_scrubbing():
     node.mem.flip_bit(frame, 9)
     eng.run_until(500_000)
     assert frame in node.mem.dirty
-    assert node.scrubber.report.detections == 0
+    assert node.scrubber.detections == 0
 
 
 # -- partial reconfiguration ------------------------------------------------
@@ -688,7 +692,7 @@ def test_window_watcher_is_armed_only_while_a_fir_replica_needs_a_reload():
 def reference_enhanced_repair(scrubber, frame):
     """The enhanced repair as first written: numpy finds the damaged words,
     and each corrected word is written back on its own."""
-    mem, report = scrubber.mem, scrubber.report
+    mem = scrubber.mem
     def words(value):
         return np.frombuffer(value.to_bytes(FRAME_BYTES, "little"), "<u4")
 
@@ -700,17 +704,18 @@ def reference_enhanced_repair(scrubber, frame):
         if status == "corrected":
             mem.write_word(frame, w, value)
     if frame in mem.dirty:
-        report.uncorrectable += 1
+        scrubber.uncorrectable += 1
         scrubber.known_uncorrectable[frame] = mem.frames[frame]
     else:
-        report.repairs += 1
+        scrubber.repairs += 1
         scrubber.known_uncorrectable.pop(frame, None)
 
 
 def repair_state(node, frame):
     mem, scrubber = node.mem, node.scrubber
     return (mem.frames[frame], mem.dirty, mem.flipped_essential,
-            scrubber.report, scrubber.known_uncorrectable)
+            scrubber.detections, scrubber.repairs, scrubber.uncorrectable,
+            scrubber.known_uncorrectable)
 
 
 WORDS_PER_FRAME = FRAME_BYTES // 4
@@ -755,7 +760,7 @@ def test_watchdog_resets_on_lost_heartbeat():
         node.mem.flip_bit(*addr)
     eng.run_until(node.arch.wd_timeout_us * 2)
     assert node.epoch == 1
-    eng.run_until(node.arch.wd_timeout_us * 2 + node.reset_duration_us())
+    eng.run_until(node.arch.wd_timeout_us * 2 + reset_us(node))
     assert not node.in_reset
     assert node.mem.healthy("cms_ctrl")
     # the health log saw the reset start and end, and its last entry is a
@@ -767,7 +772,7 @@ def test_watchdog_resets_on_lost_heartbeat():
 def test_reset_invalidates_stale_events():
     """A repair and a reload in flight when a full reset starts never
     finish: a stale finish would count work the new epoch did not do and
-    release an ICAP grant it no longer holds (IcapError)."""
+    release an ICAP grant it no longer holds (InvariantViolation)."""
     eng = SimEngine()
     node = FpgaNode(eng, make_architecture("CMS+DPR+TMR+WD"))
     node.start()
@@ -787,18 +792,18 @@ def test_reset_invalidates_stale_events():
     epoch_before = node.epoch
     node.full_reset()
     assert node.epoch == epoch_before + 1
-    eng.run_until(eng.now + node.reset_duration_us())
+    eng.run_until(eng.now + reset_us(node))
     assert not node.in_reset and node.mem.healthy("fir_1")
     new_due = put_in_flight()
     assert new_due > old_due
     reload_us = reload_duration_us(node.mem.components["fir_1"].size_bytes())
     # past the old repair's and the old reload's due times
     eng.run_until(old_due + reload_us)
-    assert scrubber.report.repairs == 0 and dpr.reloads == 0
+    assert scrubber.repairs == 0 and dpr.reloads == 0
     assert frame in node.mem.dirty and node.icap.owner == "cms"
     # the new epoch's repair and reload finish on their own schedule
     eng.run_until(new_due)
-    assert scrubber.report.repairs == 1 and node.mem.healthy("fir_1")
+    assert scrubber.repairs == 1 and node.mem.healthy("fir_1")
     assert node.icap.owner == "dpr" and dpr.reloads == 0
     eng.run_until(new_due + reload_us)
     assert dpr.reloads == 1 and node.icap.owner is None

@@ -136,6 +136,26 @@ def test_run_fpga_repeat_is_byte_identical():
     assert rep3.to_json() != rep1.to_json()
 
 
+CAUSALITY_WINDOWS = 200  # of 4 ms: a 0.8 s full run
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(ARCHITECTURES)), st.integers(0, 2**32 - 1),
+       st.integers(500, 8_000), st.integers(1, CAUSALITY_WINDOWS))
+def test_a_run_cut_after_k_windows_is_a_prefix_of_the_full_run(
+        arch, seed, period_us, k):
+    """Causality: nothing after window k changes the first k windows'
+    classes or the log of the injections up to them."""
+    full = CampaignConfig(duration_us=CAUSALITY_WINDOWS * 4_000,
+                          period_us=period_us, window_us=4_000)
+    cut = dataclasses.replace(full, duration_us=k * 4_000)
+    report, log = run_fpga(arch, full, seed)
+    cut_report, cut_log = run_fpga(arch, cut, seed)
+    assert cut_report.window_classes == report.window_classes[:k]
+    assert len(cut_log) == cut.n_events()
+    assert cut_log == log[:len(cut_log)]
+
+
 def test_run_fpga_accepts_prebuilt_config():
     arch = make_architecture("TMR", app_down_fraction=0.0)
     report, _log = run_fpga(arch, short_campaign(), seed=0)
@@ -251,7 +271,7 @@ def live_window_run(arch, campaign, seed):
     node.close()
 
     pct = {c: 100.0 * classes.count(c) / len(classes) for c in CLASSES}
-    scrub = node.scrubber.report if node.scrubber else None
+    scrub = node.scrubber
     report = harness.RunReport(
         architecture=arch.name, seed=seed, duration_us=end, window_us=window,
         down_pct=pct["down"], erroneous_pct=pct["erroneous"],
