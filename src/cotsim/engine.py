@@ -35,6 +35,12 @@ after all the events then scheduled: after those that fire at t and were
 scheduled at time 0, before every event scheduled later.  A watcher
 tick keyed (t, 1, -1) sorts there too, after such an input; the
 measurement windows' watcher uses it (`cotsim.fpga.WindowWatcher`).
+While `due` reports no key below (t, 1), that call would only set the
+clock, so the caller may set `now` to t itself: inputs between two
+pieces of engine work then cost no engine call.  `due` moves only when
+the engine runs or an input acts on it (schedules an event, moves a
+watch key or an `asleep` flag), so the caller reads it again after
+either.
 
 An input schedules nothing and reserves no order slot, so a watcher
 that is `asleep` (its pending ticks schedule nothing and read nothing
@@ -45,7 +51,9 @@ for the ticks it passed and reserves the slot the skipped call would
 have.  That call moves the clock to its tick's time, which can be
 earlier than the last input applied; an asleep tick reads no clock.  An
 input that changes what an asleep tick reads needs wake=True, the
-default (`cotsim.fpga.Scrubber.wakers`).
+default (`cotsim.fpga.Scrubber.wakers`).  So an input that needs
+wake=True checks `due`'s second key, and any other input its first,
+which leaves asleep watchers out.
 """
 
 from __future__ import annotations
@@ -107,6 +115,22 @@ class SimEngine:
         self._watchers.append(watcher)
 
     # -- execution ----------------------------------------------------------
+
+    def due(self) -> tuple[tuple, tuple]:
+        """(awake_key, every_key): the smallest key among the next event
+        and the watchers that are not `asleep`, and among the next event
+        and every watcher; (inf,) when there is none.  Before an input at
+        t, `run_until(t, scheduled_before=1)` has work iff every_key <
+        (t, 1), and with wake=False work that cannot wait iff awake_key <
+        (t, 1) (see the module docstring)."""
+        awake = every = self._heap[0][:3] if self._heap else (math.inf,)
+        for watcher in self._watchers:
+            key = watcher.watch_key
+            if key is not None:
+                every = min(every, key)
+                if not watcher.asleep:
+                    awake = min(awake, key)
+        return awake, every
 
     def run_until(self, t_end: int, scheduled_before: float = math.inf,
                   wake: bool = True) -> int:

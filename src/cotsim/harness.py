@@ -88,10 +88,14 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
     """One architecture under one campaign; deterministic given (config, seed).
 
     One loop applies the injections in time order, as inputs (see
-    `cotsim.engine`), so the engine runs once per injection and once to
-    the end; the node classifies the windows from its health log after
-    the run (`FpgaNode.evaluate_window`).  The mutation log follows from
-    the campaign (`mutation_log`)."""
+    `cotsim.engine`).  It runs the engine before an injection only when
+    an event or a watcher is due before it (`SimEngine.due`), and once
+    to the end.  What `due` reports moves only when the engine runs or
+    an injection moves `mem.version`, and so reaches `log_change`, which
+    can arm the window watcher; an injection that wakes the scrubber
+    always moves it.  The node classifies the windows from its health
+    log after the run (`FpgaNode.evaluate_window`).  The mutation log
+    follows from the campaign (`mutation_log`)."""
     if isinstance(arch, str):
         arch = make_architecture(arch)
     engine = SimEngine()
@@ -105,10 +109,21 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
         log = mutation_log(campaign, node.mem, addresses)
         end, period = campaign.duration_us, campaign.period_us
         wakers = node.scrubber.wakers() if node.scrubber else ()
+        mem = node.mem
+        version = mem.version
+        awake, every = engine.due()
         for t, address in zip(range(period, end + 1, period), addresses):
-            engine.run_until(t, scheduled_before=1, wake=address in wakers)
-            inject_config_bit(node.mem, address)
-            node.log_change()
+            wake = address in wakers
+            ran = (every if wake else awake) < (t, 1)
+            if ran:
+                engine.run_until(t, scheduled_before=1, wake=wake)
+            else:
+                engine.now = t
+            inject_config_bit(mem, address)
+            if ran or mem.version != version:
+                node.log_change()  # may arm the window watcher
+                version = mem.version
+                awake, every = engine.due()
         engine.run_until(end)
     finally:
         node.close()

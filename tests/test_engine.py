@@ -1,5 +1,6 @@
 """Event queue ordering and watcher tests."""
 
+import math
 import random
 
 import pytest
@@ -135,6 +136,33 @@ def test_an_asleep_watcher_runs_before_an_awake_one_due_first():
     assert sleeper.clock == awake.clock == [(10, 10), (20, 20)]
 
 
+def test_due_reports_the_first_key_with_and_without_asleep_watchers():
+    eng = SimEngine()
+    never = (math.inf,)
+    assert eng.due() == (never, never)
+    # an event at t sorts before an input at t, (t, 1)
+    eng.schedule(7, print)
+    assert eng.due() == ((7, 0, 0), (7, 0, 0))
+    assert eng.due()[0] < (7, 1)
+    # a window tick at t sorts after it
+    window = Ticker(eng)
+    window.watch_key = (5, 1, -1)
+    eng.add_watcher(window)
+    assert eng.due() == ((5, 1, -1), (5, 1, -1))
+    assert not eng.due()[0] < (5, 1)
+    # an asleep watcher counts only in the second key
+    sleeper = Ticker(eng)
+    sleeper.asleep = True
+    sleeper.watch_key = (3, 0, 9)
+    eng.add_watcher(sleeper)
+    assert eng.due() == ((5, 1, -1), (3, 0, 9))
+    # a watcher with nothing to watch is left out
+    window.watch_key = sleeper.watch_key = None
+    assert eng.due() == ((7, 0, 0), (7, 0, 0))
+    eng.run_until(7)
+    assert eng.due() == (never, never)
+
+
 def test_cannot_schedule_in_the_past():
     eng = SimEngine()
     eng.run_until(100)
@@ -186,13 +214,16 @@ INPUTS = st.lists(st.tuples(st.integers(1, 45), STEP), max_size=25)
 BUSY = st.dictionaries(st.integers(1, 6), st.integers(0, 12), max_size=4)
 
 
-def play(setup, inputs, busy, as_events):
+def play(setup, inputs, busy, mode):
     """Run `setup` at time 0, then apply `inputs` in time order (ties in
     list order), each running one script step, with a ticker whose `busy`
-    ticks schedule events.  `as_events` schedules the inputs as events
-    at time 0 after the setup; otherwise each input is applied after
-    `run_until(t, scheduled_before=1)`.  Every event and input records
-    the clock and what the watcher has seen."""
+    ticks schedule events.  Mode "events" schedules the inputs as events
+    at time 0 after the setup; "bounded" applies each input after
+    `run_until(t, scheduled_before=1)`; "skip" makes that call only when
+    `due` reports a key below (t, 1), and otherwise sets the clock to t.
+    An input schedules events, so "skip" reads `due` after every input.
+    Every event and input records the clock and what the watcher has
+    seen."""
     eng = SimEngine()
     seen = []
 
@@ -217,12 +248,15 @@ def play(setup, inputs, busy, as_events):
     for n, step in enumerate(setup):
         apply(("setup", n), step)
     inputs = sorted(inputs, key=lambda timed: timed[0])
-    if as_events:
+    if mode == "events":
         for n, (t, step) in enumerate(inputs):
             eng.schedule(t, apply, ("input", n), step)
     else:
         for n, (t, step) in enumerate(inputs):
-            eng.run_until(t, scheduled_before=1)
+            if mode == "bounded" or eng.due()[0] < (t, 1):
+                eng.run_until(t, scheduled_before=1)
+            else:
+                eng.now = t
             apply(("input", n), step)
     eng.run_until(60)
     return seen, ticker.clock
@@ -232,8 +266,9 @@ def play(setup, inputs, busy, as_events):
 @given(st.lists(STEP, max_size=8), INPUTS, BUSY)
 def test_inputs_after_bounded_runs_fire_like_time_0_events(setup, inputs,
                                                            busy):
-    assert play(setup, inputs, busy, as_events=False) == \
-        play(setup, inputs, busy, as_events=True)
+    events = play(setup, inputs, busy, "events")
+    assert play(setup, inputs, busy, "bounded") == events
+    assert play(setup, inputs, busy, "skip") == events
 
 
 class Chain:
