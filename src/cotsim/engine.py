@@ -40,7 +40,9 @@ clock, so the caller may set `now` to t itself: inputs between two
 pieces of engine work then cost no engine call.  `due` moves only when
 the engine runs or an input acts on it (schedules an event, moves a
 watch key or an `asleep` flag), so the caller reads it again after
-either.
+either.  An input read only by events and by awake watchers may be
+buffered by the caller until just before its next `run_until`: that run
+calls no event and no awake watcher that sorts before a buffered input.
 
 An input schedules nothing and reserves no order slot, so a watcher
 that is `asleep` (its pending ticks schedule nothing and read nothing

@@ -80,7 +80,9 @@ class ConfigMemory:
     `version` bumps whenever a component's marks change, and the change
     drops that component's memoized corruption tag.  The essential bits
     themselves are kept once, as the per-frame masks `essential_mask`;
-    `essential_bits` decodes a component's addresses.
+    `essential_bits` decodes a component's addresses, and
+    `essential_flags`, unpacked from the same array, flags each bit at
+    frame * FRAME_BITS + bit, where a campaign's draw looks it up.
     """
 
     def __init__(self, components: list[ComponentSpec]):
@@ -108,6 +110,8 @@ class ConfigMemory:
             np.bitwise_or.at(mask, (frames, bits // 8),
                              (1 << (bits % 8)).astype(np.uint8))
         self.essential_mask = _frame_ints(mask)
+        self.essential_flags = np.unpackbits(
+            mask, bitorder="little").view(bool)
         self.dirty: set[int] = set()
         self.flipped_essential: dict[str, list] = {
             c.name: [] for c in components}

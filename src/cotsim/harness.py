@@ -90,12 +90,15 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
     One loop applies the injections in time order, as inputs (see
     `cotsim.engine`).  It runs the engine before an injection only when
     an event or a watcher is due before it (`SimEngine.due`), and once
-    to the end.  What `due` reports moves only when the engine runs or
-    an injection moves `mem.version`, and so reaches `log_change`, which
-    can arm the window watcher; an injection that wakes the scrubber
-    always moves it.  The node classifies the windows from its health
-    log after the run (`FpgaNode.evaluate_window`).  The mutation log
-    follows from the campaign (`mutation_log`)."""
+    to the end.  An essential flip lands at its time; a non-essential
+    flip changes only its frame, which only engine work reads, so it is
+    XORed into a per-frame mask that one `flip_bits` writes just before
+    the next engine run.  What `due` reports moves only when the engine
+    runs or an injection moves `mem.version`, and so reaches
+    `log_change`, which can arm the window watcher; an injection that
+    wakes the scrubber always moves it.  The node classifies the windows
+    from its health log after the run (`FpgaNode.evaluate_window`).  The
+    mutation log follows from the campaign (`mutation_log`)."""
     if isinstance(arch, str):
         arch = make_architecture(arch)
     engine = SimEngine()
@@ -105,26 +108,38 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
         golden = node.mem.golden
 
         rng = np.random.default_rng(derive_stream_seed(seed, "fpga-inj"))
-        addresses = build_fpga_campaign(campaign, node.mem, rng)
-        log = mutation_log(campaign, node.mem, addresses)
+        addresses, essential = build_fpga_campaign(campaign, node.mem, rng)
+        log = mutation_log(campaign, node.mem, addresses, essential)
         end, period = campaign.duration_us, campaign.period_us
         wakers = node.scrubber.wakers() if node.scrubber else ()
         mem = node.mem
+        pending: dict[int, int] = {}  # frame -> non-essential flips
+
+        def run_engine(t, **kwargs):
+            for frame, mask in pending.items():
+                mem.flip_bits(frame, mask)
+            pending.clear()
+            engine.run_until(t, **kwargs)
+
         version = mem.version
         awake, every = engine.due()
-        for t, address in zip(range(period, end + 1, period), addresses):
+        for t, address, hit in zip(range(period, end + 1, period),
+                                   addresses, essential):
             wake = address in wakers
             ran = (every if wake else awake) < (t, 1)
             if ran:
-                engine.run_until(t, scheduled_before=1, wake=wake)
-            else:
+                run_engine(t, scheduled_before=1, wake=wake)
+            if hit:
                 engine.now = t
-            inject_config_bit(mem, address)
+                inject_config_bit(mem, address)
+            else:
+                frame, bit = address
+                pending[frame] = pending.get(frame, 0) ^ 1 << bit
             if ran or mem.version != version:
                 node.log_change()  # may arm the window watcher
                 version = mem.version
                 awake, every = engine.due()
-        engine.run_until(end)
+        run_engine(end)
     finally:
         node.close()
     classes = node.evaluate_window(seed, end)

@@ -5,9 +5,11 @@ A campaign flips configuration-memory bits of the FPGA node:
 injection i fires at (i + 1) * period_us.  A run draws its addresses
 from the PCG64 stream seeded with `derive_stream_seed(seed, "fpga-inj")`.
 `inject_config_bit` executes one.  Every injection executes, even while
-the node is in reset, and whether a bit is essential is fixed by
-`ConfigMemory.essential_mask`, so the mutation log is a function of the
-campaign: `mutation_log` gives one line per injection, "<time_us>
+the node is in reset: an essential one at its time, a non-essential one
+before the next engine work (`cotsim.harness.run_fpga`).  Whether a bit
+is essential is fixed by `ConfigMemory.essential_mask`, so the campaign
+flags its essential injections and the mutation log is a function of
+the campaign: `mutation_log` gives one line per injection, "<time_us>
 fpga_config_bit <frame>:<bit> <effect>", the effect being the owning
 component if the bit is essential, else "non_essential".  VPU trials
 corrupt their node directly (`cotsim.harness.run_vpu_trial`); only the
@@ -50,8 +52,10 @@ def derive_stream_seed(root_seed: int, label: str) -> int:
 
 
 def build_fpga_campaign(cfg: CampaignConfig, mem: ConfigMemory,
-                        rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Resolve the campaign's (frame, bit) addresses, in firing order.
+                        rng: np.random.Generator
+                        ) -> tuple[list[tuple[int, int]], list[bool]]:
+    """Resolve the campaign's (frame, bit) addresses, in firing order, and
+    whether each flips an essential bit.
 
     utilized_area mode samples uniformly over every bit of the enabled
     components' frames; components mode samples uniformly over the
@@ -68,12 +72,13 @@ def build_fpga_campaign(cfg: CampaignConfig, mem: ConfigMemory,
         if not pool:
             raise CampaignError("empty target set")
         draws = rng.integers(0, len(pool), size=cfg.n_events()).tolist()
-        return [pool[i] for i in draws]
+        return [pool[i] for i in draws], [True] * len(draws)
     total = mem.n_frames * FRAME_BITS
     if total == 0:
         raise CampaignError("empty target set")
-    draws = rng.integers(0, total, size=cfg.n_events()).tolist()
-    return [divmod(g, FRAME_BITS) for g in draws]
+    draws = rng.integers(0, total, size=cfg.n_events())
+    return ([divmod(g, FRAME_BITS) for g in draws.tolist()],
+            mem.essential_flags[draws].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +86,18 @@ def build_fpga_campaign(cfg: CampaignConfig, mem: ConfigMemory,
 
 
 def mutation_log(cfg: CampaignConfig, mem: ConfigMemory,
-                 addresses: list[tuple[int, int]]) -> MutationLog:
-    """The log lines of the campaign's injections at `addresses`, as
-    `build_fpga_campaign` returns them, in firing order.  Each frame's
-    text and its two effects are formatted once per call."""
-    essential = mem.essential_mask
+                 addresses: list[tuple[int, int]],
+                 essential: list[bool]) -> MutationLog:
+    """The log lines of the campaign's injections at `addresses`, flagged
+    `essential` as `build_fpga_campaign` returns them, in firing order.
+    Each frame's text and its two effects are formatted once per call."""
     prefix = [f" {FPGA_KIND} {frame}:" for frame in range(mem.n_frames)]
     effect = [(" non_essential", f" {owner}") for owner in mem.frame_owner]
     return MutationLog(
-        f"{t}{prefix[frame]}{bit}{effect[frame][essential[frame] >> bit & 1]}"
-        for t, (frame, bit) in zip(
+        f"{t}{prefix[frame]}{bit}{effect[frame][hit]}"
+        for t, (frame, bit), hit in zip(
             range(cfg.period_us, cfg.duration_us + 1, cfg.period_us),
-            addresses))
+            addresses, essential))
 
 
 def inject_config_bit(mem: ConfigMemory, address: tuple) -> None:

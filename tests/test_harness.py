@@ -8,6 +8,7 @@ import json
 import math
 import statistics
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from cotsim import harness
 from cotsim.config import ARCHITECTURES, CampaignConfig, make_architecture
 from cotsim.engine import SimEngine
-from cotsim.fpga import FRAME_BITS, FpgaNode, InvariantViolation, Scrubber
+from cotsim.fpga import (FRAME_BITS, ConfigMemory, FpgaNode,
+                         InvariantViolation, Scrubber)
 from cotsim.injector import (build_fpga_campaign, derive_stream_seed,
                              inject_config_bit, mutation_log)
 from cotsim.harness import (CLASSES, emit_matrix, fit_lambda,
@@ -181,10 +183,13 @@ FAST_DEATHS = dataclasses.replace(DEATHS, duration_us=600_000, period_us=100)
     ("CMS+DPR+TMR+WD", FAST_DEATHS, 0, 3)])
 def test_mutation_log_equals_the_executed_flips(monkeypatch, arch, campaign,
                                                seed, in_reset):
-    """The log built from the campaign reads as if each line were written
-    when its flip executed: stamped with the engine's clock, with the
-    owner as the effect iff the owner's flipped essential bits changed.
-    `in_reset` of the flips execute while a watchdog reset is under way."""
+    """The log built from the campaign reads as if each essential line
+    were written when its flip executed: `inject_config_bit` runs once
+    per line whose effect is not non_essential, stamped with the
+    engine's clock, and the owner's flipped essential bits change.
+    `in_reset` of those flips execute while a watchdog reset is under
+    way.  When the non-essential flips land is pinned by
+    `test_engine_work_sees_the_frames_of_the_per_injection_loop`."""
     nodes, live = [], []
 
     class Recorded(harness.FpgaNode):
@@ -205,8 +210,9 @@ def test_mutation_log_equals_the_executed_flips(monkeypatch, arch, campaign,
     monkeypatch.setattr(harness, "FpgaNode", Recorded)
     monkeypatch.setattr(harness, "inject_config_bit", inject)
     report, log = run_fpga(arch, campaign, seed)
-    assert len(live) == campaign.n_events()
-    assert log.text() == "".join(line for line, _ in live)
+    assert len(log) == campaign.n_events()
+    assert "".join(line for line, _ in live) == "".join(
+        line + "\n" for line in log if not line.endswith(" non_essential"))
     assert report.mutation_digest == \
         hashlib.sha256(log.text().encode()).hexdigest()
     effects = {line.split()[-1] for line in log}
@@ -253,8 +259,8 @@ def live_window_run(arch, campaign, seed):
     node = FpgaNode(engine, arch)
     node.start()
     rng = np.random.default_rng(derive_stream_seed(seed, "fpga-inj"))
-    addresses = build_fpga_campaign(campaign, node.mem, rng)
-    log = mutation_log(campaign, node.mem, addresses)
+    addresses, essential = build_fpga_campaign(campaign, node.mem, rng)
+    log = mutation_log(campaign, node.mem, addresses, essential)
     end, period, window = (campaign.duration_us, campaign.period_us,
                            campaign.window_us)
     injections = [(t, 0, address) for t, address
@@ -339,6 +345,37 @@ def test_run_fpga_equals_the_live_window_loop(run):
     assert log == expected_log
 
 
+def engine_work_frames(run, *args):
+    """(clock, frames) at every node event and every scrubber tick that
+    finds damage during `run(*args)`, in order."""
+    seen = []
+    handle, step = FpgaNode._handle, Scrubber.step
+
+    def seen_handle(self, *event):
+        seen.append((self.engine.now, tuple(self.mem.frames)))
+        handle(self, *event)
+
+    def seen_step(self):
+        seen.append((self.node.engine.now, tuple(self.mem.frames)))
+        step(self)
+
+    with mock.patch.object(FpgaNode, "_handle", seen_handle), \
+            mock.patch.object(Scrubber, "step", seen_step):
+        run(*args)
+    return seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_heavy_runs())
+def test_engine_work_sees_the_frames_of_the_per_injection_loop(run):
+    """`run_fpga` writes a non-essential flip just before the next engine
+    run, not at its time; every event and every tick that finds damage
+    still sees the frames of the live-window loop, which flips each
+    injection at its time."""
+    assert engine_work_frames(run_fpga, *run) == \
+        engine_work_frames(live_window_run, *run)
+
+
 def test_injections_pass_an_asleep_scrubber(monkeypatch):
     """While the scrubber repairs or its controller is dead, an injection
     that flips no essential bit of cms_ctrl or wd_link does not wake it.
@@ -404,12 +441,41 @@ def test_run_fpga_runs_the_engine_only_when_something_is_due(monkeypatch,
     assert len(report.window_classes) == 200
 
 
-def test_run_fpga_detects_a_mutated_golden_store(monkeypatch):
+def test_run_fpga_flips_non_essential_bits_once_per_frame(monkeypatch):
+    """`inject_config_bit` runs once per essential injection.  No-FT has
+    nothing due before the end of the default campaign, so its
+    non-essential flips take one `flip_bits` per frame at most, before
+    the run to the end."""
+    calls = {"inject": 0, "flip_bits": 0}
+    flip_bits = ConfigMemory.flip_bits
+
     def inject(mem, address):
+        calls["inject"] += 1
         inject_config_bit(mem, address)
-        mem.golden = mem.golden[:-1] + (0,)
+
+    def write(mem, frame, mask):
+        calls["flip_bits"] += 1
+        flip_bits(mem, frame, mask)
 
     monkeypatch.setattr(harness, "inject_config_bit", inject)
+    monkeypatch.setattr(ConfigMemory, "flip_bits", write)
+    _report, log = run_fpga("No-FT", CampaignConfig(), seed=0)
+    essential = sum(not line.endswith(" non_essential") for line in log)
+    assert 0 < calls["inject"] == essential < len(log)
+    n_frames = ConfigMemory(make_architecture("No-FT").components).n_frames
+    assert 0 < calls["flip_bits"] - calls["inject"] <= n_frames == 2
+
+
+def test_run_fpga_detects_a_mutated_golden_store(monkeypatch):
+    """The golden store is cut at every frame write (`flip_bits`), which
+    essential and non-essential flips and every repair go through."""
+    flip_bits = ConfigMemory.flip_bits
+
+    def write(mem, frame, mask):
+        flip_bits(mem, frame, mask)
+        mem.golden = mem.golden[:-1] + (0,)
+
+    monkeypatch.setattr(ConfigMemory, "flip_bits", write)
     with pytest.raises(InvariantViolation,
                        match="golden configuration store was mutated"):
         run_fpga("CMS", short_campaign(), seed=0)

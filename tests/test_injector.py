@@ -25,9 +25,9 @@ def memory():
 
 def test_campaign_schedule_shape():
     cfg = CampaignConfig(duration_us=40_000, period_us=4_000)
-    addresses = build_fpga_campaign(cfg, memory(), rng(3))
-    assert len(addresses) == 10
     mem = memory()
+    addresses, essential = build_fpga_campaign(cfg, mem, rng(3))
+    assert len(addresses) == len(essential) == 10
     for frame, bit in addresses:
         assert 0 <= frame < mem.n_frames
         assert 0 <= bit < FRAME_BITS
@@ -46,8 +46,9 @@ def test_components_mode_targets_essential_bits_only():
     cfg = CampaignConfig(duration_us=400_000, target_mode="components",
                          target_components=["ctrl"])
     mem = memory()
-    addresses = build_fpga_campaign(cfg, mem, rng(1))
+    addresses, essential = build_fpga_campaign(cfg, mem, rng(1))
     assert set(addresses) <= set(mem.essential_bits("ctrl"))
+    assert essential == [True] * len(addresses)
 
 
 def test_bad_campaigns_rejected():
@@ -78,7 +79,8 @@ def test_inject_config_bit_records_effect():
     inject_config_bit(mem, (0, non_essential))
     assert mem.dirty == {0, frame}
     log = mutation_log(CampaignConfig(duration_us=8_000, period_us=4_000),
-                       mem, [(frame, bit), (0, non_essential)])
+                       mem, [(frame, bit), (0, non_essential)],
+                       [True, False])
     assert log.text() == (f"4000 fpga_config_bit {frame}:{bit} app\n"
                           f"8000 fpga_config_bit 0:{non_essential} "
                           "non_essential\n")
@@ -118,9 +120,13 @@ def test_vectorised_draw_matches_scalar_draws(frames, essential, mode):
     cfg = CampaignConfig(duration_us=300_000, period_us=1_000,
                          target_mode=mode, target_components=["app"])
     for seed in (0, 1, 7, 2**40 + 3):
-        addresses = build_fpga_campaign(cfg, mem, rng(seed))
+        addresses, flags = build_fpga_campaign(cfg, mem, rng(seed))
         assert addresses == scalar_campaign(cfg, mem, rng(seed))
         assert all(type(f) is int and type(b) is int for f, b in addresses)
+        # the flags looked up from the draw are the masks' bits
+        assert flags == [mem.essential_mask[f] >> b & 1 == 1
+                         for f, b in addresses]
+        assert all(type(hit) is bool for hit in flags)
 
 
 # -- the campaign's random stream -------------------------------------------
@@ -156,4 +162,4 @@ def test_campaign_stream_is_pcg64_of_the_derived_seed():
     pcg = np.random.Generator(
         np.random.PCG64(derive_stream_seed(3, "fpga-inj")))
     _report, log = run_fpga("No-FT", cfg, seed=3)
-    assert log == mutation_log(cfg, mem, build_fpga_campaign(cfg, mem, pcg))
+    assert log == mutation_log(cfg, mem, *build_fpga_campaign(cfg, mem, pcg))
