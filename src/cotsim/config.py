@@ -40,7 +40,7 @@ def _require_positive(cfg, *keys: str) -> None:
             raise ValueError(f"{key} must be positive, got {value}")
 
 
-@dataclass
+@dataclass(frozen=True)  # hashable, to key `cotsim.fpga.layout_of`
 class ComponentSpec:
     name: str
     frames: int

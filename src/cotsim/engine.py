@@ -53,7 +53,7 @@ for the ticks it passed and reserves the slot the skipped call would
 have.  That call moves the clock to its tick's time, which can be
 earlier than the last input applied; an asleep tick reads no clock.  An
 input that changes what an asleep tick reads needs wake=True, the
-default (`cotsim.fpga.Scrubber.wakers`).  So an input that needs
+default (`cotsim.fpga.Layout.wakers`).  So an input that needs
 wake=True checks `due`'s second key, and any other input its first,
 which leaves asleep watchers out.
 """

@@ -30,6 +30,7 @@ import functools
 import hashlib
 from bisect import bisect_left
 from collections import deque
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,10 +53,10 @@ class InvariantViolation(Exception):
 # configuration memory
 
 
-def _frame_ints(rows: np.ndarray) -> list[int]:
+def _frame_ints(rows: np.ndarray) -> tuple[int, ...]:
     """Each row of a (frames, FRAME_BYTES) uint8 array as one
     little-endian integer: bit b of the frame is bit b % 8 of byte b // 8."""
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
 
 def _set_bits(mask: int):
@@ -66,60 +67,87 @@ def _set_bits(mask: int):
         yield low.bit_length() - 1
 
 
-class ConfigMemory:
-    """Configuration frames plus a pristine golden copy.
+class Layout:
+    """What a configuration memory fixes from its component list alone,
+    built once per process per list (`layout_of`, keyed by every field of
+    every component) and shared by every `ConfigMemory` over an equal one.
+    No run writes it: its sequences are tuples, its flags a read-only array,
+    and only its parity table grows, by frame.  `essential_mask` holds each
+    frame's essential bits, `essential_bits` decodes a component's, and
+    `essential_flags` packs them for a campaign's draw, bit g of the memory
+    at bit g % 8 of byte g // 8.  `wakers` are the addresses whose flip
+    changes what an asleep scrubber tick reads (`Scrubber`); `log_prefix`
+    and `log_effects` are each frame's mutation-log texts."""
 
-    Each frame, its golden copy and its essential-bit mask are one
-    little-endian integer of FRAME_BITS bits.  The frames are the one
-    source of truth, and `flip_bits` is their one write: every flip,
-    word write and restore XORs a mask into a frame there.  It keeps two
-    derived views in step with the frames: `dirty`, the frames that
-    differ from golden, and `flipped_essential`, each component's flipped
-    essential bits as a sorted list of (frame, bit) marks, next to their
-    `repr` texts so a tag never sorts or formats the whole set.
-    `version` bumps whenever a component's marks change, and the change
-    drops that component's memoized corruption tag.  The essential bits
-    themselves are kept once, as the per-frame masks `essential_mask`;
-    `essential_bits` decodes a component's addresses, and
-    `essential_flags`, unpacked from the same array, flags each bit at
-    frame * FRAME_BITS + bit, where a campaign's draw looks it up.
-    """
-
-    def __init__(self, components: list[ComponentSpec]):
+    def __init__(self, components: tuple[ComponentSpec, ...]):
         self.components = {c.name: c for c in components}
-        self.frame_owner: list[str] = []
-        self.comp_frames: dict[str, range] = {}
-        start = 0
-        for comp in components:
-            self.comp_frames[comp.name] = range(start, start + comp.frames)
-            self.frame_owner.extend([comp.name] * comp.frames)
-            start += comp.frames
-        self.n_frames = start
+        ends = list(accumulate((c.frames for c in components), initial=0))
+        self.n_frames = ends[-1]
+        self.comp_frames = {c.name: range(lo, hi)
+                            for c, lo, hi in zip(components, ends, ends[1:])}
+        self.frame_owner = tuple(c.name for c in components
+                                 for _ in range(c.frames))
         # byte i of golden frame f is (f * 131 + i * 7) mod 256
         ramp = (np.arange(self.n_frames, dtype=np.int64)[:, None] * 131
                 + np.arange(FRAME_BYTES, dtype=np.int64) * 7)
-        self.golden = tuple(_frame_ints((ramp & 0xFF).astype(np.uint8)))
-        self.frames = list(self.golden)
+        self.golden = _frame_ints((ramp & 0xFF).astype(np.uint8))
         # evenly spread essential bits across each component's region
-        mask = np.zeros((self.n_frames, FRAME_BYTES), dtype=np.uint8)
-        for comp in components:
-            g = (np.arange(comp.essential_bits, dtype=np.int64)
-                 * (comp.frames * FRAME_BITS) // comp.essential_bits)
-            frames, bits = divmod(g, FRAME_BITS)
-            frames += self.comp_frames[comp.name].start
-            np.bitwise_or.at(mask, (frames, bits // 8),
-                             (1 << (bits % 8)).astype(np.uint8))
-        self.essential_mask = _frame_ints(mask)
-        self.essential_flags = np.unpackbits(
-            mask, bitorder="little").view(bool)
+        mask = np.zeros(self.n_frames * FRAME_BYTES, dtype=np.uint8)
+        for comp, start in zip(components, ends):
+            g = start * FRAME_BITS + (
+                np.arange(comp.essential_bits, dtype=np.int64)
+                * (comp.frames * FRAME_BITS) // comp.essential_bits)
+            np.bitwise_or.at(mask, g // 8, (1 << g % 8).astype(np.uint8))
+        self.essential_mask = _frame_ints(mask.reshape(-1, FRAME_BYTES))
+        mask.flags.writeable = False
+        self.essential_flags = mask
+        self.wakers = frozenset(a for name in ("cms_ctrl", "wd_link")
+                                if name in self.components
+                                for a in self.essential_bits(name))
+        self.log_prefix = tuple(f" fpga_config_bit {frame}:"
+                                for frame in range(self.n_frames))
+        self.log_effects = tuple((" non_essential", f" {owner}")
+                                 for owner in self.frame_owner)
+        self._parity: dict[int, tuple[int, ...]] = {}
+
+    def essential_bits(self, name: str) -> list[tuple[int, int]]:
+        """Component `name`'s essential (frame, bit) addresses, sorted."""
+        return [(f, bit) for f in self.comp_frames[name]
+                for bit in _set_bits(self.essential_mask[f])]
+
+    def parity_store(self, frame: int) -> tuple[int, ...]:
+        """Each golden word's SECDED parity byte, encoded on first use."""
+        if frame not in self._parity:
+            golden = self.golden[frame]
+            self._parity[frame] = tuple(
+                secded_encode(golden >> shift & WORD_MASK)
+                for shift in range(0, FRAME_BITS, WORD_BITS))
+        return self._parity[frame]
+
+
+layout_of = functools.lru_cache(maxsize=16)(Layout)  # 8 architectures, 8 more
+
+
+class ConfigMemory:
+    """The configuration frames a run changes, over the `Layout` of what
+    never changes; `golden` is the layout's.  Each frame is one
+    little-endian integer of FRAME_BITS bits.  The frames are the one
+    source of truth, and `flip_bits` is their one write, which every
+    flip, word write and restore goes through.  It keeps two derived
+    views in step: `dirty`, the frames that differ from golden, and
+    `flipped_essential`, each component's flipped essential bits as a
+    sorted list of (frame, bit) marks, next to their `repr` texts so a
+    tag never sorts or formats the whole set.  `version` bumps whenever
+    a component's marks change, and the change drops that component's
+    memoized corruption tag."""
+
+    def __init__(self, components: list[ComponentSpec]):
+        self.layout = layout_of(tuple(components))
+        self.golden = self.layout.golden  # read on every write
+        self.frames = list(self.golden)
         self.dirty: set[int] = set()
-        self.flipped_essential: dict[str, list] = {
-            c.name: [] for c in components}
-        self._mark_texts: dict[str, list[str]] = {
-            c.name: [] for c in components}
-        # frame -> the SECDED parity byte of each golden word, encoded on
-        # the frame's first enhanced repair (`parity_store`)
-        self._parity: dict[int, list[int]] = {}
+        self.flipped_essential = {n: [] for n in self.layout.components}
+        self._mark_texts = {n: [] for n in self.layout.components}
         self.version = 0
         self._tags: dict[str, int] = {}  # name -> corruption tag
 
@@ -132,9 +160,9 @@ class ConfigMemory:
             self.dirty.discard(frame)
         else:
             self.dirty.add(frame)
-        toggled = mask & self.essential_mask[frame]
+        toggled = mask & self.layout.essential_mask[frame]
         if toggled:
-            comp = self.frame_owner[frame]
+            comp = self.layout.frame_owner[frame]
             marks = self.flipped_essential[comp]
             texts = self._mark_texts[comp]
             for bit in _set_bits(toggled):
@@ -156,15 +184,14 @@ class ConfigMemory:
             self.flip_bits(frame, self.frames[frame] ^ self.golden[frame])
 
     def restore_component(self, name: str) -> None:
-        for f in self.comp_frames[name]:
+        for f in self.layout.comp_frames[name]:
             self.restore_frame(f)
 
     def restore_all(self) -> None:
-        for f in range(self.n_frames):
+        for f in range(self.layout.n_frames):
             self.restore_frame(f)
 
-    # only tests write single words; the benchmark's tracer looks the name
-    # up on this class
+    # only tests write single words; the benchmark's tracer patches it
     def write_word(self, frame: int, word: int, value: int) -> None:
         """Write a 32-bit word."""
         shift = word * WORD_BITS
@@ -172,20 +199,6 @@ class ConfigMemory:
                                & WORD_MASK) << shift)
 
     # -- queries ------------------------------------------------------------
-
-    def parity_store(self, frame: int) -> list[int]:
-        if frame not in self._parity:
-            golden = self.golden[frame]
-            self._parity[frame] = [
-                secded_encode(golden >> shift & WORD_MASK)
-                for shift in range(0, FRAME_BITS, WORD_BITS)]
-        return self._parity[frame]
-
-    def essential_bits(self, name: str) -> list[tuple[int, int]]:
-        """Component `name`'s essential (frame, bit) addresses, sorted,
-        decoded from `essential_mask`."""
-        return [(f, bit) for f in self.comp_frames[name]
-                for bit in _set_bits(self.essential_mask[f])]
 
     def healthy(self, name: str) -> bool:
         """No essential bit of component `name` is flipped."""
@@ -293,12 +306,12 @@ class Scrubber:
     """Cyclic frame scan with per-frame repair through the ICAP.
 
     replace mode reloads the golden frame; enhanced_repair corrects up to
-    one flipped bit per 32-bit word from the stored ECC, then compares
-    the frame with golden, reporting (but not fixing) multi-bit words.
-    An enhanced repair is one pass over the words that differ from golden,
-    found from the frame XOR golden, and commits every correction with one
-    frame write (`ConfigMemory.flip_bits`), so its cost follows the
-    damaged words, not the frame size.
+    one flipped bit per 32-bit word from the golden words' parity, stored
+    once per process (`Layout.parity_store`), then compares the frame with
+    golden, reporting (but not fixing) multi-bit words.  It is one pass
+    over the words that differ from golden, found from the frame XOR
+    golden, and commits every correction with one frame write
+    (`ConfigMemory.flip_bits`), so its cost follows the damaged words.
 
     The scan ticks every scan_period_us from the start of its chain (node
     start, and the end of each reset), and no tick is an engine event.  As
@@ -324,7 +337,7 @@ class Scrubber:
     scrubber is `asleep`: no tick finds damage or moves the pointer, and
     a tick reads only the health of cms_ctrl and wd_link, to stamp a
     heartbeat with its own time.  So an injection that flips neither's
-    essential bits (not in `wakers`) may pass it uncalled
+    essential bits (not in `Layout.wakers`) may pass it uncalled
     (`SimEngine.run_until`): its next call, still before the next
     event, accounts for those ticks by the same arithmetic, and stamps
     the same heartbeat and reserves the same slot as the skipped call.
@@ -363,20 +376,13 @@ class Scrubber:
         return self.repair_frame is not None or \
             not self.mem.healthy("cms_ctrl")
 
-    def wakers(self) -> frozenset:
-        """The addresses whose flip changes what an asleep tick reads:
-        the essential bits of cms_ctrl and wd_link."""
-        return frozenset(address for name in ("cms_ctrl", "wd_link")
-                         if name in self.mem.components
-                         for address in self.mem.essential_bits(name))
-
     def _plan(self) -> int | None:
         """The next tick that will find damage: the first whose frame is
         dirty with contents not already known to be uncorrectable, while
         the controller is functional and no repair is in progress."""
         if self.asleep:
             return None
-        n, frames = self.mem.n_frames, self.mem.frames
+        n, frames = self.mem.layout.n_frames, self.mem.frames
         ahead = min(((f - self.pointer) % n for f in self.mem.dirty
                      if self.known_uncorrectable.get(f) != frames[f]),
                     default=None)
@@ -408,7 +414,8 @@ class Scrubber:
         if self.mem.healthy("cms_ctrl"):
             self.node.heartbeat(self.start + last * self.period)
             if self.repair_frame is None:
-                self.pointer = (self.pointer + skipped) % self.mem.n_frames
+                self.pointer = ((self.pointer + skipped)
+                                % self.mem.layout.n_frames)
         self._next_tick()
 
     def step(self) -> None:
@@ -417,7 +424,7 @@ class Scrubber:
         self.ticks_done += 1
         self.node.heartbeat(self.node.engine.now)
         self.repair_frame = self.pointer
-        self.pointer = (self.pointer + 1) % self.mem.n_frames
+        self.pointer = (self.pointer + 1) % self.mem.layout.n_frames
         self.detections += 1
         self.node.icap.acquire("cms", self._on_grant)
         self._next_tick()
@@ -440,7 +447,7 @@ class Scrubber:
         # golden never changes, so the words that differ from it are
         # exactly the words with flipped bits
         damaged = current ^ self.mem.golden[frame]
-        parity = self.mem.parity_store(frame)
+        parity = self.mem.layout.parity_store(frame)
         fix = 0  # every bit the decoder flips, over the whole frame
         while damaged:  # highest damaged word first
             w = (damaged.bit_length() - 1) // WORD_BITS
@@ -499,14 +506,10 @@ class DprController:
         self.reloads = 0
 
     def request_reload(self, comp: str) -> None:
-        if not self.mem.healthy("dpr_ctrl"):
-            return
-        if comp == self.active or comp in self.queue:
-            return
-        if not self.mem.components[comp].reloadable:
-            return
-        self.queue.append(comp)
-        self._pump()
+        if (self.mem.healthy("dpr_ctrl") and comp in self.rotation
+                and comp != self.active and comp not in self.queue):
+            self.queue.append(comp)
+            self._pump()
 
     def blind_step(self) -> None:
         comp = self.rotation[self.rotation_idx]
@@ -521,7 +524,7 @@ class DprController:
 
     def _on_grant(self) -> None:
         duration = reload_duration_us(
-            self.mem.components[self.active].size_bytes())
+            self.mem.layout.components[self.active].size_bytes())
         self.node.after(duration, self.finish_reload, self.active)
 
     def finish_reload(self, comp: str) -> None:
@@ -701,8 +704,8 @@ class FpgaNode:
         else:
             correct, requests = self._datapath()
             state = None if correct else str(sorted(
-                (name, mem.corruption_tag(name)) for name in mem.components
-                if not mem.healthy(name)))
+                (n, mem.corruption_tag(n)) for n in mem.layout.components
+                if not mem.healthy(n)))
         now = self.engine.now
         self.health_log.append((now, scheduled_at, self.in_reset, correct,
                                 state))
@@ -728,7 +731,7 @@ class FpgaNode:
             self.scrubber.reset()
         if self.dpr is not None:
             self.dpr.reset()
-        self.after(reload_duration_us(self.mem.n_frames * FRAME_BYTES),
+        self.after(reload_duration_us(self.mem.layout.n_frames * FRAME_BYTES),
                    self._finish_reset)
 
     def _finish_reset(self) -> None:

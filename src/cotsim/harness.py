@@ -105,14 +105,12 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
     node = FpgaNode(engine, arch, campaign.window_us)
     try:
         node.start()
-        golden = node.mem.golden
+        mem, wakers = node.mem, node.mem.layout.wakers
 
         rng = np.random.default_rng(derive_stream_seed(seed, "fpga-inj"))
-        addresses, essential = build_fpga_campaign(campaign, node.mem, rng)
-        log = mutation_log(campaign, node.mem, addresses, essential)
+        addresses, essential = build_fpga_campaign(campaign, mem, rng)
+        log = mutation_log(campaign, mem, addresses, essential)
         end, period = campaign.duration_us, campaign.period_us
-        wakers = node.scrubber.wakers() if node.scrubber else ()
-        mem = node.mem
         pending: dict[int, int] = {}  # frame -> non-essential flips
 
         def run_engine(t, **kwargs):
@@ -144,7 +142,7 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
         node.close()
     classes = node.evaluate_window(seed, end)
 
-    if node.mem.golden != golden:
+    if node.mem.golden != node.mem.layout.golden:
         raise InvariantViolation("golden configuration store was mutated")
 
     pct = {c: 100.0 * classes.count(c) / len(classes) for c in CLASSES}

@@ -6,14 +6,15 @@ injection i fires at (i + 1) * period_us.  A run draws its addresses
 from the PCG64 stream seeded with `derive_stream_seed(seed, "fpga-inj")`.
 `inject_config_bit` executes one.  Every injection executes, even while
 the node is in reset: an essential one at its time, a non-essential one
-before the next engine work (`cotsim.harness.run_fpga`).  Whether a bit
-is essential is fixed by `ConfigMemory.essential_mask`, so the campaign
-flags its essential injections and the mutation log is a function of
-the campaign: `mutation_log` gives one line per injection, "<time_us>
-fpga_config_bit <frame>:<bit> <effect>", the effect being the owning
-component if the bit is essential, else "non_essential".  VPU trials
-corrupt their node directly (`cotsim.harness.run_vpu_trial`); only the
-tests corrupt a frame on the link (`tests/wire_bits.py`).
+before the next engine work (`cotsim.harness.run_fpga`).  The memory's
+`cotsim.fpga.Layout` fixes which bits are essential (`essential_flags`,
+where the campaign flags its essential injections) and each frame's log
+texts, so the mutation log is a function of the campaign: one line per
+injection, "<time_us> fpga_config_bit <frame>:<bit> <effect>", the
+effect being the owning component if the bit is essential, else
+"non_essential".  VPU trials corrupt their node directly
+(`cotsim.harness.run_vpu_trial`); only the tests corrupt a frame on the
+link (`tests/wire_bits.py`).
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import numpy as np
 
 from cotsim.config import CampaignConfig
 from cotsim.fpga import ConfigMemory, FRAME_BITS
-
-FPGA_KIND = "fpga_config_bit"
 
 
 class CampaignError(ValueError):
@@ -63,22 +62,23 @@ def build_fpga_campaign(cfg: CampaignConfig, mem: ConfigMemory,
     vectorised draw, which yields the same values as one scalar
     `rng.integers(0, n)` per injection for these ranges (all below 2**32).
     """
+    layout = mem.layout
     if cfg.target_mode == "components":
         pool = []
         for name in cfg.target_components:
-            if name not in mem.components:
+            if name not in layout.components:
                 raise CampaignError(f"unknown target component {name!r}")
-            pool.extend(mem.essential_bits(name))
+            pool.extend(layout.essential_bits(name))
         if not pool:
             raise CampaignError("empty target set")
         draws = rng.integers(0, len(pool), size=cfg.n_events()).tolist()
         return [pool[i] for i in draws], [True] * len(draws)
-    total = mem.n_frames * FRAME_BITS
+    total = layout.n_frames * FRAME_BITS
     if total == 0:
         raise CampaignError("empty target set")
     draws = rng.integers(0, total, size=cfg.n_events())
-    return ([divmod(g, FRAME_BITS) for g in draws.tolist()],
-            mem.essential_flags[draws].tolist())
+    hit = layout.essential_flags[draws >> 3] >> (draws & 7) & 1 == 1
+    return [divmod(g, FRAME_BITS) for g in draws.tolist()], hit.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +89,9 @@ def mutation_log(cfg: CampaignConfig, mem: ConfigMemory,
                  addresses: list[tuple[int, int]],
                  essential: list[bool]) -> MutationLog:
     """The log lines of the campaign's injections at `addresses`, flagged
-    `essential` as `build_fpga_campaign` returns them, in firing order.
-    Each frame's text and its two effects are formatted once per call."""
-    prefix = [f" {FPGA_KIND} {frame}:" for frame in range(mem.n_frames)]
-    effect = [(" non_essential", f" {owner}") for owner in mem.frame_owner]
+    `essential` as `build_fpga_campaign` returns them, in firing order,
+    from each frame's texts in the layout."""
+    prefix, effect = mem.layout.log_prefix, mem.layout.log_effects
     return MutationLog(
         f"{t}{prefix[frame]}{bit}{effect[frame][hit]}"
         for t, (frame, bit), hit in zip(
@@ -103,6 +102,6 @@ def mutation_log(cfg: CampaignConfig, mem: ConfigMemory,
 def inject_config_bit(mem: ConfigMemory, address: tuple) -> None:
     """Flip the bit at `address`."""
     frame, bit = address
-    if not (0 <= frame < mem.n_frames and 0 <= bit < FRAME_BITS):
+    if not (0 <= frame < mem.layout.n_frames and 0 <= bit < FRAME_BITS):
         raise CampaignError(f"address {address} outside configuration memory")
     mem.flip_bit(frame, bit)

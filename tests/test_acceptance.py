@@ -228,7 +228,7 @@ def test_criterion_7_repair_timing():
         eng = SimEngine()
         node = FpgaNode(eng, make_architecture("CMS"))
         node.start()
-        frame = node.mem.comp_frames["fir_0"].start
+        frame = node.mem.layout.comp_frames["fir_0"].start
         node.mem.flip_bit(frame, 11)
         while node.scrubber.repair_frame is None:
             eng.run_until(eng.now + node.arch.scan_period_us)
@@ -260,7 +260,7 @@ def test_criterion_8_icap_exclusivity():
             node.dpr.request_reload(comps[i % len(comps)])
 
         def dirt(i):
-            node.mem.flip_bit(node.mem.comp_frames["cms_ctrl"].start,
+            node.mem.flip_bit(node.mem.layout.comp_frames["cms_ctrl"].start,
                               8 * (i % 50))
 
         for i in range(25_000):

@@ -155,8 +155,8 @@ def test_byte_tables_equal_the_mask_defined_checks():
 
 def test_parity_store_encodes_every_golden_word():
     mem = ConfigMemory(make_architecture("CMS+DPR+TMR+WD").components)
-    for frame in range(mem.n_frames):
+    for frame in range(mem.layout.n_frames):
         golden = mem.golden[frame].to_bytes(FRAME_BYTES, "little")
-        assert mem.parity_store(frame) == [
+        assert mem.layout.parity_store(frame) == tuple(
             secded_encode(int.from_bytes(golden[i:i + 4], "little"))
-            for i in range(0, len(golden), 4)]
+            for i in range(0, len(golden), 4))

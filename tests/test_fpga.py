@@ -3,6 +3,7 @@ verdict against a sample-level FIR oracle, scrubbing and enhanced repair
 against a per-word oracle, partial reconfiguration, ICAP arbitration and
 watchdog reset."""
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -15,7 +16,7 @@ from cotsim.config import (ARCHITECTURES, FRAME_BYTES, ComponentSpec,
 from cotsim.ecc import secded_decode
 from cotsim.engine import SimEngine
 from cotsim.fpga import (FRAME_BITS, ConfigMemory, FpgaNode, IcapArbiter,
-                         InvariantViolation, Scrubber,
+                         InvariantViolation, Scrubber, layout_of,
                          VOTE_CORRECTED, VOTE_UNANIMOUS, VOTE_UNCORRECTABLE,
                          _down_below, corrupt_samples, reload_duration_us,
                          tmr_vote)
@@ -23,7 +24,7 @@ from cotsim.fpga import (FRAME_BITS, ConfigMemory, FpgaNode, IcapArbiter,
 
 def reset_us(node) -> int:
     """How long a full reset keeps the node down."""
-    return reload_duration_us(node.mem.n_frames * FRAME_BYTES)
+    return reload_duration_us(node.mem.layout.n_frames * FRAME_BYTES)
 
 
 def small_memory():
@@ -111,10 +112,10 @@ def test_vote_matches_counting_oracle(rows):
 def test_flip_tracking_and_health():
     mem = small_memory()
     assert mem.healthy("app") and mem.healthy("ctrl")
-    frame, bit = mem.essential_bits("app")[0]
+    frame, bit = mem.layout.essential_bits("app")[0]
     mem.flip_bit(frame, bit)
     assert mem.flipped_essential["app"] == [(frame, bit)]  # essential
-    assert mem.frame_owner[frame] == "app"
+    assert mem.layout.frame_owner[frame] == "app"
     assert not mem.healthy("app")
     assert frame in mem.dirty
     assert mem.frames[frame] != mem.golden[frame]
@@ -127,8 +128,8 @@ def test_flip_tracking_and_health():
 
 def test_non_essential_flip_dirties_without_breaking():
     mem = small_memory()
-    essential = mem.essential_bits("app")
-    frame = mem.comp_frames["app"].start
+    essential = mem.layout.essential_bits("app")
+    frame = mem.layout.comp_frames["app"].start
     bit = next(b for b in range(FRAME_BITS) if (frame, b) not in essential)
     mem.flip_bit(frame, bit)
     assert not any(mem.flipped_essential.values())
@@ -138,17 +139,17 @@ def test_non_essential_flip_dirties_without_breaking():
 
 def test_restore_component_heals_all_frames():
     mem = small_memory()
-    for frame, bit in mem.essential_bits("app")[:5]:
+    for frame, bit in mem.layout.essential_bits("app")[:5]:
         mem.flip_bit(frame, bit)
     mem.restore_component("app")
     assert mem.healthy("app")
-    assert all(f not in mem.dirty for f in mem.comp_frames["app"])
+    assert all(f not in mem.dirty for f in mem.layout.comp_frames["app"])
     assert mem.frames[0] == mem.golden[0]
 
 
 def test_corruption_tag_tracks_flip_set():
     mem = small_memory()
-    bits = mem.essential_bits("app")[:2]
+    bits = mem.layout.essential_bits("app")[:2]
     mem.flip_bit(*bits[0])
     tag1 = mem.corruption_tag("app")
     mem.flip_bit(*bits[1])
@@ -193,34 +194,36 @@ def test_golden_frames_and_essential_bits_match_the_old_generators(arch):
     mem = ConfigMemory(components)
     assert [g.to_bytes(FRAME_BYTES, "little") for g in mem.golden] == [
         bytes((index * 131 + i * 7) & 0xFF for i in range(FRAME_BYTES))
-        for index in range(mem.n_frames)]
+        for index in range(mem.layout.n_frames)]
     assert type(mem.golden) is tuple
     assert all(type(g) is int for g in mem.golden)
     assert mem.frames == list(mem.golden)
-    assert_essential_bits_match(mem, components)
+    assert_essential_bits_match(mem.layout, components)
 
 
 def test_essential_bits_match_the_old_generator_on_odd_sizes():
     components = [ComponentSpec("a", frames=3, essential_bits=7),
                   ComponentSpec("b", frames=1, essential_bits=FRAME_BITS),
                   ComponentSpec("c", frames=2, essential_bits=1)] + DENSE
-    assert_essential_bits_match(ConfigMemory(components), components)
+    assert_essential_bits_match(ConfigMemory(components).layout,
+                                components)
 
 
-def assert_essential_bits_match(mem, components):
+def assert_essential_bits_match(layout, components):
     """essential_bits gives the old generator's addresses, sorted; the
     mask has exactly those bits set, and frame_owner agrees."""
     old = old_essential(components)
-    assert {name: mem.essential_bits(name) for name in mem.components} == \
+    assert {name: layout.essential_bits(name)
+            for name in layout.components} == \
         {name: sorted(addrs) for name, addrs in old.items()}
-    assert all(type(f) is int and type(b) is int
-               for name in mem.components for f, b in mem.essential_bits(name))
+    assert all(type(f) is int and type(b) is int for name in layout.components
+               for f, b in layout.essential_bits(name))
     assert all(type(row) is int and 0 <= row < 1 << FRAME_BITS
-               for row in mem.essential_mask)
-    assert len(mem.essential_mask) == mem.n_frames
-    assert set_bits(mem.essential_mask, mem.n_frames) == \
+               for row in layout.essential_mask)
+    assert len(layout.essential_mask) == layout.n_frames
+    assert set_bits(layout.essential_mask, layout.n_frames) == \
         sorted(set().union(*old.values()))
-    assert all(mem.frame_owner[frame] == name
+    assert all(layout.frame_owner[frame] == name
                for name, addrs in old.items() for frame, _ in addrs)
 
 
@@ -262,8 +265,8 @@ def test_config_memory_tracking_and_tag_memo(ops):
     """After every op, the derived views equal views recomputed from the
     frame bytes and golden alone."""
     mem = ConfigMemory(DENSE)
-    essential = {name: set(mem.essential_bits(name))
-                 for name in mem.components}
+    essential = {name: set(mem.layout.essential_bits(name))
+                 for name in mem.layout.components}
     for op, *args in ops:
         if op == "write":
             frame, word, mask, from_golden = args
@@ -279,13 +282,73 @@ def test_config_memory_tracking_and_tag_memo(ops):
         else:
             getattr(mem, op)(*args)
         flipped = set_bits([f ^ g for f, g in zip(mem.frames, mem.golden)],
-                           mem.n_frames)
+                           mem.layout.n_frames)
         assert mem.dirty == {f for f, _ in flipped}
-        for name in mem.components:
+        for name in mem.layout.components:
             marks = [addr for addr in flipped if addr in essential[name]]
             assert mem.flipped_essential[name] == marks  # sorted
             assert mem.corruption_tag(name) == fresh_tag(marks)
             assert mem.healthy(name) == (not marks)
+
+
+# -- static layout ----------------------------------------------------------
+
+
+def test_equal_component_lists_share_one_layout():
+    """The layout is keyed by the components' fields, not by the list:
+    architectures built apart share it, and each memory keeps its own
+    mutable state over it."""
+    one = ConfigMemory(make_architecture("CMS+DPR+TMR+WD").components)
+    two = ConfigMemory(make_architecture("CMS+DPR+TMR+WD").components)
+    assert one.layout is two.layout
+    assert one.golden is one.layout.golden
+    frame, bit = one.layout.essential_bits("fir_0")[0]
+    one.flip_bit(frame, bit)
+    assert two.frames == list(two.layout.golden) and two.healthy("fir_0")
+    assert one.layout.golden[frame] == two.frames[frame] != one.frames[frame]
+
+
+def changed(spec: ComponentSpec, field: str) -> ComponentSpec:
+    value = getattr(spec, field)
+    return dataclasses.replace(spec, **{field: (
+        not value if type(value) is bool else
+        value + "x" if type(value) is str else value + 1)})
+
+
+@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize("field", ["name", "frames", "essential_bits",
+                                   "reloadable"])
+def test_a_list_differing_in_one_field_gets_its_own_layout(index, field):
+    base = small_memory().layout
+    components = list(base.components.values())
+    components[index] = changed(components[index], field)
+    assert ConfigMemory(components).layout is not base
+    assert ConfigMemory(components).layout is layout_of(tuple(components))
+
+
+def test_the_layout_cache_is_bounded():
+    """Generated component lists cannot grow the cache without limit."""
+    for n in range(1, 41):
+        layout_of((ComponentSpec("app", frames=1, essential_bits=n),))
+    info = layout_of.cache_info()
+    assert info.maxsize == 16 and info.currsize == 16
+
+
+def test_no_run_can_write_a_layout():
+    """What a layout holds is immutable, so one run cannot change what a
+    later run reads; only the parity table grows, with tuples."""
+    arch = make_architecture("CMS+DPR+TMR+WD")
+    layout = ConfigMemory(arch.components).layout
+    flags = layout.essential_flags
+    with pytest.raises(ValueError, match="read-only"):
+        flags[0] = not flags[0]
+    with pytest.raises(ValueError, match="read-only"):
+        flags[:] = False
+    for value in (layout.golden, layout.essential_mask, layout.frame_owner,
+                  layout.log_prefix, layout.log_effects,
+                  layout.parity_store(0)):
+        assert type(value) is tuple
+    assert type(layout.wakers) is frozenset
 
 
 # -- ICAP arbitration -------------------------------------------------------
@@ -343,7 +406,7 @@ def run_until_detection(eng, node, deadline=1_000_000):
 
 def test_scrubber_repairs_frame_after_exact_latency():
     eng, node = cms_node()
-    frame = node.mem.comp_frames["fir_0"].start
+    frame = node.mem.layout.comp_frames["fir_0"].start
     node.mem.flip_bit(frame, 123)
     detected_at = run_until_detection(eng, node)
     eng.run_until(detected_at + 17_999)
@@ -356,7 +419,7 @@ def test_scrubber_repairs_frame_after_exact_latency():
 
 def test_enhanced_repair_corrects_single_bit_per_word():
     eng, node = cms_node(scrub_mode="enhanced_repair")
-    frame = node.mem.comp_frames["fir_0"].start
+    frame = node.mem.layout.comp_frames["fir_0"].start
     node.mem.flip_bit(frame, 65)
     detected_at = run_until_detection(eng, node)
     eng.run_until(detected_at + 18_000)
@@ -367,7 +430,7 @@ def test_enhanced_repair_corrects_single_bit_per_word():
 
 def test_enhanced_repair_flags_multibit_word_uncorrectable():
     eng, node = cms_node(scrub_mode="enhanced_repair")
-    frame = node.mem.comp_frames["fir_0"].start
+    frame = node.mem.layout.comp_frames["fir_0"].start
     node.mem.flip_bit(frame, 64)
     node.mem.flip_bit(frame, 70)  # same 32-bit word
     detected_at = run_until_detection(eng, node)
@@ -382,8 +445,8 @@ def test_enhanced_repair_flags_multibit_word_uncorrectable():
 def test_scrubber_keeps_the_tick_grid_and_runs_no_tick_as_an_event():
     eng, node = cms_node()
     assert eng.run_until(1_000_000) == 0  # a clean memory needs no ticks
-    assert node.scrubber.pointer == 10_000 % node.mem.n_frames
-    frame = (node.scrubber.pointer + 5) % node.mem.n_frames
+    assert node.scrubber.pointer == 10_000 % node.mem.layout.n_frames
+    frame = (node.scrubber.pointer + 5) % node.mem.layout.n_frames
     node.mem.flip_bit(frame, 3)
     # the sixth tick after 1 s reaches the frame and starts its repair
     assert eng.run_until(1_000_599) == 0
@@ -407,7 +470,7 @@ def test_damage_undone_between_two_ticks_is_never_detected():
     node.mem.flip_bit(frame, 3)
     assert eng.run_until(1_100_000) == 0
     assert node.scrubber.detections == 0
-    assert node.scrubber.pointer == 11_000 % node.mem.n_frames
+    assert node.scrubber.pointer == 11_000 % node.mem.layout.n_frames
 
 
 def test_a_plan_made_before_a_reset_never_runs_after_it():
@@ -435,7 +498,7 @@ def test_skipped_ticks_still_send_heartbeats():
     eng.run_until(1_234)
     node.wd.check()
     assert node.wd.last_heartbeat == 1_200
-    node.mem.flip_bit(*node.mem.essential_bits("wd_link")[0])
+    node.mem.flip_bit(*node.mem.layout.essential_bits("wd_link")[0])
     eng.run_until(5_555)
     node.wd.check()
     assert node.wd.last_heartbeat == 1_200  # the status link is down
@@ -443,9 +506,9 @@ def test_skipped_ticks_still_send_heartbeats():
 
 def test_dead_controller_stops_scrubbing():
     eng, node = cms_node()
-    for addr in node.mem.essential_bits("cms_ctrl")[:1]:
+    for addr in node.mem.layout.essential_bits("cms_ctrl")[:1]:
         node.mem.flip_bit(*addr)
-    frame = node.mem.comp_frames["fir_0"].start
+    frame = node.mem.layout.comp_frames["fir_0"].start
     node.mem.flip_bit(frame, 9)
     eng.run_until(500_000)
     assert frame in node.mem.dirty
@@ -466,11 +529,11 @@ def test_dpr_reload_restores_region_after_transfer():
     eng = SimEngine()
     node = FpgaNode(eng, make_architecture("DPR"))
     node.start()
-    frame, bit = node.mem.essential_bits("fir_0")[0]
+    frame, bit = node.mem.layout.essential_bits("fir_0")[0]
     node.mem.flip_bit(frame, bit)
     node.dpr.request_reload("fir_0")
     duration = reload_duration_us(
-        node.mem.components["fir_0"].size_bytes())
+        node.mem.layout.components["fir_0"].size_bytes())
     eng.run_until(duration - 1)
     assert not node.mem.healthy("fir_0")
     eng.run_until(duration)
@@ -482,7 +545,7 @@ def test_dpr_requests_dropped_when_controller_dead():
     eng = SimEngine()
     node = FpgaNode(eng, make_architecture("DPR"))
     node.start()
-    for addr in node.mem.essential_bits("dpr_ctrl")[:1]:
+    for addr in node.mem.layout.essential_bits("dpr_ctrl")[:1]:
         node.mem.flip_bit(*addr)
     node.dpr.request_reload("fir_0")
     assert node.dpr.active is None and not node.dpr.queue
@@ -541,7 +604,7 @@ def reference_pipeline(node):
 
 def flip_first(node, *names):
     for name in names:
-        node.mem.flip_bit(*node.mem.essential_bits(name)[0])
+        node.mem.flip_bit(*node.mem.layout.essential_bits(name)[0])
 
 
 def test_tmr_masks_single_replica_and_requests_repair():
@@ -607,9 +670,9 @@ def test_datapath_matches_the_pipeline(arch, ops):
     for op, *args in ops:
         if op == "restore_all":
             mem.restore_all()
-        elif args[0] in mem.components:
+        elif args[0] in mem.layout.components:
             if op == "flip":
-                mem.flip_bit(*mem.essential_bits(args[0])[args[1]])
+                mem.flip_bit(*mem.layout.essential_bits(args[0])[args[1]])
             else:
                 mem.restore_component(args[0])
         assert node._datapath() == reference_pipeline(node)
@@ -667,7 +730,7 @@ def test_window_watcher_is_armed_only_while_a_fir_replica_needs_a_reload():
     assert windows.watch_key is None
     # an injection at a window time comes before that window
     eng.run_until(3_000, scheduled_before=1)
-    fir_1 = node.mem.essential_bits("fir_1")[0]
+    fir_1 = node.mem.layout.essential_bits("fir_1")[0]
     node.mem.flip_bit(*fir_1)
     node.log_change()
     assert windows.watch_key == (3_000, 1, -1)
@@ -676,11 +739,11 @@ def test_window_watcher_is_armed_only_while_a_fir_replica_needs_a_reload():
     assert dpr.active == "fir_1"
     # the reload ends, fir_1 is healthy again, and nothing is requested
     eng.run_until(3_000 + reload_duration_us(
-        node.mem.components["fir_1"].size_bytes()))
+        node.mem.layout.components["fir_1"].size_bytes()))
     assert node.mem.healthy("fir_1") and dpr.reloads == 1
     assert windows.watch_key is None
     # a dead DPR controller drops every request, so none arms the watcher
-    node.mem.flip_bit(*node.mem.essential_bits("dpr_ctrl")[0])
+    node.mem.flip_bit(*node.mem.layout.essential_bits("dpr_ctrl")[0])
     node.mem.flip_bit(*fir_1)
     node.log_change()
     assert not node.mem.healthy("fir_1") and windows.watch_key is None
@@ -698,7 +761,7 @@ def reference_enhanced_repair(scrubber, frame):
 
     damaged_words = np.flatnonzero(
         words(mem.frames[frame]) != words(mem.golden[frame])).tolist()
-    parity = mem.parity_store(frame)
+    parity = mem.layout.parity_store(frame)
     for w in damaged_words:
         value, status = secded_decode(read_word(mem, frame, w), parity[w])
         if status == "corrected":
@@ -738,7 +801,7 @@ def test_enhanced_repair_matches_the_per_word_reference(frame, rounds):
     repair."""
     nodes = [FpgaNode(SimEngine(), make_architecture("CMS+DPR+TMR+WD"))
              for _ in range(2)]
-    assert nodes[0].mem.n_frames == 19
+    assert nodes[0].mem.layout.n_frames == 19
     for damage in rounds:
         for node in nodes:
             for word, bits in damage:
@@ -756,7 +819,7 @@ def test_watchdog_resets_on_lost_heartbeat():
     eng = SimEngine()
     node = FpgaNode(eng, make_architecture("CMS+DPR+TMR+WD"))
     node.start()
-    for addr in node.mem.essential_bits("cms_ctrl"):
+    for addr in node.mem.layout.essential_bits("cms_ctrl"):
         node.mem.flip_bit(*addr)
     eng.run_until(node.arch.wd_timeout_us * 2)
     assert node.epoch == 1
@@ -777,7 +840,7 @@ def test_reset_invalidates_stale_events():
     node = FpgaNode(eng, make_architecture("CMS+DPR+TMR+WD"))
     node.start()
     scrubber, dpr = node.scrubber, node.dpr
-    frame, bit = node.mem.essential_bits("fir_1")[0]
+    frame, bit = node.mem.layout.essential_bits("fir_1")[0]
 
     def put_in_flight():
         """Damage fir_1; the scrubber's repair of it holds the ICAP and a
@@ -796,7 +859,8 @@ def test_reset_invalidates_stale_events():
     assert not node.in_reset and node.mem.healthy("fir_1")
     new_due = put_in_flight()
     assert new_due > old_due
-    reload_us = reload_duration_us(node.mem.components["fir_1"].size_bytes())
+    reload_us = reload_duration_us(
+        node.mem.layout.components["fir_1"].size_bytes())
     # past the old repair's and the old reload's due times
     eng.run_until(old_due + reload_us)
     assert scrubber.repairs == 0 and dpr.reloads == 0

@@ -18,7 +18,7 @@ from cotsim import harness
 from cotsim.config import ARCHITECTURES, CampaignConfig, make_architecture
 from cotsim.engine import SimEngine
 from cotsim.fpga import (FRAME_BITS, ConfigMemory, FpgaNode,
-                         InvariantViolation, Scrubber)
+                         InvariantViolation, Layout, Scrubber, layout_of)
 from cotsim.injector import (build_fpga_campaign, derive_stream_seed,
                              inject_config_bit, mutation_log)
 from cotsim.harness import (CLASSES, emit_matrix, fit_lambda,
@@ -199,7 +199,7 @@ def test_mutation_log_equals_the_executed_flips(monkeypatch, arch, campaign,
 
     def inject(mem, address):
         frame, bit = address
-        owner = mem.frame_owner[frame]
+        owner = mem.layout.frame_owner[frame]
         before = list(mem.flipped_essential[owner])
         inject_config_bit(mem, address)
         changed = mem.flipped_essential[owner] != before
@@ -241,7 +241,8 @@ def live_verdict(node, state_seed):
         return "correct"
     mem = node.mem
     state = str(sorted((name, mem.corruption_tag(name))
-                       for name in mem.components if not mem.healthy(name)))
+                       for name in mem.layout.components
+                       if not mem.healthy(name)))
     digest = hashlib.blake2b(
         f"{state_seed}:{node.engine.now}:{state}".encode(),
         digest_size=8).digest()
@@ -462,8 +463,45 @@ def test_run_fpga_flips_non_essential_bits_once_per_frame(monkeypatch):
     _report, log = run_fpga("No-FT", CampaignConfig(), seed=0)
     essential = sum(not line.endswith(" non_essential") for line in log)
     assert 0 < calls["inject"] == essential < len(log)
-    n_frames = ConfigMemory(make_architecture("No-FT").components).n_frames
-    assert 0 < calls["flip_bits"] - calls["inject"] <= n_frames == 2
+    layout = ConfigMemory(make_architecture("No-FT").components).layout
+    assert 0 < calls["flip_bits"] - calls["inject"] <= layout.n_frames == 2
+
+
+def layout_state(layout: Layout) -> dict:
+    """Every field of a layout, comparable with ==; the parity table as
+    `parity_store` gives it for every frame."""
+    state = {name: value.tolist() if isinstance(value, np.ndarray) else value
+             for name, value in vars(layout).items() if name != "_parity"}
+    state["parity"] = [layout.parity_store(f) for f in range(layout.n_frames)]
+    return state
+
+
+def test_cold_and_warm_layouts_give_identical_runs():
+    """A run reads nothing that an earlier run left in the shared layouts.
+    Every architecture runs on the default campaign and at period_us 1000
+    over an empty cache, then again in reverse order over the warm one:
+    reports and mutation logs are equal, and afterwards every cached
+    layout equals one built fresh."""
+    layout_of.cache_clear()
+    cases = [(arch, campaign, seed) for arch in ARCHITECTURES
+             for seed, campaign in enumerate(
+                 (CampaignConfig(), CampaignConfig(period_us=1_000)))]
+
+    def play(case):
+        report, log = run_fpga(*case)
+        return report.to_json(), log
+
+    cold = [play(case) for case in cases]
+    warm = [play(case) for case in reversed(cases)][::-1]
+    assert cold == warm
+    assert layout_of.cache_info().currsize == len(ARCHITECTURES)
+    for arch in ARCHITECTURES:
+        components = tuple(make_architecture(arch).components)
+        cached = layout_of(components)
+        # the one architecture that repairs from parity filled its table
+        assert bool(cached._parity) == (arch == "CMS+DPR+TMR+WD")
+        assert not cached.essential_flags.flags.writeable
+        assert layout_state(cached) == layout_state(Layout(components))
 
 
 def test_run_fpga_detects_a_mutated_golden_store(monkeypatch):

@@ -29,7 +29,7 @@ def test_campaign_schedule_shape():
     addresses, essential = build_fpga_campaign(cfg, mem, rng(3))
     assert len(addresses) == len(essential) == 10
     for frame, bit in addresses:
-        assert 0 <= frame < mem.n_frames
+        assert 0 <= frame < mem.layout.n_frames
         assert 0 <= bit < FRAME_BITS
 
 
@@ -47,7 +47,7 @@ def test_components_mode_targets_essential_bits_only():
                          target_components=["ctrl"])
     mem = memory()
     addresses, essential = build_fpga_campaign(cfg, mem, rng(1))
-    assert set(addresses) <= set(mem.essential_bits("ctrl"))
+    assert set(addresses) <= set(mem.layout.essential_bits("ctrl"))
     assert essential == [True] * len(addresses)
 
 
@@ -71,11 +71,11 @@ def test_bad_campaigns_rejected():
 def test_inject_config_bit_records_effect():
     mem = memory()
     assert MutationLog().text() == ""
-    frame, bit = mem.essential_bits("app")[0]
+    frame, bit = mem.layout.essential_bits("app")[0]
     inject_config_bit(mem, (frame, bit))
     assert not mem.healthy("app")
     non_essential = next(b for b in range(FRAME_BITS)
-                         if (0, b) not in mem.essential_bits("app"))
+                         if (0, b) not in mem.layout.essential_bits("app"))
     inject_config_bit(mem, (0, non_essential))
     assert mem.dirty == {0, frame}
     log = mutation_log(CampaignConfig(duration_us=8_000, period_us=4_000),
@@ -86,8 +86,8 @@ def test_inject_config_bit_records_effect():
                           "non_essential\n")
     # an integer frame would silently widen where a byte array raised
     frames = list(mem.frames)
-    for address in ((99, 0), (mem.n_frames, 0), (-1, 0), (0, FRAME_BITS),
-                    (0, -1)):
+    for address in ((99, 0), (mem.layout.n_frames, 0), (-1, 0),
+                    (0, FRAME_BITS), (0, -1)):
         with pytest.raises(CampaignError, match="outside configuration"):
             inject_config_bit(mem, address)
     assert mem.frames == frames
@@ -97,13 +97,13 @@ def test_inject_config_bit_records_effect():
 def scalar_campaign(cfg, mem, rng):
     """The campaign as one scalar draw per injection."""
     pool = [addr for name in cfg.target_components
-            for addr in mem.essential_bits(name)]
+            for addr in mem.layout.essential_bits(name)]
     addresses = []
     for _ in range(cfg.n_events()):
         if cfg.target_mode == "components":
             addresses.append(pool[int(rng.integers(0, len(pool)))])
         else:
-            g = int(rng.integers(0, mem.n_frames * FRAME_BITS))
+            g = int(rng.integers(0, mem.layout.n_frames * FRAME_BITS))
             addresses.append((g // FRAME_BITS, g % FRAME_BITS))
     return addresses
 
@@ -124,7 +124,7 @@ def test_vectorised_draw_matches_scalar_draws(frames, essential, mode):
         assert addresses == scalar_campaign(cfg, mem, rng(seed))
         assert all(type(f) is int and type(b) is int for f, b in addresses)
         # the flags looked up from the draw are the masks' bits
-        assert flags == [mem.essential_mask[f] >> b & 1 == 1
+        assert flags == [mem.layout.essential_mask[f] >> b & 1 == 1
                          for f, b in addresses]
         assert all(type(hit) is bool for hit in flags)
 
