@@ -1,7 +1,10 @@
 """SECDED code over 32-bit words: Hamming(38,32) plus an overall parity bit.
 
 Used by the scrubber's algorithmic repair mode: one flipped bit per word
-is correctable, two flipped bits are detected but not correctable.
+is correctable, two flipped bits are detected but not correctable.  The
+code is linear (below), so against the parity of the word as written
+the verdict depends only on which bits flipped; the scrubber decodes
+only words with 3 or more, which the decoder may miscorrect.
 
 Data bit i sits at code position _DATA_POSITIONS[i].  The Hamming check
 at position 2**j covers every position with bit j set, so data bit i

@@ -134,18 +134,18 @@ class ConfigMemory:
     little-endian integer of FRAME_BITS bits.  The frames are the one
     source of truth, and `flip_bits` is their one write, which every
     flip, word write and restore goes through.  It keeps two derived
-    views in step: `dirty`, the frames that differ from golden, and
-    `flipped_essential`, each component's flipped essential bits as a
-    sorted list of (frame, bit) marks, next to their `repr` texts so a
-    tag never sorts or formats the whole set.  `version` bumps whenever
-    a component's marks change, and the change drops that component's
-    memoized corruption tag."""
+    views in step: `dirty`, whose bit f is set iff frame f differs from
+    golden, and `flipped_essential`, each component's flipped essential
+    bits as a sorted list of (frame, bit) marks, next to their `repr`
+    texts so a tag never sorts or formats the whole set.  `version`
+    bumps whenever a component's marks change, and the change drops that
+    component's memoized corruption tag."""
 
     def __init__(self, components: list[ComponentSpec]):
         self.layout = layout_of(tuple(components))
         self.golden = self.layout.golden  # read on every write
         self.frames = list(self.golden)
-        self.dirty: set[int] = set()
+        self.dirty = 0  # bit f: frame f differs from golden
         self.flipped_essential = {n: [] for n in self.layout.components}
         self._mark_texts = {n: [] for n in self.layout.components}
         self.version = 0
@@ -157,9 +157,9 @@ class ConfigMemory:
         """XOR `mask` into frame `frame`: the one write."""
         value = self.frames[frame] = self.frames[frame] ^ mask
         if value == self.golden[frame]:
-            self.dirty.discard(frame)
+            self.dirty &= ~(1 << frame)
         else:
-            self.dirty.add(frame)
+            self.dirty |= 1 << frame
         toggled = mask & self.layout.essential_mask[frame]
         if toggled:
             comp = self.layout.frame_owner[frame]
@@ -180,7 +180,7 @@ class ConfigMemory:
         self.flip_bits(frame, 1 << bit)
 
     def restore_frame(self, frame: int) -> None:
-        if frame in self.dirty:
+        if self.dirty >> frame & 1:
             self.flip_bits(frame, self.frames[frame] ^ self.golden[frame])
 
     def restore_component(self, name: str) -> None:
@@ -188,7 +188,7 @@ class ConfigMemory:
             self.restore_frame(f)
 
     def restore_all(self) -> None:
-        for f in range(self.layout.n_frames):
+        for f in _set_bits(self.dirty):
             self.restore_frame(f)
 
     # only tests write single words; the benchmark's tracer patches it
@@ -306,12 +306,14 @@ class Scrubber:
     """Cyclic frame scan with per-frame repair through the ICAP.
 
     replace mode reloads the golden frame; enhanced_repair corrects up to
-    one flipped bit per 32-bit word from the golden words' parity, stored
-    once per process (`Layout.parity_store`), then compares the frame with
-    golden, reporting (but not fixing) multi-bit words.  It is one pass
-    over the words that differ from golden, found from the frame XOR
-    golden, and commits every correction with one frame write
-    (`ConfigMemory.flip_bits`), so its cost follows the damaged words.
+    one flipped bit per 32-bit word and reports (but does not fix)
+    multi-bit words, in one pass over the words of the frame XOR golden
+    and one frame write (`ConfigMemory.flip_bits`).  The stored parity is
+    the golden word's (`Layout.parity_store`) and SECDED is linear, so a
+    word's verdict depends only on its error e = word ^ golden: one bit
+    is "corrected" to golden (the fix is e), two are "double".  Only
+    words with 3 or more flipped bits, which the decoder may miscorrect,
+    go through `secded_decode`.
 
     The scan ticks every scan_period_us from the start of its chain (node
     start, and the end of each reset), and no tick is an engine event.  As
@@ -379,14 +381,17 @@ class Scrubber:
     def _plan(self) -> int | None:
         """The next tick that will find damage: the first whose frame is
         dirty with contents not already known to be uncorrectable, while
-        the controller is functional and no repair is in progress."""
+        the controller is functional and no repair is in progress (bit k
+        of the candidates rotated right by the pointer: k ticks ahead)."""
         if self.asleep:
             return None
-        n, frames = self.mem.layout.n_frames, self.mem.frames
-        ahead = min(((f - self.pointer) % n for f in self.mem.dirty
-                     if self.known_uncorrectable.get(f) != frames[f]),
-                    default=None)
-        return None if ahead is None else self.ticks_done + 1 + ahead
+        m, frames = self.mem.dirty, self.mem.frames
+        for f, contents in self.known_uncorrectable.items():
+            if frames[f] == contents:
+                m &= ~(1 << f)
+        n, p = self.mem.layout.n_frames, self.pointer
+        r = m >> p | m << (n - p) & ((1 << n) - 1)
+        return self.ticks_done + (r & -r).bit_length() if r else None
 
     def advance(self, bound: tuple) -> None:
         """Run the next tick if it finds damage; otherwise account for
@@ -444,24 +449,26 @@ class Scrubber:
 
     def _enhanced_repair(self, frame: int) -> None:
         current = self.mem.frames[frame]
-        # golden never changes, so the words that differ from it are
-        # exactly the words with flipped bits
         damaged = current ^ self.mem.golden[frame]
-        parity = self.mem.layout.parity_store(frame)
+        parity = self.mem.layout.parity_store  # read for weight 3 and up
         fix = 0  # every bit the decoder flips, over the whole frame
         while damaged:  # highest damaged word first
             w = (damaged.bit_length() - 1) // WORD_BITS
             shift = w * WORD_BITS
+            error = damaged >> shift
             damaged &= (1 << shift) - 1
-            word = current >> shift & WORD_MASK
-            value, status = secded_decode(word, parity[w])
-            if status == "corrected":
-                fix ^= (value ^ word) << shift
+            weight = error.bit_count()
+            if weight == 1:  # decodes "corrected", to golden
+                fix ^= error << shift
+            elif weight > 2:  # weight 2 decodes "double": no fix
+                word = current >> shift & WORD_MASK
+                value, status = secded_decode(word, parity(frame)[w])
+                if status == "corrected":
+                    fix ^= (value ^ word) << shift
         if fix:
             self.mem.flip_bits(frame, fix)
-        if frame in self.mem.dirty:
-            # still differs from golden: some word had more than one
-            # flipped bit
+        if self.mem.dirty >> frame & 1:
+            # still differs from golden: some word had 2+ flipped bits
             self.uncorrectable += 1
             self.known_uncorrectable[frame] = self.mem.frames[frame]
         else:

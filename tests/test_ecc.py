@@ -1,8 +1,10 @@
 """SECDED code tests: single-bit correction, double-bit detection."""
 
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cotsim import ecc
@@ -46,6 +48,44 @@ def test_all_double_data_flips_detected():
         got, status = secded_decode(corrupted, parity)
         assert status == "double"
         assert got == corrupted  # no silent miscorrection
+
+
+# -- verdict by error weight -------------------------------------------------
+# Against the parity of the word as written, the code's linearity makes the
+# verdict a function of the error e = word ^ golden alone.  The scrubber's
+# enhanced repair decides weights 1 and 2 without the decoder.
+
+GOLDEN_WORDS = [0, 0xFFFFFFFF, 0xA5A5A5A5] + [
+    int(w) for w in np.random.default_rng(26).integers(0, 1 << 32, size=3)]
+
+
+def errors_of_weight(weight):
+    return [sum(1 << b for b in bits)
+            for bits in combinations(range(32), weight)]
+
+
+@pytest.mark.parametrize("golden", GOLDEN_WORDS)
+def test_one_flipped_bit_corrects_to_golden_and_two_are_double(golden):
+    parity = secded_encode(golden)
+    singles, doubles = errors_of_weight(1), errors_of_weight(2)
+    assert (len(singles), len(doubles)) == (32, 496)
+    for e in singles:
+        assert secded_decode(golden ^ e, parity) == (golden, "corrected")
+    for e in doubles:
+        assert secded_decode(golden ^ e, parity) == (golden ^ e, "double")
+
+
+@pytest.mark.parametrize("golden", GOLDEN_WORDS)
+def test_three_flipped_bits_need_the_decoder(golden):
+    """No rule by weight holds at 3: most patterns are "corrected" to a
+    wrong word, the rest are double, and none comes back golden."""
+    parity = secded_encode(golden)
+    verdicts = Counter()
+    for e in errors_of_weight(3):
+        value, status = secded_decode(golden ^ e, parity)
+        assert value != golden
+        verdicts[status] += 1
+    assert verdicts == {"corrected": 3396, "double": 1564}
 
 
 def test_random_words_single_flip_roundtrip():

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cotsim.config import (ARCHITECTURES, FRAME_BYTES, ComponentSpec,
                            make_architecture)
@@ -117,12 +117,12 @@ def test_flip_tracking_and_health():
     assert mem.flipped_essential["app"] == [(frame, bit)]  # essential
     assert mem.layout.frame_owner[frame] == "app"
     assert not mem.healthy("app")
-    assert frame in mem.dirty
+    assert mem.dirty >> frame & 1
     assert mem.frames[frame] != mem.golden[frame]
     # flipping the same bit back heals the component
     mem.flip_bit(frame, bit)
     assert mem.healthy("app")
-    assert frame not in mem.dirty
+    assert not mem.dirty >> frame & 1
     assert mem.frames[frame] == mem.golden[frame]
 
 
@@ -134,7 +134,7 @@ def test_non_essential_flip_dirties_without_breaking():
     mem.flip_bit(frame, bit)
     assert not any(mem.flipped_essential.values())
     assert mem.healthy("app")
-    assert frame in mem.dirty
+    assert mem.dirty >> frame & 1
 
 
 def test_restore_component_heals_all_frames():
@@ -143,7 +143,7 @@ def test_restore_component_heals_all_frames():
         mem.flip_bit(frame, bit)
     mem.restore_component("app")
     assert mem.healthy("app")
-    assert all(f not in mem.dirty for f in mem.layout.comp_frames["app"])
+    assert all(not mem.dirty >> f & 1 for f in mem.layout.comp_frames["app"])
     assert mem.frames[0] == mem.golden[0]
 
 
@@ -171,7 +171,7 @@ def test_write_word_keeps_flip_tracking_exact():
     mem = small_memory()
     mem.flip_bit(0, 37)  # inside word 1
     mem.write_word(0, 1, golden_word(mem, 0, 1))
-    assert 0 not in mem.dirty
+    assert not mem.dirty & 1
     assert mem.frames[0] == mem.golden[0]
 
 
@@ -283,7 +283,7 @@ def test_config_memory_tracking_and_tag_memo(ops):
             getattr(mem, op)(*args)
         flipped = set_bits([f ^ g for f, g in zip(mem.frames, mem.golden)],
                            mem.layout.n_frames)
-        assert mem.dirty == {f for f, _ in flipped}
+        assert mem.dirty == sum({1 << f for f, _ in flipped})
         for name in mem.layout.components:
             marks = [addr for addr in flipped if addr in essential[name]]
             assert mem.flipped_essential[name] == marks  # sorted
@@ -410,9 +410,9 @@ def test_scrubber_repairs_frame_after_exact_latency():
     node.mem.flip_bit(frame, 123)
     detected_at = run_until_detection(eng, node)
     eng.run_until(detected_at + 17_999)
-    assert frame in node.mem.dirty
+    assert node.mem.dirty >> frame & 1
     eng.run_until(detected_at + 18_000)
-    assert frame not in node.mem.dirty
+    assert not node.mem.dirty >> frame & 1
     assert node.scrubber.repairs == 1
     assert node.icap.owner is None
 
@@ -423,7 +423,7 @@ def test_enhanced_repair_corrects_single_bit_per_word():
     node.mem.flip_bit(frame, 65)
     detected_at = run_until_detection(eng, node)
     eng.run_until(detected_at + 18_000)
-    assert frame not in node.mem.dirty
+    assert not node.mem.dirty >> frame & 1
     assert node.scrubber.repairs == 1
     assert node.scrubber.uncorrectable == 0
 
@@ -435,7 +435,7 @@ def test_enhanced_repair_flags_multibit_word_uncorrectable():
     node.mem.flip_bit(frame, 70)  # same 32-bit word
     detected_at = run_until_detection(eng, node)
     eng.run_until(detected_at + 18_000)
-    assert frame in node.mem.dirty
+    assert node.mem.dirty >> frame & 1
     assert node.scrubber.uncorrectable == 1
     # the scrubber remembers the signature and does not retry forever
     eng.run_until(detected_at + 200_000)
@@ -456,9 +456,9 @@ def test_scrubber_keeps_the_tick_grid_and_runs_no_tick_as_an_event():
     assert node.scrubber.detections == 1
     # the repair ends 18 ms after that tick: the one event
     assert eng.run_until(1_018_599) == 0
-    assert frame in node.mem.dirty
+    assert node.mem.dirty >> frame & 1
     assert eng.run_until(1_018_600) == 1
-    assert frame not in node.mem.dirty
+    assert not node.mem.dirty >> frame & 1
 
 
 def test_damage_undone_between_two_ticks_is_never_detected():
@@ -511,7 +511,7 @@ def test_dead_controller_stops_scrubbing():
     frame = node.mem.layout.comp_frames["fir_0"].start
     node.mem.flip_bit(frame, 9)
     eng.run_until(500_000)
-    assert frame in node.mem.dirty
+    assert node.mem.dirty >> frame & 1
     assert node.scrubber.detections == 0
 
 
@@ -766,7 +766,7 @@ def reference_enhanced_repair(scrubber, frame):
         value, status = secded_decode(read_word(mem, frame, w), parity[w])
         if status == "corrected":
             mem.write_word(frame, w, value)
-    if frame in mem.dirty:
+    if mem.dirty >> frame & 1:
         scrubber.uncorrectable += 1
         scrubber.known_uncorrectable[frame] = mem.frames[frame]
     else:
@@ -810,6 +810,99 @@ def test_enhanced_repair_matches_the_per_word_reference(frame, rounds):
         nodes[0].scrubber._enhanced_repair(frame)
         reference_enhanced_repair(nodes[1].scrubber, frame)
         assert repair_state(nodes[0], frame) == repair_state(nodes[1], frame)
+
+
+def test_enhanced_repair_decodes_only_words_of_three_or_more_bits(
+        monkeypatch):
+    """One and two flipped bits have a fixed verdict (tests/test_ecc.py),
+    so the repair reads neither the decoder nor the parity table for
+    them."""
+    node = FpgaNode(SimEngine(), make_architecture("CMS+DPR+TMR+WD"))
+    mem, decoded, parity_reads = node.mem, [], []
+    stored = mem.layout.parity_store
+
+    def decode(word, parity):
+        decoded.append(word)
+        return secded_decode(word, parity)
+
+    def parity_store(frame):
+        parity_reads.append(frame)
+        return stored(frame)
+
+    monkeypatch.setattr("cotsim.fpga.secded_decode", decode)
+    monkeypatch.setattr(mem.layout, "parity_store", parity_store)
+    # word 0 has one flipped bit, word 1 two, word 2 three
+    mem.flip_bits(3, 1 << 5 | 0b11 << 32 | 0b10101 << 64)
+    node.scrubber._enhanced_repair(3)
+    assert decoded == [(mem.golden[3] >> 64 & 0xFFFFFFFF) ^ 0b10101]
+    assert parity_reads == [3]
+    # the single is fixed, the double left as it is
+    assert (mem.frames[3] ^ mem.golden[3]) & (1 << 64) - 1 == 0b11 << 32
+    mem.flip_bits(7, 1 << 100 | 0b11 << 200)
+    node.scrubber._enhanced_repair(7)
+    assert len(decoded) == len(parity_reads) == 1
+    assert mem.frames[7] ^ mem.golden[7] == 0b11 << 200
+
+
+# -- scan plan oracle -------------------------------------------------------
+
+
+def reference_plan(scrubber):
+    """`Scrubber._plan` as first written: a scan of every dirty frame, here
+    with the dirty frames found from the frames themselves."""
+    if scrubber.asleep:
+        return None
+    mem, n = scrubber.mem, scrubber.mem.layout.n_frames
+    dirty = {f for f in range(n) if mem.frames[f] != mem.golden[f]}
+    ahead = min(((f - scrubber.pointer) % n for f in dirty
+                 if scrubber.known_uncorrectable.get(f) != mem.frames[f]),
+                default=None)
+    return None if ahead is None else scrubber.ticks_done + 1 + ahead
+
+
+WD_FRAMES = 19  # CMS+DPR+TMR+WD; fir_0 holds frames 0 and 1
+FRAMES = st.integers(0, 3) | st.integers(0, WD_FRAMES - 1)
+POINTERS = st.sampled_from([0, WD_FRAMES - 1]) | st.integers(0, WD_FRAMES - 1)
+# a repair leaves a frame with a double error known uncorrectable; an equal
+# damage round flips it back to those contents, a reload to golden
+PLAN_OPS = st.lists(st.one_of(
+    st.tuples(st.just("damage"), FRAMES, DAMAGE),
+    st.tuples(st.just("repair"), FRAMES),
+    st.tuples(st.just("reload"), st.sampled_from(
+        ["fir_0", "fir_1", "fir_2", "voter_in", "voter_out"])),
+    st.tuples(st.just("pointer"), POINTERS)), max_size=30)
+DOUBLE = [(0, {0, 1})]
+
+
+@settings(max_examples=200, deadline=None)
+@given(POINTERS, st.integers(0, 10**6), PLAN_OPS)
+# known uncorrectable, then changed (a candidate again), then flipped back
+# to the recorded contents (excluded again)
+@example(WD_FRAMES - 1, 0, [("damage", 1, DOUBLE), ("repair", 1),
+                            ("damage", 1, [(3, {7})]), ("pointer", 0),
+                            ("damage", 1, [(3, {7})])])
+# known uncorrectable, restored to golden by a reload, damaged again
+@example(0, 5, [("damage", 0, DOUBLE), ("repair", 0), ("reload", "fir_0"),
+                ("damage", 0, [(1, {2})]), ("pointer", WD_FRAMES - 1)])
+def test_plan_matches_the_scan_of_every_dirty_frame(pointer, ticks_done, ops):
+    node = FpgaNode(SimEngine(), make_architecture("CMS+DPR+TMR+WD"))
+    assert node.mem.layout.n_frames == WD_FRAMES
+    scrubber = node.scrubber
+    scrubber.pointer, scrubber.ticks_done = pointer, ticks_done
+    assert scrubber._plan() is None
+    for op, *args in ops:
+        if op == "damage":
+            frame, damage = args
+            for word, bits in damage:
+                for bit in bits:
+                    node.mem.flip_bit(frame, 32 * word + bit)
+        elif op == "repair":
+            scrubber._enhanced_repair(*args)
+        elif op == "reload":
+            node.mem.restore_component(*args)
+        else:
+            scrubber.pointer = args[0]
+        assert scrubber._plan() == reference_plan(scrubber)
 
 
 # -- watchdog ---------------------------------------------------------------
@@ -864,7 +957,7 @@ def test_reset_invalidates_stale_events():
     # past the old repair's and the old reload's due times
     eng.run_until(old_due + reload_us)
     assert scrubber.repairs == 0 and dpr.reloads == 0
-    assert frame in node.mem.dirty and node.icap.owner == "cms"
+    assert node.mem.dirty >> frame & 1 and node.icap.owner == "cms"
     # the new epoch's repair and reload finish on their own schedule
     eng.run_until(new_due)
     assert scrubber.repairs == 1 and node.mem.healthy("fir_1")

@@ -77,7 +77,7 @@ def test_inject_config_bit_records_effect():
     non_essential = next(b for b in range(FRAME_BITS)
                          if (0, b) not in mem.layout.essential_bits("app"))
     inject_config_bit(mem, (0, non_essential))
-    assert mem.dirty == {0, frame}
+    assert mem.dirty == 1 | 1 << frame
     log = mutation_log(CampaignConfig(duration_us=8_000, period_us=4_000),
                        mem, [(frame, bit), (0, non_essential)],
                        [True, False])
