@@ -451,7 +451,7 @@ class Scrubber:
         current = self.mem.frames[frame]
         damaged = current ^ self.mem.golden[frame]
         parity = self.mem.layout.parity_store  # read for weight 3 and up
-        fix = 0  # every bit the decoder flips, over the whole frame
+        fix = 0  # every bit the repair flips, over the whole frame
         while damaged:  # highest damaged word first
             w = (damaged.bit_length() - 1) // WORD_BITS
             shift = w * WORD_BITS

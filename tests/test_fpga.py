@@ -861,16 +861,16 @@ def reference_plan(scrubber):
 
 
 WD_FRAMES = 19  # CMS+DPR+TMR+WD; fir_0 holds frames 0 and 1
-FRAMES = st.integers(0, 3) | st.integers(0, WD_FRAMES - 1)
+FRAMES = st.integers(0, 1) | st.integers(0, WD_FRAMES - 1)
 POINTERS = st.sampled_from([0, WD_FRAMES - 1]) | st.integers(0, WD_FRAMES - 1)
-# a repair leaves a frame with a double error known uncorrectable; an equal
-# damage round flips it back to those contents, a reload to golden
+# a damage round, then maybe a repair, which leaves a frame with a double
+# error known uncorrectable; a later equal round flips it back to those
+# contents, a reload to golden
 PLAN_OPS = st.lists(st.one_of(
-    st.tuples(st.just("damage"), FRAMES, DAMAGE),
-    st.tuples(st.just("repair"), FRAMES),
+    st.tuples(st.just("damage"), FRAMES, DAMAGE, st.booleans()),
     st.tuples(st.just("reload"), st.sampled_from(
         ["fir_0", "fir_1", "fir_2", "voter_in", "voter_out"])),
-    st.tuples(st.just("pointer"), POINTERS)), max_size=30)
+    st.tuples(st.just("pointer"), POINTERS)), min_size=2, max_size=30)
 DOUBLE = [(0, {0, 1})]
 
 
@@ -878,12 +878,12 @@ DOUBLE = [(0, {0, 1})]
 @given(POINTERS, st.integers(0, 10**6), PLAN_OPS)
 # known uncorrectable, then changed (a candidate again), then flipped back
 # to the recorded contents (excluded again)
-@example(WD_FRAMES - 1, 0, [("damage", 1, DOUBLE), ("repair", 1),
-                            ("damage", 1, [(3, {7})]), ("pointer", 0),
-                            ("damage", 1, [(3, {7})])])
+@example(WD_FRAMES - 1, 0, [("damage", 1, DOUBLE, True),
+                            ("damage", 1, [(3, {7})], False), ("pointer", 0),
+                            ("damage", 1, [(3, {7})], False)])
 # known uncorrectable, restored to golden by a reload, damaged again
-@example(0, 5, [("damage", 0, DOUBLE), ("repair", 0), ("reload", "fir_0"),
-                ("damage", 0, [(1, {2})]), ("pointer", WD_FRAMES - 1)])
+@example(0, 5, [("damage", 0, DOUBLE, True), ("reload", "fir_0"),
+                ("damage", 0, [(1, {2})], False), ("pointer", WD_FRAMES - 1)])
 def test_plan_matches_the_scan_of_every_dirty_frame(pointer, ticks_done, ops):
     node = FpgaNode(SimEngine(), make_architecture("CMS+DPR+TMR+WD"))
     assert node.mem.layout.n_frames == WD_FRAMES
@@ -892,12 +892,12 @@ def test_plan_matches_the_scan_of_every_dirty_frame(pointer, ticks_done, ops):
     assert scrubber._plan() is None
     for op, *args in ops:
         if op == "damage":
-            frame, damage = args
+            frame, damage, repair = args
             for word, bits in damage:
                 for bit in bits:
                     node.mem.flip_bit(frame, 32 * word + bit)
-        elif op == "repair":
-            scrubber._enhanced_repair(*args)
+            if repair:
+                scrubber._enhanced_repair(frame)
         elif op == "reload":
             node.mem.restore_component(*args)
         else:
