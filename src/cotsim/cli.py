@@ -68,8 +68,8 @@ def cmd_run(args) -> int:
     report, log = run_fpga(args.arch, campaign, args.seed)
     with open(os.path.join(args.out, "report.json"), "w") as fh:
         fh.write(report.to_json())
-    with open(os.path.join(args.out, "mutations.log"), "w") as fh:
-        fh.write(log.text())
+    with open(os.path.join(args.out, "mutations.log"), "wb") as fh:
+        fh.write(log)
     print(f"{report.architecture} seed={report.seed} "
           f"down={report.down_pct:.1f}% "
           f"erroneous={report.erroneous_pct:.1f}% "

@@ -59,6 +59,14 @@ def _frame_ints(rows: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
 
+def text_table(texts) -> np.ndarray:
+    """The byte strings `texts` as a read-only numpy bytes array, whose
+    fixed width pads each with NULs (no text holds one)."""
+    table = np.array(list(texts), dtype=bytes)
+    table.flags.writeable = False
+    return table
+
+
 def _set_bits(mask: int):
     """The positions of the bits set in `mask`, lowest first."""
     while mask:
@@ -71,13 +79,14 @@ class Layout:
     """What a configuration memory fixes from its component list alone,
     built once per process per list (`layout_of`, keyed by every field of
     every component) and shared by every `ConfigMemory` over an equal one.
-    No run writes it: its sequences are tuples, its flags a read-only array,
-    and only its parity table grows, by frame.  `essential_mask` holds each
-    frame's essential bits, `essential_bits` decodes a component's, and
-    `essential_flags` packs them for a campaign's draw, bit g of the memory
-    at bit g % 8 of byte g // 8.  `wakers` are the addresses whose flip
-    changes what an asleep scrubber tick reads (`Scrubber`); `log_prefix`
-    and `log_effects` are each frame's mutation-log texts."""
+    No run writes it: its sequences are tuples, its flags and log texts
+    read-only arrays, and only its parity table grows, by frame.
+    `essential_mask` holds each frame's essential bits, `essential_bits`
+    decodes a component's, and `essential_flags` packs them for a
+    campaign's draw, bit g of the memory at bit g % 8 of byte g // 8.
+    `wakers` are the addresses whose flip changes what an asleep scrubber
+    tick reads (`Scrubber`); `log_texts` are each frame's mutation-log
+    texts."""
 
     def __init__(self, components: tuple[ComponentSpec, ...]):
         self.components = {c.name: c for c in components}
@@ -104,11 +113,17 @@ class Layout:
         self.wakers = frozenset(a for name in ("cms_ctrl", "wd_link")
                                 if name in self.components
                                 for a in self.essential_bits(name))
-        self.log_prefix = tuple(f" fpga_config_bit {frame}:"
-                                for frame in range(self.n_frames))
-        self.log_effects = tuple((" non_essential", f" {owner}")
-                                 for owner in self.frame_owner)
         self._parity: dict[int, tuple[int, ...]] = {}
+
+    @functools.cached_property
+    def log_texts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each frame's mutation-log texts as `text_table`s, built on
+        first use: entry f of the first is " fpga_config_bit <f>:", entry
+        2 * f + essential of the second the effect that ends the line."""
+        return (text_table(b" fpga_config_bit %d:" % frame
+                           for frame in range(self.n_frames)),
+                text_table(text for owner in self.frame_owner for text in
+                           (b" non_essential\n", f" {owner}\n".encode())))
 
     def essential_bits(self, name: str) -> list[tuple[int, int]]:
         """Component `name`'s essential (frame, bit) addresses, sorted."""

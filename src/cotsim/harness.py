@@ -79,8 +79,17 @@ class RunReport:
     window_classes: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        # vars, not asdict, which would deep-copy window_classes
-        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
+        """`json.dumps(vars(self), sort_keys=True, indent=2)` and a newline.
+        An indented dump runs json's pure-Python encoder, so the long
+        `window_classes` list, whose class names need no escaping, is
+        rendered here and spliced into the dump of the other fields."""
+        classes = self.window_classes
+        listed = ('[\n    "' + '",\n    "'.join(classes) + '"\n  ]'
+                  if classes else "[]")
+        text = json.dumps({**vars(self), "window_classes": None},
+                          sort_keys=True, indent=2)
+        return text.replace('"window_classes": null',
+                            '"window_classes": ' + listed, 1) + "\n"
 
 
 def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
@@ -98,7 +107,10 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
     `log_change`, which can arm the window watcher; an injection that
     wakes the scrubber always moves it.  The node classifies the windows
     from its health log after the run (`FpgaNode.evaluate_window`).  The
-    mutation log follows from the campaign (`mutation_log`)."""
+    loop reads the campaign's arrays as ints; wakers are essential bits,
+    so only an essential injection looks its address up.  The mutation
+    log follows from the campaign (`mutation_log`): its bytes are what
+    the report's digest hashes and what `cotsim run` writes."""
     if isinstance(arch, str):
         arch = make_architecture(arch)
     engine = SimEngine()
@@ -108,8 +120,8 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
         mem, wakers = node.mem, node.mem.layout.wakers
 
         rng = np.random.default_rng(derive_stream_seed(seed, "fpga-inj"))
-        addresses, essential = build_fpga_campaign(campaign, mem, rng)
-        log = mutation_log(campaign, mem, addresses, essential)
+        frames, bits, essential = build_fpga_campaign(campaign, mem, rng)
+        log = mutation_log(campaign, mem, frames, bits, essential)
         end, period = campaign.duration_us, campaign.period_us
         pending: dict[int, int] = {}  # frame -> non-essential flips
 
@@ -121,17 +133,17 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
 
         version = mem.version
         awake, every = engine.due()
-        for t, address, hit in zip(range(period, end + 1, period),
-                                   addresses, essential):
-            wake = address in wakers
+        for t, frame, bit, hit in zip(range(period, end + 1, period),
+                                      frames.tolist(), bits.tolist(),
+                                      essential.tolist()):
+            wake = hit and (frame, bit) in wakers
             ran = (every if wake else awake) < (t, 1)
             if ran:
                 run_engine(t, scheduled_before=1, wake=wake)
             if hit:
                 engine.now = t
-                inject_config_bit(mem, address)
+                inject_config_bit(mem, (frame, bit))
             else:
-                frame, bit = address
                 pending[frame] = pending.get(frame, 0) ^ 1 << bit
             if ran or mem.version != version:
                 node.log_change()  # may arm the window watcher
@@ -162,7 +174,7 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
         scrub_uncorrectable=scrub.uncorrectable if scrub else 0,
         dpr_reloads=node.dpr.reloads if node.dpr else 0,
         icap_grants=node.icap.grants,
-        mutation_digest=hashlib.sha256(log.text().encode()).hexdigest(),
+        mutation_digest=hashlib.sha256(log).hexdigest(),
         window_classes=classes,
     )
     return report, log

@@ -1,7 +1,8 @@
 """Fault-injection campaigns: schedule generation and mutation execution.
 
 A campaign flips configuration-memory bits of the FPGA node:
-`build_fpga_campaign` lists one (frame, bit) address per injection, and
+`build_fpga_campaign` draws one (frame, bit) address per injection, as
+arrays of frames, bits and essential flags in firing order, and
 injection i fires at (i + 1) * period_us.  A run draws its addresses
 from the PCG64 stream seeded with `derive_stream_seed(seed, "fpga-inj")`.
 `inject_config_bit` executes one.  Every injection executes, even while
@@ -9,33 +10,35 @@ the node is in reset: an essential one at its time, a non-essential one
 before the next engine work (`cotsim.harness.run_fpga`).  The memory's
 `cotsim.fpga.Layout` fixes which bits are essential (`essential_flags`,
 where the campaign flags its essential injections) and each frame's log
-texts, so the mutation log is a function of the campaign: one line per
-injection, "<time_us> fpga_config_bit <frame>:<bit> <effect>", the
-effect being the owning component if the bit is essential, else
-"non_essential".  VPU trials corrupt their node directly
+texts, so the mutation log is a function of the campaign: the bytes of
+one line per injection, "<time_us> fpga_config_bit <frame>:<bit>
+<effect>", the effect being the owning component if the bit is
+essential, else "non_essential".  VPU trials corrupt their node directly
 (`cotsim.harness.run_vpu_trial`); only the tests corrupt a frame on the
 link (`tests/wire_bits.py`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
 from cotsim.config import CampaignConfig
-from cotsim.fpga import ConfigMemory, FRAME_BITS
+from cotsim.fpga import ConfigMemory, FRAME_BITS, text_table
 
 
 class CampaignError(ValueError):
     pass
 
 
-class MutationLog(list):
-    """The mutation-log lines of one run, in execution order."""
+class MutationLog(bytes):
+    """The mutation log of one run as written: one line per injection,
+    in firing order."""
 
     def text(self) -> str:
-        return "\n".join(self) + "\n" if self else ""
+        return self.decode()
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +55,9 @@ def derive_stream_seed(root_seed: int, label: str) -> int:
 
 def build_fpga_campaign(cfg: CampaignConfig, mem: ConfigMemory,
                         rng: np.random.Generator
-                        ) -> tuple[list[tuple[int, int]], list[bool]]:
-    """Resolve the campaign's (frame, bit) addresses, in firing order, and
-    whether each flips an essential bit.
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The campaign's frames, bits and essential flags, one entry per
+    injection in firing order.
 
     utilized_area mode samples uniformly over every bit of the enabled
     components' frames; components mode samples uniformly over the
@@ -71,32 +74,48 @@ def build_fpga_campaign(cfg: CampaignConfig, mem: ConfigMemory,
             pool.extend(layout.essential_bits(name))
         if not pool:
             raise CampaignError("empty target set")
-        draws = rng.integers(0, len(pool), size=cfg.n_events()).tolist()
-        return [pool[i] for i in draws], [True] * len(draws)
+        draws = rng.integers(0, len(pool), size=cfg.n_events())
+        frames, bits = np.array(pool).T
+        return frames[draws], bits[draws], np.ones(draws.size, dtype=bool)
     total = layout.n_frames * FRAME_BITS
     if total == 0:
         raise CampaignError("empty target set")
     draws = rng.integers(0, total, size=cfg.n_events())
     hit = layout.essential_flags[draws >> 3] >> (draws & 7) & 1 == 1
-    return [divmod(g, FRAME_BITS) for g in draws.tolist()], hit.tolist()
+    frames, bits = np.divmod(draws, FRAME_BITS)
+    return frames, bits, hit
 
 
 # ---------------------------------------------------------------------------
 # mutation execution
 
 
-def mutation_log(cfg: CampaignConfig, mem: ConfigMemory,
-                 addresses: list[tuple[int, int]],
-                 essential: list[bool]) -> MutationLog:
-    """The log lines of the campaign's injections at `addresses`, flagged
-    `essential` as `build_fpga_campaign` returns them, in firing order,
-    from each frame's texts in the layout."""
-    prefix, effect = mem.layout.log_prefix, mem.layout.log_effects
-    return MutationLog(
-        f"{t}{prefix[frame]}{bit}{effect[frame][hit]}"
-        for t, (frame, bit), hit in zip(
-            range(cfg.period_us, cfg.duration_us + 1, cfg.period_us),
-            addresses, essential))
+@functools.lru_cache(maxsize=8)  # a campaign's times, and the bit numbers
+def _number_texts(start: int, stop: int, step: int) -> np.ndarray:
+    """The decimal texts of range(start, stop, step) as a `text_table`."""
+    return text_table(b"%d" % n for n in range(start, stop, step))
+
+
+def mutation_log(cfg: CampaignConfig, mem: ConfigMemory, frames: np.ndarray,
+                 bits: np.ndarray, essential: np.ndarray) -> MutationLog:
+    """The log of the campaign's injections, as `build_fpga_campaign`
+    returns them, rendered in one pass: each line is one record that
+    gathers its time, its frame's prefix, its bit number and its frame's
+    effect from NUL-padded text tables, and one mask over the records'
+    bytes drops the padding."""
+    prefix, effect = mem.layout.log_texts
+    columns = {
+        "time": _number_texts(cfg.period_us, cfg.duration_us + 1,
+                              cfg.period_us),
+        "prefix": prefix[frames],
+        "bit": _number_texts(0, FRAME_BITS, 1)[bits],
+        "effect": effect[2 * frames + essential]}
+    rows = np.empty(len(frames), [(name, column.dtype)
+                                  for name, column in columns.items()])
+    for name, column in columns.items():
+        rows[name] = column
+    text = rows.view(np.uint8)
+    return MutationLog(text[text != 0].tobytes())
 
 
 def inject_config_bit(mem: ConfigMemory, address: tuple) -> None:

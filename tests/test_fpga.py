@@ -336,7 +336,8 @@ def test_the_layout_cache_is_bounded():
 
 def test_no_run_can_write_a_layout():
     """What a layout holds is immutable, so one run cannot change what a
-    later run reads; only the parity table grows, with tuples."""
+    later run reads; only the parity table grows, with tuples, and the log
+    texts are built once, read-only."""
     arch = make_architecture("CMS+DPR+TMR+WD")
     layout = ConfigMemory(arch.components).layout
     flags = layout.essential_flags
@@ -344,8 +345,12 @@ def test_no_run_can_write_a_layout():
         flags[0] = not flags[0]
     with pytest.raises(ValueError, match="read-only"):
         flags[:] = False
+    assert type(layout.log_texts) is tuple
+    assert layout.log_texts is layout.log_texts
+    for table in layout.log_texts:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = b"x"
     for value in (layout.golden, layout.essential_mask, layout.frame_owner,
-                  layout.log_prefix, layout.log_effects,
                   layout.parity_store(0)):
         assert type(value) is tuple
     assert type(layout.wakers) is frozenset

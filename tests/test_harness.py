@@ -95,7 +95,7 @@ def test_run_fpga_report_fields():
     assert report.down_pct + report.erroneous_pct + report.correct_pct \
         == pytest.approx(100.0)
     # injection i fires at (i + 1) * period_us
-    assert [int(line.split()[0]) for line in log] == \
+    assert [int(line.split()[0]) for line in log.splitlines()] == \
         [4_000 * (i + 1) for i in range(50)]
     payload = json.loads(report.to_json())
     assert payload["seed"] == 1
@@ -108,6 +108,21 @@ def test_report_json_is_the_asdict_text():
     report, _log = run_fpga("CMS+DPR+TMR+WD", campaign, seed=0)
     assert report.to_json() == json.dumps(
         dataclasses.asdict(report), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("arch", list(ARCHITECTURES))
+def test_report_json_splices_the_window_classes_into_the_dump(arch):
+    """`to_json` renders the window classes itself and splices them into
+    the dump of the other fields: byte for byte the indented dump of the
+    whole field dict, for a report of every architecture, and with no
+    window classes and no failure rate."""
+    campaign = CampaignConfig(duration_us=400_000, period_us=1_000)
+    report, _log = run_fpga(arch, campaign, seed=0)
+    assert len(set(report.window_classes)) > 1
+    bare = dataclasses.replace(report, window_classes=[], lam_per_s=None)
+    for r in (report, bare):
+        assert r.to_json() == json.dumps(vars(r), sort_keys=True,
+                                         indent=2) + "\n"
 
 
 # every class occurs in both runs, and for one class of each the share
@@ -154,7 +169,7 @@ def test_a_run_cut_after_k_windows_is_a_prefix_of_the_full_run(
     report, log = run_fpga(arch, full, seed)
     cut_report, cut_log = run_fpga(arch, cut, seed)
     assert cut_report.window_classes == report.window_classes[:k]
-    assert len(cut_log) == cut.n_events()
+    assert cut_log.count(b"\n") == cut.n_events()
     assert cut_log == log[:len(cut_log)]
 
 
@@ -210,12 +225,13 @@ def test_mutation_log_equals_the_executed_flips(monkeypatch, arch, campaign,
     monkeypatch.setattr(harness, "FpgaNode", Recorded)
     monkeypatch.setattr(harness, "inject_config_bit", inject)
     report, log = run_fpga(arch, campaign, seed)
-    assert len(log) == campaign.n_events()
+    lines = log.text().splitlines()
+    assert len(lines) == campaign.n_events()
     assert "".join(line for line, _ in live) == "".join(
-        line + "\n" for line in log if not line.endswith(" non_essential"))
+        line + "\n" for line in lines if not line.endswith(" non_essential"))
     assert report.mutation_digest == \
         hashlib.sha256(log.text().encode()).hexdigest()
-    effects = {line.split()[-1] for line in log}
+    effects = {line.split()[-1] for line in lines}
     if campaign.target_mode == "components":
         assert effects == set(campaign.target_components)
     else:
@@ -260,12 +276,13 @@ def live_window_run(arch, campaign, seed):
     node = FpgaNode(engine, arch)
     node.start()
     rng = np.random.default_rng(derive_stream_seed(seed, "fpga-inj"))
-    addresses, essential = build_fpga_campaign(campaign, node.mem, rng)
-    log = mutation_log(campaign, node.mem, addresses, essential)
+    frames, bits, essential = build_fpga_campaign(campaign, node.mem, rng)
+    log = mutation_log(campaign, node.mem, frames, bits, essential)
     end, period, window = (campaign.duration_us, campaign.period_us,
                            campaign.window_us)
     injections = [(t, 0, address) for t, address
-                  in zip(range(period, end + 1, period), addresses)]
+                  in zip(range(period, end + 1, period),
+                         zip(frames.tolist(), bits.tolist()))]
     windows = [(t, 1, None) for t in range(window, end + 1, window)]
     classes = []
     for t, is_window, address in sorted(injections + windows):
@@ -461,18 +478,22 @@ def test_run_fpga_flips_non_essential_bits_once_per_frame(monkeypatch):
     monkeypatch.setattr(harness, "inject_config_bit", inject)
     monkeypatch.setattr(ConfigMemory, "flip_bits", write)
     _report, log = run_fpga("No-FT", CampaignConfig(), seed=0)
-    essential = sum(not line.endswith(" non_essential") for line in log)
-    assert 0 < calls["inject"] == essential < len(log)
+    lines = log.text().splitlines()
+    essential = sum(not line.endswith(" non_essential") for line in lines)
+    assert 0 < calls["inject"] == essential < len(lines)
     layout = ConfigMemory(make_architecture("No-FT").components).layout
     assert 0 < calls["flip_bits"] - calls["inject"] <= layout.n_frames == 2
 
 
 def layout_state(layout: Layout) -> dict:
     """Every field of a layout, comparable with ==; the parity table as
-    `parity_store` gives it for every frame."""
+    `parity_store` gives it for every frame, and the log texts, which are
+    built on first use, as `log_texts` gives them."""
     state = {name: value.tolist() if isinstance(value, np.ndarray) else value
-             for name, value in vars(layout).items() if name != "_parity"}
+             for name, value in vars(layout).items()
+             if name not in ("_parity", "log_texts")}
     state["parity"] = [layout.parity_store(f) for f in range(layout.n_frames)]
+    state["log_texts"] = [table.tolist() for table in layout.log_texts]
     return state
 
 

@@ -1,10 +1,14 @@
 """Injection campaign construction and mutation execution tests."""
 
+import hashlib
+
 import pytest
 
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
-from cotsim.config import CampaignConfig, ComponentSpec, make_architecture
+from cotsim.config import (ARCHITECTURES, CampaignConfig, ComponentSpec,
+                           make_architecture)
 from cotsim.fpga import FRAME_BITS, ConfigMemory
 from cotsim.harness import run_fpga
 from cotsim.injector import (CampaignError, MutationLog, build_fpga_campaign,
@@ -23,21 +27,32 @@ def memory():
     ])
 
 
+def as_lists(campaign):
+    """A campaign's frames, bits and essential flags as lists."""
+    return tuple(column.tolist() for column in campaign)
+
+
+def addresses(campaign):
+    """A campaign's (frame, bit) addresses, in firing order."""
+    frames, bits, _essential = as_lists(campaign)
+    return list(zip(frames, bits))
+
+
 def test_campaign_schedule_shape():
     cfg = CampaignConfig(duration_us=40_000, period_us=4_000)
     mem = memory()
-    addresses, essential = build_fpga_campaign(cfg, mem, rng(3))
-    assert len(addresses) == len(essential) == 10
-    for frame, bit in addresses:
+    frames, bits, essential = build_fpga_campaign(cfg, mem, rng(3))
+    assert len(frames) == len(bits) == len(essential) == 10
+    for frame, bit in zip(frames.tolist(), bits.tolist()):
         assert 0 <= frame < mem.layout.n_frames
         assert 0 <= bit < FRAME_BITS
 
 
 def test_campaign_is_deterministic_per_seed():
     cfg = CampaignConfig()
-    one = build_fpga_campaign(cfg, memory(), rng(9))
-    two = build_fpga_campaign(cfg, memory(), rng(9))
-    other = build_fpga_campaign(cfg, memory(), rng(10))
+    one = as_lists(build_fpga_campaign(cfg, memory(), rng(9)))
+    two = as_lists(build_fpga_campaign(cfg, memory(), rng(9)))
+    other = as_lists(build_fpga_campaign(cfg, memory(), rng(10)))
     assert one == two
     assert one != other
 
@@ -46,9 +61,10 @@ def test_components_mode_targets_essential_bits_only():
     cfg = CampaignConfig(duration_us=400_000, target_mode="components",
                          target_components=["ctrl"])
     mem = memory()
-    addresses, essential = build_fpga_campaign(cfg, mem, rng(1))
-    assert set(addresses) <= set(mem.layout.essential_bits("ctrl"))
-    assert essential == [True] * len(addresses)
+    campaign = build_fpga_campaign(cfg, mem, rng(1))
+    drawn = addresses(campaign)
+    assert set(drawn) <= set(mem.layout.essential_bits("ctrl"))
+    assert as_lists(campaign)[2] == [True] * len(drawn)
 
 
 def test_bad_campaigns_rejected():
@@ -79,8 +95,8 @@ def test_inject_config_bit_records_effect():
     inject_config_bit(mem, (0, non_essential))
     assert mem.dirty == 1 | 1 << frame
     log = mutation_log(CampaignConfig(duration_us=8_000, period_us=4_000),
-                       mem, [(frame, bit), (0, non_essential)],
-                       [True, False])
+                       mem, np.array([frame, 0]),
+                       np.array([bit, non_essential]), np.array([True, False]))
     assert log.text() == (f"4000 fpga_config_bit {frame}:{bit} app\n"
                           f"8000 fpga_config_bit 0:{non_essential} "
                           "non_essential\n")
@@ -120,12 +136,14 @@ def test_vectorised_draw_matches_scalar_draws(frames, essential, mode):
     cfg = CampaignConfig(duration_us=300_000, period_us=1_000,
                          target_mode=mode, target_components=["app"])
     for seed in (0, 1, 7, 2**40 + 3):
-        addresses, flags = build_fpga_campaign(cfg, mem, rng(seed))
-        assert addresses == scalar_campaign(cfg, mem, rng(seed))
-        assert all(type(f) is int and type(b) is int for f, b in addresses)
+        campaign = build_fpga_campaign(cfg, mem, rng(seed))
+        drawn = addresses(campaign)
+        assert drawn == scalar_campaign(cfg, mem, rng(seed))
+        assert all(type(f) is int and type(b) is int for f, b in drawn)
         # the flags looked up from the draw are the masks' bits
+        flags = as_lists(campaign)[2]
         assert flags == [mem.layout.essential_mask[f] >> b & 1 == 1
-                         for f, b in addresses]
+                         for f, b in drawn]
         assert all(type(hit) is bool for hit in flags)
 
 
@@ -163,3 +181,85 @@ def test_campaign_stream_is_pcg64_of_the_derived_seed():
         np.random.PCG64(derive_stream_seed(3, "fpga-inj")))
     _report, log = run_fpga("No-FT", cfg, seed=3)
     assert log == mutation_log(cfg, mem, *build_fpga_campaign(cfg, mem, pcg))
+
+
+# -- the rendered mutation log ----------------------------------------------
+
+
+def per_line_log(cfg, mem, frames, bits, essential) -> str:
+    """The log as one f-string per line: the renderer that the one-pass
+    `mutation_log` replaced, kept as its oracle."""
+    prefix = tuple(f" fpga_config_bit {frame}:"
+                   for frame in range(mem.layout.n_frames))
+    effect = tuple((" non_essential", f" {owner}")
+                   for owner in mem.layout.frame_owner)
+    lines = [f"{t}{prefix[frame]}{bit}{effect[frame][hit]}"
+             for t, frame, bit, hit in zip(
+                 range(cfg.period_us, cfg.duration_us + 1, cfg.period_us),
+                 frames.tolist(), bits.tolist(), essential.tolist())]
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def one_window(duration_us, period_us, targets=None):
+    """A campaign of one window, in components mode if `targets`."""
+    return CampaignConfig(
+        duration_us=duration_us, period_us=period_us, window_us=duration_us,
+        **({"target_mode": "components", "target_components": targets}
+           if targets else {}))
+
+
+@st.composite
+def campaigns(draw):
+    """(architecture, campaign) in either target mode, with at least ten
+    injections, so that the time gains a digit within the run."""
+    arch = draw(st.sampled_from(list(ARCHITECTURES)))
+    period = draw(st.integers(1, 2_000))
+    duration = (period * draw(st.integers(10, 2_000))
+                + draw(st.integers(0, period - 1)))
+    names = [c.name for c in make_architecture(arch).components]
+    targets = draw(st.none() | st.lists(st.sampled_from(names), min_size=1,
+                                        unique=True))
+    return arch, one_window(duration, period, targets)
+
+
+# CMS+DPR+TMR+WD has 19 frames
+@example(("CMS+DPR+TMR+WD", one_window(14_000, 7)), 0,
+         [(0, 18, 0, True), (1, 10, 3_231, False), (1_999, 9, 3_231, True),
+          (1_998, 0, 0, False)])
+@example(("CMS+DPR+TMR+WD",
+          one_window(4_000_000, 1_000, ["cms_ctrl", "wd_link"])), 0, [])
+@example(("TMR", one_window(5, 3)), 0, [])  # one injection
+@example(("No-FT", one_window(5, 6)), 0, [])  # none
+@settings(max_examples=200, deadline=None)
+@given(campaigns(), st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 18),
+                          st.integers(0, FRAME_BITS - 1), st.booleans()),
+                max_size=4))
+def test_mutation_log_renders_the_per_line_log(run, seed, edits):
+    """`mutation_log` gives byte for byte the per-line log, for every
+    architecture and target mode, times that gain digits, and addresses
+    set by hand: each edit (i, frame, bit, hit) sets injection i modulo
+    the count to frame modulo the frame count, bit and flag."""
+    arch, campaign = run
+    mem = ConfigMemory(make_architecture(arch).components)
+    frames, bits, essential = build_fpga_campaign(campaign, mem, rng(seed))
+    n = len(frames)
+    for i, frame, bit, hit in edits if n else ():
+        frames[i % n] = frame % mem.layout.n_frames
+        bits[i % n], essential[i % n] = bit, hit
+    log = mutation_log(campaign, mem, frames, bits, essential)
+    assert type(log) is MutationLog
+    assert log == per_line_log(campaign, mem, frames, bits,
+                               essential).encode()
+    assert log.count(b"\n") == n == campaign.n_events()
+
+
+def test_a_campaign_without_injections_logs_nothing():
+    """A period longer than the run draws no injection: the log is empty
+    and the report's digest is that of no bytes."""
+    for arch in ("No-FT", "CMS+DPR+TMR+WD"):
+        for campaign in (one_window(4_000, 5_000),
+                         one_window(4_000, 5_000, ["fir_0"])):
+            report, log = run_fpga(arch, campaign, seed=0)
+            assert log == b"" and log.text() == ""
+            assert report.mutation_digest == hashlib.sha256(b"").hexdigest()
