@@ -80,13 +80,12 @@ class Layout:
     built once per process per list (`layout_of`, keyed by every field of
     every component) and shared by every `ConfigMemory` over an equal one.
     No run writes it: its sequences are tuples, its flags and log texts
-    read-only arrays, and only its parity table grows, by frame.
-    `essential_mask` holds each frame's essential bits, `essential_bits`
-    decodes a component's, and `essential_flags` packs them for a
-    campaign's draw, bit g of the memory at bit g % 8 of byte g // 8.
-    `wakers` are the addresses whose flip changes what an asleep scrubber
-    tick reads (`Scrubber`); `log_texts` are each frame's mutation-log
-    texts."""
+    read-only arrays.  `essential_mask` holds each frame's essential
+    bits, `essential_bits` decodes a component's, and `essential_flags`
+    packs them for a campaign's draw, bit g of the memory at bit g % 8 of
+    byte g // 8.  `wakers` are the frames whose essential bits, when
+    flipped, change what an asleep scrubber tick reads (`Scrubber`);
+    `log_texts` are each frame's mutation-log texts."""
 
     def __init__(self, components: tuple[ComponentSpec, ...]):
         self.components = {c.name: c for c in components}
@@ -110,10 +109,9 @@ class Layout:
         self.essential_mask = _frame_ints(mask.reshape(-1, FRAME_BYTES))
         mask.flags.writeable = False
         self.essential_flags = mask
-        self.wakers = frozenset(a for name in ("cms_ctrl", "wd_link")
+        self.wakers = frozenset(f for name in ("cms_ctrl", "wd_link")
                                 if name in self.components
-                                for a in self.essential_bits(name))
-        self._parity: dict[int, tuple[int, ...]] = {}
+                                for f in self.comp_frames[name])
 
     @functools.cached_property
     def log_texts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -129,15 +127,6 @@ class Layout:
         """Component `name`'s essential (frame, bit) addresses, sorted."""
         return [(f, bit) for f in self.comp_frames[name]
                 for bit in _set_bits(self.essential_mask[f])]
-
-    def parity_store(self, frame: int) -> tuple[int, ...]:
-        """Each golden word's SECDED parity byte, encoded on first use."""
-        if frame not in self._parity:
-            golden = self.golden[frame]
-            self._parity[frame] = tuple(
-                secded_encode(golden >> shift & WORD_MASK)
-                for shift in range(0, FRAME_BITS, WORD_BITS))
-        return self._parity[frame]
 
 
 layout_of = functools.lru_cache(maxsize=16)(Layout)  # 8 architectures, 8 more
@@ -324,11 +313,11 @@ class Scrubber:
     one flipped bit per 32-bit word and reports (but does not fix)
     multi-bit words, in one pass over the words of the frame XOR golden
     and one frame write (`ConfigMemory.flip_bits`).  The stored parity is
-    the golden word's (`Layout.parity_store`) and SECDED is linear, so a
-    word's verdict depends only on its error e = word ^ golden: one bit
-    is "corrected" to golden (the fix is e), two are "double".  Only
-    words with 3 or more flipped bits, which the decoder may miscorrect,
-    go through `secded_decode`.
+    the golden word's and SECDED is linear, so a word's verdict depends
+    only on its error e = word ^ golden: one bit is "corrected" to golden
+    (the fix is e), two are "double".  Only words with 3 or more flipped
+    bits, which the decoder may miscorrect, go through `secded_decode`,
+    with the parity encoded from the golden word there; none is cached.
 
     The scan ticks every scan_period_us from the start of its chain (node
     start, and the end of each reset), and no tick is an engine event.  As
@@ -354,7 +343,7 @@ class Scrubber:
     scrubber is `asleep`: no tick finds damage or moves the pointer, and
     a tick reads only the health of cms_ctrl and wd_link, to stamp a
     heartbeat with its own time.  So an injection that flips neither's
-    essential bits (not in `Layout.wakers`) may pass it uncalled
+    essential bits (none in a `Layout.wakers` frame) may pass it uncalled
     (`SimEngine.run_until`): its next call, still before the next
     event, accounts for those ticks by the same arithmetic, and stamps
     the same heartbeat and reserves the same slot as the skipped call.
@@ -463,13 +452,11 @@ class Scrubber:
         self.node.icap.release("cms")
 
     def _enhanced_repair(self, frame: int) -> None:
-        current = self.mem.frames[frame]
-        damaged = current ^ self.mem.golden[frame]
-        parity = self.mem.layout.parity_store  # read for weight 3 and up
+        current, golden = self.mem.frames[frame], self.mem.golden[frame]
+        damaged = current ^ golden
         fix = 0  # every bit the repair flips, over the whole frame
         while damaged:  # highest damaged word first
-            w = (damaged.bit_length() - 1) // WORD_BITS
-            shift = w * WORD_BITS
+            shift = (damaged.bit_length() - 1) // WORD_BITS * WORD_BITS
             error = damaged >> shift
             damaged &= (1 << shift) - 1
             weight = error.bit_count()
@@ -477,7 +464,8 @@ class Scrubber:
                 fix ^= error << shift
             elif weight > 2:  # weight 2 decodes "double": no fix
                 word = current >> shift & WORD_MASK
-                value, status = secded_decode(word, parity(frame)[w])
+                value, status = secded_decode(
+                    word, secded_encode(golden >> shift & WORD_MASK))
                 if status == "corrected":
                     fix ^= (value ^ word) << shift
         if fix:

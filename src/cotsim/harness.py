@@ -18,9 +18,8 @@ import numpy as np
 from cotsim.config import ArchConfig, CampaignConfig, make_architecture
 from cotsim.engine import SimEngine
 from cotsim.fpga import FpgaNode, InvariantViolation
-from cotsim.injector import (MutationLog, build_fpga_campaign,
-                             derive_stream_seed, inject_config_bit,
-                             mutation_log)
+from cotsim.injector import (build_fpga_campaign, derive_stream_seed,
+                             inject_config_bit, mutation_log)
 from cotsim import vpu as vpu_mod
 from cotsim.vpu import (VpuNode, error_rate, golden_output,
                         CRC_CHECK_US)
@@ -93,7 +92,7 @@ class RunReport:
 
 
 def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
-             seed: int) -> tuple[RunReport, MutationLog]:
+             seed: int) -> tuple[RunReport, bytes]:
     """One architecture under one campaign; deterministic given (config, seed).
 
     One loop applies the injections in time order, as inputs (see
@@ -107,10 +106,10 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
     `log_change`, which can arm the window watcher; an injection that
     wakes the scrubber always moves it.  The node classifies the windows
     from its health log after the run (`FpgaNode.evaluate_window`).  The
-    loop reads the campaign's arrays as ints; wakers are essential bits,
-    so only an essential injection looks its address up.  The mutation
-    log follows from the campaign (`mutation_log`): its bytes are what
-    the report's digest hashes and what `cotsim run` writes."""
+    loop reads the campaign's arrays as ints; wakers are frames, and an
+    injection wakes the scrubber only if it is essential and in one.  The
+    mutation log follows from the campaign (`mutation_log`): its bytes
+    are what the report's digest hashes and what `cotsim run` writes."""
     if isinstance(arch, str):
         arch = make_architecture(arch)
     engine = SimEngine()
@@ -136,7 +135,7 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
         for t, frame, bit, hit in zip(range(period, end + 1, period),
                                       frames.tolist(), bits.tolist(),
                                       essential.tolist()):
-            wake = hit and (frame, bit) in wakers
+            wake = hit and frame in wakers
             ran = (every if wake else awake) < (t, 1)
             if ran:
                 run_engine(t, scheduled_before=1, wake=wake)

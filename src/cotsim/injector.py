@@ -33,14 +33,6 @@ class CampaignError(ValueError):
     pass
 
 
-class MutationLog(bytes):
-    """The mutation log of one run as written: one line per injection,
-    in firing order."""
-
-    def text(self) -> str:
-        return self.decode()
-
-
 # ---------------------------------------------------------------------------
 # campaign construction
 
@@ -97,7 +89,7 @@ def _number_texts(start: int, stop: int, step: int) -> np.ndarray:
 
 
 def mutation_log(cfg: CampaignConfig, mem: ConfigMemory, frames: np.ndarray,
-                 bits: np.ndarray, essential: np.ndarray) -> MutationLog:
+                 bits: np.ndarray, essential: np.ndarray) -> bytes:
     """The log of the campaign's injections, as `build_fpga_campaign`
     returns them, rendered in one pass: each line is one record that
     gathers its time, its frame's prefix, its bit number and its frame's
@@ -115,7 +107,7 @@ def mutation_log(cfg: CampaignConfig, mem: ConfigMemory, frames: np.ndarray,
     for name, column in columns.items():
         rows[name] = column
     text = rows.view(np.uint8)
-    return MutationLog(text[text != 0].tobytes())
+    return text[text != 0].tobytes()
 
 
 def inject_config_bit(mem: ConfigMemory, address: tuple) -> None:

@@ -306,5 +306,5 @@ def test_criterion_10_determinism():
             rep1, log1 = run_fpga(arch, campaign, seed=6)
             rep2, log2 = run_fpga(arch, campaign, seed=6)
             assert rep1.to_json().encode() == rep2.to_json().encode()
-            assert log1.text().encode() == log2.text().encode()
+            assert log1.decode().encode() == log2.decode().encode()
             assert rep1.mutation_digest == rep2.mutation_digest

@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cotsim import ecc
-from cotsim.config import FRAME_BYTES, make_architecture
 from cotsim.ecc import secded_encode, secded_decode
-from cotsim.fpga import ConfigMemory
 
 WORDS = [0x00000000, 0xFFFFFFFF, 0xDEADBEEF, 0x00000001, 0x80000000,
          0x55555555, 0xAAAAAAAA, 0x12345678]
@@ -191,12 +189,3 @@ def test_byte_tables_equal_the_mask_defined_checks():
             word = b << 8 * lane
             assert table[b] == sum(((word & mask).bit_count() & 1) << j
                                    for j, mask in enumerate(_REF_MASKS))
-
-
-def test_parity_store_encodes_every_golden_word():
-    mem = ConfigMemory(make_architecture("CMS+DPR+TMR+WD").components)
-    for frame in range(mem.layout.n_frames):
-        golden = mem.golden[frame].to_bytes(FRAME_BYTES, "little")
-        assert mem.layout.parity_store(frame) == tuple(
-            secded_encode(int.from_bytes(golden[i:i + 4], "little"))
-            for i in range(0, len(golden), 4))

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cotsim.config import (ARCHITECTURES, FRAME_BYTES, ComponentSpec,
                            make_architecture)
-from cotsim.ecc import secded_decode
+from cotsim.ecc import secded_decode, secded_encode
 from cotsim.engine import SimEngine
 from cotsim.fpga import (FRAME_BITS, ConfigMemory, FpgaNode, IcapArbiter,
                          InvariantViolation, Scrubber, layout_of,
@@ -336,8 +336,7 @@ def test_the_layout_cache_is_bounded():
 
 def test_no_run_can_write_a_layout():
     """What a layout holds is immutable, so one run cannot change what a
-    later run reads; only the parity table grows, with tuples, and the log
-    texts are built once, read-only."""
+    later run reads; the log texts are built once, read-only."""
     arch = make_architecture("CMS+DPR+TMR+WD")
     layout = ConfigMemory(arch.components).layout
     flags = layout.essential_flags
@@ -350,10 +349,22 @@ def test_no_run_can_write_a_layout():
     for table in layout.log_texts:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = b"x"
-    for value in (layout.golden, layout.essential_mask, layout.frame_owner,
-                  layout.parity_store(0)):
+    for value in (layout.golden, layout.essential_mask, layout.frame_owner):
         assert type(value) is tuple
     assert type(layout.wakers) is frozenset
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_wakers_frames_hold_exactly_the_controller_and_link_bits(arch):
+    """The essential addresses in the wakers' frames are the essential
+    bits of cms_ctrl and wd_link, where present, and no others."""
+    layout = ConfigMemory(make_architecture(arch).components).layout
+    in_wakers = {(f, bit) for f in layout.wakers
+                 for bit in range(FRAME_BITS)
+                 if layout.essential_mask[f] >> bit & 1}
+    assert in_wakers == {a for name in ("cms_ctrl", "wd_link")
+                         if name in layout.components
+                         for a in layout.essential_bits(name)}
 
 
 # -- ICAP arbitration -------------------------------------------------------
@@ -766,9 +777,9 @@ def reference_enhanced_repair(scrubber, frame):
 
     damaged_words = np.flatnonzero(
         words(mem.frames[frame]) != words(mem.golden[frame])).tolist()
-    parity = mem.layout.parity_store(frame)
     for w in damaged_words:
-        value, status = secded_decode(read_word(mem, frame, w), parity[w])
+        parity = secded_encode(golden_word(mem, frame, w))
+        value, status = secded_decode(read_word(mem, frame, w), parity)
         if status == "corrected":
             mem.write_word(frame, w, value)
     if mem.dirty >> frame & 1:
@@ -820,32 +831,31 @@ def test_enhanced_repair_matches_the_per_word_reference(frame, rounds):
 def test_enhanced_repair_decodes_only_words_of_three_or_more_bits(
         monkeypatch):
     """One and two flipped bits have a fixed verdict (tests/test_ecc.py),
-    so the repair reads neither the decoder nor the parity table for
-    them."""
+    so the repair neither decodes nor encodes parity for them; a decoded
+    word's parity is encoded from its golden word."""
     node = FpgaNode(SimEngine(), make_architecture("CMS+DPR+TMR+WD"))
-    mem, decoded, parity_reads = node.mem, [], []
-    stored = mem.layout.parity_store
+    mem, decoded, encoded = node.mem, [], []
 
     def decode(word, parity):
         decoded.append(word)
         return secded_decode(word, parity)
 
-    def parity_store(frame):
-        parity_reads.append(frame)
-        return stored(frame)
+    def encode(word):
+        encoded.append(word)
+        return secded_encode(word)
 
     monkeypatch.setattr("cotsim.fpga.secded_decode", decode)
-    monkeypatch.setattr(mem.layout, "parity_store", parity_store)
+    monkeypatch.setattr("cotsim.fpga.secded_encode", encode)
     # word 0 has one flipped bit, word 1 two, word 2 three
     mem.flip_bits(3, 1 << 5 | 0b11 << 32 | 0b10101 << 64)
     node.scrubber._enhanced_repair(3)
     assert decoded == [(mem.golden[3] >> 64 & 0xFFFFFFFF) ^ 0b10101]
-    assert parity_reads == [3]
+    assert encoded == [golden_word(mem, 3, 2)]
     # the single is fixed, the double left as it is
     assert (mem.frames[3] ^ mem.golden[3]) & (1 << 64) - 1 == 0b11 << 32
     mem.flip_bits(7, 1 << 100 | 0b11 << 200)
     node.scrubber._enhanced_repair(7)
-    assert len(decoded) == len(parity_reads) == 1
+    assert len(decoded) == len(encoded) == 1
     assert mem.frames[7] ^ mem.golden[7] == 0b11 << 200
 
 

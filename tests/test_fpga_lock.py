@@ -66,7 +66,7 @@ CASES = list(_cases())
 def run_digest(arch, campaign, seed) -> str:
     report, log = run_fpga(arch, campaign, seed)
     return hashlib.sha256(
-        (report.to_json() + log.text()).encode()).hexdigest()
+        (report.to_json() + log.decode()).encode()).hexdigest()
 
 
 DIGESTS = {

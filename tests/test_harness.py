@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from cotsim import harness
 from cotsim.config import ARCHITECTURES, CampaignConfig, make_architecture
+from cotsim.ecc import secded_decode, secded_encode
 from cotsim.engine import SimEngine
 from cotsim.fpga import (FRAME_BITS, ConfigMemory, FpgaNode,
                          InvariantViolation, Layout, Scrubber, layout_of)
@@ -148,7 +149,7 @@ def test_run_fpga_repeat_is_byte_identical():
     rep1, log1 = run_fpga("CMS+DPR+TMR", short_campaign(), seed=3)
     rep2, log2 = run_fpga("CMS+DPR+TMR", short_campaign(), seed=3)
     assert rep1.to_json() == rep2.to_json()
-    assert log1.text() == log2.text()
+    assert log1.decode() == log2.decode()
     rep3, _ = run_fpga("CMS+DPR+TMR", short_campaign(), seed=4)
     assert rep3.to_json() != rep1.to_json()
 
@@ -225,12 +226,12 @@ def test_mutation_log_equals_the_executed_flips(monkeypatch, arch, campaign,
     monkeypatch.setattr(harness, "FpgaNode", Recorded)
     monkeypatch.setattr(harness, "inject_config_bit", inject)
     report, log = run_fpga(arch, campaign, seed)
-    lines = log.text().splitlines()
+    lines = log.decode().splitlines()
     assert len(lines) == campaign.n_events()
     assert "".join(line for line, _ in live) == "".join(
         line + "\n" for line in lines if not line.endswith(" non_essential"))
     assert report.mutation_digest == \
-        hashlib.sha256(log.text().encode()).hexdigest()
+        hashlib.sha256(log.decode().encode()).hexdigest()
     effects = {line.split()[-1] for line in lines}
     if campaign.target_mode == "components":
         assert effects == set(campaign.target_components)
@@ -307,7 +308,7 @@ def live_window_run(arch, campaign, seed):
         scrub_uncorrectable=scrub.uncorrectable if scrub else 0,
         dpr_reloads=node.dpr.reloads if node.dpr else 0,
         icap_grants=node.icap.grants,
-        mutation_digest=hashlib.sha256(log.text().encode()).hexdigest(),
+        mutation_digest=hashlib.sha256(log.decode().encode()).hexdigest(),
         window_classes=classes)
     return report, log
 
@@ -478,7 +479,7 @@ def test_run_fpga_flips_non_essential_bits_once_per_frame(monkeypatch):
     monkeypatch.setattr(harness, "inject_config_bit", inject)
     monkeypatch.setattr(ConfigMemory, "flip_bits", write)
     _report, log = run_fpga("No-FT", CampaignConfig(), seed=0)
-    lines = log.text().splitlines()
+    lines = log.decode().splitlines()
     essential = sum(not line.endswith(" non_essential") for line in lines)
     assert 0 < calls["inject"] == essential < len(lines)
     layout = ConfigMemory(make_architecture("No-FT").components).layout
@@ -486,13 +487,10 @@ def test_run_fpga_flips_non_essential_bits_once_per_frame(monkeypatch):
 
 
 def layout_state(layout: Layout) -> dict:
-    """Every field of a layout, comparable with ==; the parity table as
-    `parity_store` gives it for every frame, and the log texts, which are
-    built on first use, as `log_texts` gives them."""
+    """Every field of a layout, comparable with ==; the log texts, which
+    are built on first use, as `log_texts` gives them."""
     state = {name: value.tolist() if isinstance(value, np.ndarray) else value
-             for name, value in vars(layout).items()
-             if name not in ("_parity", "log_texts")}
-    state["parity"] = [layout.parity_store(f) for f in range(layout.n_frames)]
+             for name, value in vars(layout).items() if name != "log_texts"}
     state["log_texts"] = [table.tolist() for table in layout.log_texts]
     return state
 
@@ -519,10 +517,28 @@ def test_cold_and_warm_layouts_give_identical_runs():
     for arch in ARCHITECTURES:
         components = tuple(make_architecture(arch).components)
         cached = layout_of(components)
-        # the one architecture that repairs from parity filled its table
-        assert bool(cached._parity) == (arch == "CMS+DPR+TMR+WD")
         assert not cached.essential_flags.flags.writeable
         assert layout_state(cached) == layout_state(Layout(components))
+
+
+def test_each_decoded_word_encodes_its_parity_once(monkeypatch):
+    """An enhanced repair encodes a word's parity where it decodes the
+    word, at every call: the benchmark's two SECDED rows patch these
+    names in `cotsim.fpga` and read equal, nonzero counts."""
+    encoded, decoded = [], []
+
+    def encode(word):
+        encoded.append(word)
+        return secded_encode(word)
+
+    def decode(word, parity):
+        decoded.append(word)
+        return secded_decode(word, parity)
+
+    monkeypatch.setattr("cotsim.fpga.secded_encode", encode)
+    monkeypatch.setattr("cotsim.fpga.secded_decode", decode)
+    run_fpga("CMS+DPR+TMR+WD", CampaignConfig(period_us=1_000), seed=0)
+    assert len(encoded) == len(decoded) > 0
 
 
 def test_run_fpga_detects_a_mutated_golden_store(monkeypatch):
