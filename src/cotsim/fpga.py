@@ -81,9 +81,9 @@ class Layout:
     every component) and shared by every `ConfigMemory` over an equal one.
     No run writes it: its sequences are tuples, its flags and log texts
     read-only arrays.  `essential_mask` holds each frame's essential
-    bits, `essential_bits` decodes a component's, and `essential_flags`
-    packs them for a campaign's draw, bit g of the memory at bit g % 8 of
-    byte g // 8.  `wakers` are the frames whose essential bits, when
+    bits, and `essential_flags` packs them for a campaign's draw, bit g of
+    the memory at bit g % 8 of byte g // 8; `essential_addresses` unpacks
+    each component's.  `wakers` are the frames whose essential bits, when
     flipped, change what an asleep scrubber tick reads (`Scrubber`);
     `log_texts` are each frame's mutation-log texts."""
 
@@ -123,10 +123,24 @@ class Layout:
                 text_table(text for owner in self.frame_owner for text in
                            (b" non_essential\n", f" {owner}\n".encode())))
 
+    @functools.cached_property
+    def essential_addresses(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Each component's essential addresses as read-only arrays of
+        frames and bits, sorted, built on first use from
+        `essential_flags`."""
+        g = np.flatnonzero(np.unpackbits(self.essential_flags,
+                                         bitorder="little"))
+        frames, bits = np.divmod(g, FRAME_BITS)
+        frames.flags.writeable = bits.flags.writeable = False
+        cut = np.searchsorted(frames, [r.start for r in
+                                       self.comp_frames.values()]).tolist()
+        return {name: (frames[lo:hi], bits[lo:hi]) for name, lo, hi in
+                zip(self.comp_frames, cut, cut[1:] + [len(g)])}
+
     def essential_bits(self, name: str) -> list[tuple[int, int]]:
         """Component `name`'s essential (frame, bit) addresses, sorted."""
-        return [(f, bit) for f in self.comp_frames[name]
-                for bit in _set_bits(self.essential_mask[f])]
+        frames, bits = self.essential_addresses[name]
+        return list(zip(frames.tolist(), bits.tolist()))
 
 
 layout_of = functools.lru_cache(maxsize=16)(Layout)  # 8 architectures, 8 more

@@ -63,11 +63,11 @@ def build_fpga_campaign(cfg: CampaignConfig, mem: ConfigMemory,
         for name in cfg.target_components:
             if name not in layout.components:
                 raise CampaignError(f"unknown target component {name!r}")
-            pool.extend(layout.essential_bits(name))
-        if not pool:
+            pool.append(layout.essential_addresses[name])
+        if not sum(frames.size for frames, _bits in pool):
             raise CampaignError("empty target set")
-        draws = rng.integers(0, len(pool), size=cfg.n_events())
-        frames, bits = np.array(pool).T
+        frames, bits = map(np.concatenate, zip(*pool))
+        draws = rng.integers(0, frames.size, size=cfg.n_events())
         return frames[draws], bits[draws], np.ones(draws.size, dtype=bool)
     total = layout.n_frames * FRAME_BITS
     if total == 0:

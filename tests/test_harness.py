@@ -22,9 +22,10 @@ from cotsim.fpga import (FRAME_BITS, ConfigMemory, FpgaNode,
                          InvariantViolation, Layout, Scrubber, layout_of)
 from cotsim.injector import (build_fpga_campaign, derive_stream_seed,
                              inject_config_bit, mutation_log)
-from cotsim.harness import (CLASSES, emit_matrix, fit_lambda,
+from cotsim.harness import (CLASSES, VpuTableRow, emit_matrix, fit_lambda,
                             reliability_curve, run_fpga, run_matrix,
-                            run_vpu_trial)
+                            run_vpu_table, run_vpu_trial)
+from test_vpu_lock import trial_digests
 
 
 def merged_spans(classes, window_us):
@@ -633,3 +634,97 @@ def test_vpu_trial_reports_are_reproducible():
     assert a == b
     assert a.error_rate == 0.0
     assert a.impaired == b.impaired and len(a.impaired) == 6
+
+
+KERNELS = ["conv2d", "binning2d"]
+FTS = ["none", "imr", "dmr", "nmr"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(KERNELS), st.sampled_from(FTS),
+                          st.integers(0, 12), st.integers(0, 2)),
+                min_size=1, max_size=6))
+def test_vpu_trial_order_and_cache_state_do_not_matter(calls):
+    """A trial's report and the output it scores (the digests of
+    tests/test_vpu_lock.py) do not depend on the trials run before it:
+    each call of a sequence equals the same call after `cache_clear()`."""
+    seen = [trial_digests(*call) for call in calls]
+    for call, digests in zip(calls, seen):
+        harness._seed_draw.cache_clear()
+        assert trial_digests(*call) == digests
+
+
+def test_vpu_table_equals_kernel_major_trials(monkeypatch):
+    """The table gives the rows that per-trial calls in kernel-major
+    order give, each call from a cleared cache.  It runs seed by seed,
+    so it computes each seed's goldens once."""
+    seeds = [0, 1, 2]
+    want = []
+    for kernel in KERNELS:
+        for ft in FTS:
+            for count in (3, 6, 9, 12):
+                rates = []
+                for seed in seeds:
+                    harness._seed_draw.cache_clear()
+                    rates.append(
+                        run_vpu_trial(kernel, ft, count, seed).error_rate)
+                want.append(VpuTableRow(kernel, ft, count,
+                                        min(rates), max(rates)))
+    calls = counting_golden(monkeypatch)
+    assert run_vpu_table(KERNELS, FTS, [3, 6, 9, 12], seeds) == want
+    assert calls == KERNELS * len(seeds)
+
+
+def test_cached_vpu_inputs_are_read_only():
+    """A write to a seed's shared image or golden raises instead of
+    changing the input of the next trial at that seed."""
+    for kernel in KERNELS:
+        image, _state, golden = harness._seed_input(0, 64, kernel)
+        for array in (image, golden):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1
+
+
+def counting_golden(monkeypatch) -> list[str]:
+    """Patch `cotsim.harness.golden_output`, where the benchmark's tracer
+    wraps it, to record the kernel of each call."""
+    calls = []
+    real = harness.golden_output
+
+    def golden_output(image, kernel):
+        calls.append(kernel)
+        return real(image, kernel)
+
+    monkeypatch.setattr(harness, "golden_output", golden_output)
+    return calls
+
+
+def play_vpu_rounds(seeds) -> None:
+    """One `run_vpu_table` call per seed, as the benchmark's rounds make."""
+    for seed in seeds:
+        run_vpu_table(KERNELS, ["none", "imr"], [3, 6], [seed])
+
+
+def test_a_seed_played_again_runs_golden_output_again(monkeypatch):
+    """The cache keeps one seed.  `bench/run.py --trace 1` plays seeds
+    untraced, then the same seeds traced, in one process; if the cache
+    kept both seeds, the traced rounds would read every golden from it
+    and the benchmark's `vpu.golden` layer rows would read 0.  Within a
+    seed, each kernel's golden is computed once for all its cells."""
+    calls = counting_golden(monkeypatch)
+    play_vpu_rounds([0, 1])
+    assert calls == KERNELS * 2
+    calls.clear()
+    play_vpu_rounds([0, 1])
+    assert len(calls) >= 1
+
+
+def test_a_patched_golden_output_gets_goldens_of_its_own(monkeypatch):
+    """The benchmark's fixture plays round 0 untraced, then round 0 again
+    with the tracer's wrapper installed: the wrapper must run."""
+    play_vpu_rounds([0])
+    calls = counting_golden(monkeypatch)
+    play_vpu_rounds([0])
+    assert calls == KERNELS

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cotsim.config import (ARCHITECTURES, CampaignConfig, ComponentSpec,
                            make_architecture)
-from cotsim.fpga import FRAME_BITS, ConfigMemory
+from cotsim.fpga import FRAME_BITS, ConfigMemory, _set_bits
 from cotsim.harness import run_fpga
 from cotsim.injector import (CampaignError, build_fpga_campaign,
                              derive_stream_seed, inject_config_bit,
@@ -144,6 +144,40 @@ def test_vectorised_draw_matches_scalar_draws(frames, essential, mode):
         assert flags == [mem.layout.essential_mask[f] >> b & 1 == 1
                          for f, b in drawn]
         assert all(type(hit) is bool for hit in flags)
+
+
+def per_bit_pool(layout, names) -> list[tuple[int, int]]:
+    """The components-mode pool as it was built in every run: each named
+    component's frames decoded bit by bit from the essential masks."""
+    return [(f, bit) for name in names for f in layout.comp_frames[name]
+            for bit in _set_bits(layout.essential_mask[f])]
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+@pytest.mark.parametrize("order", [1, -1])
+def test_components_pool_equals_the_per_bit_decode(arch, order):
+    """Each component's address arrays, built once per layout, are its
+    per-bit decode in the same order, and a components-mode campaign
+    over every component (in either order) draws the same frames and
+    bits, of the same dtype, as indexing the decoded tuples did."""
+    mem = ConfigMemory(make_architecture(arch).components)
+    layout = mem.layout
+    for name in layout.components:
+        frames, bits = layout.essential_addresses[name]
+        assert list(zip(frames.tolist(), bits.tolist())) == \
+            per_bit_pool(layout, [name])
+        assert not frames.flags.writeable and not bits.flags.writeable
+    names = list(layout.components)[::order]
+    cfg = CampaignConfig(period_us=1_000, target_mode="components",
+                         target_components=names)
+    pool = per_bit_pool(layout, names)
+    draws = rng(5).integers(0, len(pool), size=cfg.n_events())
+    old = np.array(pool).T[:, draws]
+    frames, bits, essential = build_fpga_campaign(cfg, mem, rng(5))
+    for column, want in zip((frames, bits), old):
+        assert column.dtype == want.dtype
+        assert np.array_equal(column, want)
+    assert essential.all()
 
 
 # -- the campaign's random stream -------------------------------------------
