@@ -137,11 +137,6 @@ class Layout:
         return {name: (frames[lo:hi], bits[lo:hi]) for name, lo, hi in
                 zip(self.comp_frames, cut, cut[1:] + [len(g)])}
 
-    def essential_bits(self, name: str) -> list[tuple[int, int]]:
-        """Component `name`'s essential (frame, bit) addresses, sorted."""
-        frames, bits = self.essential_addresses[name]
-        return list(zip(frames.tolist(), bits.tolist()))
-
 
 layout_of = functools.lru_cache(maxsize=16)(Layout)  # 8 architectures, 8 more
 

@@ -6,7 +6,6 @@ aggregates error rates and timing overheads, and emits reports."""
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -239,45 +238,19 @@ class VpuTrialReport:
     flagged_pixels: int = 0
 
 
-def _random_image(rng: np.random.Generator, size: int) -> np.ndarray:
-    """`rng.integers(0, 1024, size=(size, size)).astype(np.uint16)` bit for
-    bit, for an `rng` with no buffered 32-bit half.  numpy's Lemire draw
-    rejects nothing for range 1024: pixel i is the top 10 bits of the i-th
-    32-bit half of the raw stream, low half first.  An odd count buffers
-    the last high half for the next draw, as numpy does."""
-    n = size * size
-    bitgen = rng.bit_generator
-    halves = bitgen.random_raw(-(-n // 2)).astype("<u8", copy=False)
-    halves = halves.view("<u4")
-    if n % 2:
-        bitgen.state = {**bitgen.state, "has_uint32": 1,
-                        "uinteger": int(halves[-1])}
-    return (halves[:n] >> 22).astype(np.uint16).reshape(size, size)
-
-
-@functools.lru_cache(maxsize=1)  # one seed: see run_vpu_trial
-def _seed_draw(seed: int, size: int, golden_fn) -> tuple:
-    """The seed's read-only image, the bit generator's state after its
-    draw, and a kernel -> golden dict that `_seed_input` fills.
-    `golden_fn` is the `golden_output` that fills it, a key only: a
-    patched one (the benchmark's tracer wraps it) gets goldens of its
-    own."""
+def seed_input(seed: int, kernels: list[str], size: int = 256) -> tuple:
+    """What every trial at `seed` shares: the image drawn first from
+    `np.random.default_rng(seed)`, the bit generator's state after that
+    draw, and a kernel -> golden output dict for `kernels`.  The arrays
+    are read-only; the node works on a copy of the image."""
     rng = np.random.default_rng(seed)
-    image = _random_image(rng, size)
+    image = rng.integers(0, 1024, size=(size, size)).astype(np.uint16)
     image.flags.writeable = False
-    return image, rng.bit_generator.state, {}
-
-
-def _seed_input(seed: int, size: int,
-                kernel: str) -> tuple[np.ndarray, dict, np.ndarray]:
-    """The image of `seed`, the stream state after it, and the kernel's
-    read-only golden output of it, computed on first use at that seed."""
-    image, state, goldens = _seed_draw(seed, size, golden_output)
-    golden = goldens.get(kernel)
-    if golden is None:
+    goldens = {}
+    for kernel in kernels:
         golden = goldens[kernel] = golden_output(image, kernel)
         golden.flags.writeable = False
-    return image, state, golden
+    return image, rng.bit_generator.state, goldens
 
 
 def _impair_data(tiles, worker: int, rng: np.random.Generator) -> None:
@@ -290,7 +263,8 @@ def _impair_data(tiles, worker: int, rng: np.random.Generator) -> None:
 
 
 def run_vpu_trial(kernel: str, ft: str, n_impaired: int, seed: int,
-                  size: int = 256) -> VpuTrialReport:
+                  size: int = 256, shared: tuple | None = None
+                  ) -> VpuTrialReport:
     """One VPU benchmark execution with n_impaired randomly chosen cores.
 
     Each impaired core gets one fault, drawn in core order: DMR a data
@@ -300,16 +274,13 @@ def run_vpu_trial(kernel: str, ft: str, n_impaired: int, seed: int,
 
     Every trial at one seed scores the same image, drawn first from
     `np.random.default_rng(seed)`, and its later draws continue that
-    stream.  So the image and each kernel's golden output are built once
-    per seed and shared read-only by the trials at that seed, which
-    restore the stream state saved after the image (`_seed_input`); the
-    node works on a copy.  The process keeps one seed, about 0.8 MB:
-    `bench/run.py --trace 1` plays seeds untraced and then the same
-    seeds traced, and with more seeds kept the traced rounds would take
-    every golden from the cache, so the `vpu.golden` rows would read 0."""
+    stream.  `shared` is `seed_input(seed, ...)`'s result, which
+    `run_vpu_table` builds once for all the trials at one seed; without
+    it the trial builds its own, of `size`."""
     if ft not in ("none", "imr", "dmr", "nmr"):
         raise ValueError(f"unknown FT technique {ft!r}")
-    image, state, golden = _seed_input(seed, size, kernel)
+    image, state, goldens = shared or seed_input(seed, [kernel], size)
+    golden = goldens[kernel]
     rng = np.random.default_rng(seed)
     rng.bit_generator.state = state
     node = VpuNode(image, kernel, golden)
@@ -352,15 +323,16 @@ def run_vpu_table(kernels: list[str], fts: list[str],
                   impaired_counts: list[int],
                   seeds: list[int]) -> list[VpuTableRow]:
     """Error-rate min/max per (kernel, technique, impaired-core count),
-    in that order.  The trials run seed by seed, every cell of one seed
-    before the next seed, so each seed's image and goldens are built
-    once for all its cells (`run_vpu_trial`)."""
+    in that order.  The trials run seed by seed, and each seed's image
+    and goldens are built once for all its cells (`seed_input`)."""
     cells = [(kernel, ft, count) for kernel in kernels for ft in fts
              for count in impaired_counts]
     rates = [[] for _ in cells]
     for s in seeds:
+        shared = seed_input(s, kernels)
         for cell, cell_rates in zip(cells, rates):
-            cell_rates.append(run_vpu_trial(*cell, s).error_rate)
+            cell_rates.append(
+                run_vpu_trial(*cell, s, shared=shared).error_rate)
     return [VpuTableRow(*cell, min(cell_rates), max(cell_rates))
             for cell, cell_rates in zip(cells, rates)]
 

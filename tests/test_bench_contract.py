@@ -2,7 +2,8 @@
 
 `bench/workloads.py` plays a round through the public harness calls and
 pins each round's digest; `bench/layers.py` patches named functions and
-methods of `cotsim` modules.  Both are loaded here by path and only
+methods of `cotsim` modules, and `bench/run.py` times each item by
+patching the workload's item call in `cotsim.harness`.  Both are loaded here by path and only
 read, so a change that alters an emitted byte, fails a round's per-item
 checks or deletes a patched name fails these tests, not only a
 benchmark run.
@@ -64,6 +65,26 @@ def test_round_passes_its_item_checks(tmp_path, name, seed):
     IMR and DMR recover to zero error (VPU, criterion 4)."""
     ok, _digest = play(name, seed, tmp_path)
     assert all(ok)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_a_round_calls_its_item_function_by_name_once_per_item(
+        monkeypatch, tmp_path, name):
+    """The item clock and the tracer wrap `cotsim.harness.<item_fn>`: a
+    round must call it through that attribute once per item, with
+    positional arguments whose `item_label`s tell the items apart."""
+    workload = workloads.WORKLOADS[name]
+    item = getattr(harness, workload.item_fn)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return item(*args, **kwargs)
+
+    monkeypatch.setattr(harness, workload.item_fn, counted)
+    play(name, 0, tmp_path)
+    assert len(calls) == workload.items_per_round
+    assert len({workload.item_label(*args) for args in calls}) == len(calls)
 
 
 def traced_targets():

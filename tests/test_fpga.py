@@ -27,6 +27,13 @@ def reset_us(node) -> int:
     return reload_duration_us(node.mem.layout.n_frames * FRAME_BYTES)
 
 
+def essential_bits(layout, name) -> list[tuple[int, int]]:
+    """Component `name`'s essential (frame, bit) addresses as Python
+    ints, sorted, from `Layout.essential_addresses`."""
+    frames, bits = layout.essential_addresses[name]
+    return list(zip(frames.tolist(), bits.tolist()))
+
+
 def small_memory():
     return ConfigMemory([
         ComponentSpec("app", frames=2, essential_bits=16, reloadable=True),
@@ -112,7 +119,7 @@ def test_vote_matches_counting_oracle(rows):
 def test_flip_tracking_and_health():
     mem = small_memory()
     assert mem.healthy("app") and mem.healthy("ctrl")
-    frame, bit = mem.layout.essential_bits("app")[0]
+    frame, bit = essential_bits(mem.layout, "app")[0]
     mem.flip_bit(frame, bit)
     assert mem.flipped_essential["app"] == [(frame, bit)]  # essential
     assert mem.layout.frame_owner[frame] == "app"
@@ -128,7 +135,7 @@ def test_flip_tracking_and_health():
 
 def test_non_essential_flip_dirties_without_breaking():
     mem = small_memory()
-    essential = mem.layout.essential_bits("app")
+    essential = essential_bits(mem.layout, "app")
     frame = mem.layout.comp_frames["app"].start
     bit = next(b for b in range(FRAME_BITS) if (frame, b) not in essential)
     mem.flip_bit(frame, bit)
@@ -139,7 +146,7 @@ def test_non_essential_flip_dirties_without_breaking():
 
 def test_restore_component_heals_all_frames():
     mem = small_memory()
-    for frame, bit in mem.layout.essential_bits("app")[:5]:
+    for frame, bit in essential_bits(mem.layout, "app")[:5]:
         mem.flip_bit(frame, bit)
     mem.restore_component("app")
     assert mem.healthy("app")
@@ -149,7 +156,7 @@ def test_restore_component_heals_all_frames():
 
 def test_corruption_tag_tracks_flip_set():
     mem = small_memory()
-    bits = mem.layout.essential_bits("app")[:2]
+    bits = essential_bits(mem.layout, "app")[:2]
     mem.flip_bit(*bits[0])
     tag1 = mem.corruption_tag("app")
     mem.flip_bit(*bits[1])
@@ -210,14 +217,14 @@ def test_essential_bits_match_the_old_generator_on_odd_sizes():
 
 
 def assert_essential_bits_match(layout, components):
-    """essential_bits gives the old generator's addresses, sorted; the
-    mask has exactly those bits set, and frame_owner agrees."""
+    """`essential_addresses` gives the old generator's addresses, sorted;
+    the mask has exactly those bits set, and frame_owner agrees."""
     old = old_essential(components)
-    assert {name: layout.essential_bits(name)
+    assert {name: essential_bits(layout, name)
             for name in layout.components} == \
         {name: sorted(addrs) for name, addrs in old.items()}
     assert all(type(f) is int and type(b) is int for name in layout.components
-               for f, b in layout.essential_bits(name))
+               for f, b in essential_bits(layout, name))
     assert all(type(row) is int and 0 <= row < 1 << FRAME_BITS
                for row in layout.essential_mask)
     assert len(layout.essential_mask) == layout.n_frames
@@ -265,7 +272,7 @@ def test_config_memory_tracking_and_tag_memo(ops):
     """After every op, the derived views equal views recomputed from the
     frame bytes and golden alone."""
     mem = ConfigMemory(DENSE)
-    essential = {name: set(mem.layout.essential_bits(name))
+    essential = {name: set(essential_bits(mem.layout, name))
                  for name in mem.layout.components}
     for op, *args in ops:
         if op == "write":
@@ -302,7 +309,7 @@ def test_equal_component_lists_share_one_layout():
     two = ConfigMemory(make_architecture("CMS+DPR+TMR+WD").components)
     assert one.layout is two.layout
     assert one.golden is one.layout.golden
-    frame, bit = one.layout.essential_bits("fir_0")[0]
+    frame, bit = essential_bits(one.layout, "fir_0")[0]
     one.flip_bit(frame, bit)
     assert two.frames == list(two.layout.golden) and two.healthy("fir_0")
     assert one.layout.golden[frame] == two.frames[frame] != one.frames[frame]
@@ -364,7 +371,7 @@ def test_wakers_frames_hold_exactly_the_controller_and_link_bits(arch):
                  if layout.essential_mask[f] >> bit & 1}
     assert in_wakers == {a for name in ("cms_ctrl", "wd_link")
                          if name in layout.components
-                         for a in layout.essential_bits(name)}
+                         for a in essential_bits(layout, name)}
 
 
 # -- ICAP arbitration -------------------------------------------------------
@@ -514,7 +521,7 @@ def test_skipped_ticks_still_send_heartbeats():
     eng.run_until(1_234)
     node.wd.check()
     assert node.wd.last_heartbeat == 1_200
-    node.mem.flip_bit(*node.mem.layout.essential_bits("wd_link")[0])
+    node.mem.flip_bit(*essential_bits(node.mem.layout, "wd_link")[0])
     eng.run_until(5_555)
     node.wd.check()
     assert node.wd.last_heartbeat == 1_200  # the status link is down
@@ -522,7 +529,7 @@ def test_skipped_ticks_still_send_heartbeats():
 
 def test_dead_controller_stops_scrubbing():
     eng, node = cms_node()
-    for addr in node.mem.layout.essential_bits("cms_ctrl")[:1]:
+    for addr in essential_bits(node.mem.layout, "cms_ctrl")[:1]:
         node.mem.flip_bit(*addr)
     frame = node.mem.layout.comp_frames["fir_0"].start
     node.mem.flip_bit(frame, 9)
@@ -545,7 +552,7 @@ def test_dpr_reload_restores_region_after_transfer():
     eng = SimEngine()
     node = FpgaNode(eng, make_architecture("DPR"))
     node.start()
-    frame, bit = node.mem.layout.essential_bits("fir_0")[0]
+    frame, bit = essential_bits(node.mem.layout, "fir_0")[0]
     node.mem.flip_bit(frame, bit)
     node.dpr.request_reload("fir_0")
     duration = reload_duration_us(
@@ -561,7 +568,7 @@ def test_dpr_requests_dropped_when_controller_dead():
     eng = SimEngine()
     node = FpgaNode(eng, make_architecture("DPR"))
     node.start()
-    for addr in node.mem.layout.essential_bits("dpr_ctrl")[:1]:
+    for addr in essential_bits(node.mem.layout, "dpr_ctrl")[:1]:
         node.mem.flip_bit(*addr)
     node.dpr.request_reload("fir_0")
     assert node.dpr.active is None and not node.dpr.queue
@@ -620,7 +627,7 @@ def reference_pipeline(node):
 
 def flip_first(node, *names):
     for name in names:
-        node.mem.flip_bit(*node.mem.layout.essential_bits(name)[0])
+        node.mem.flip_bit(*essential_bits(node.mem.layout, name)[0])
 
 
 def test_tmr_masks_single_replica_and_requests_repair():
@@ -688,7 +695,7 @@ def test_datapath_matches_the_pipeline(arch, ops):
             mem.restore_all()
         elif args[0] in mem.layout.components:
             if op == "flip":
-                mem.flip_bit(*mem.layout.essential_bits(args[0])[args[1]])
+                mem.flip_bit(*essential_bits(mem.layout, args[0])[args[1]])
             else:
                 mem.restore_component(args[0])
         assert node._datapath() == reference_pipeline(node)
@@ -746,7 +753,7 @@ def test_window_watcher_is_armed_only_while_a_fir_replica_needs_a_reload():
     assert windows.watch_key is None
     # an injection at a window time comes before that window
     eng.run_until(3_000, scheduled_before=1)
-    fir_1 = node.mem.layout.essential_bits("fir_1")[0]
+    fir_1 = essential_bits(node.mem.layout, "fir_1")[0]
     node.mem.flip_bit(*fir_1)
     node.log_change()
     assert windows.watch_key == (3_000, 1, -1)
@@ -759,7 +766,7 @@ def test_window_watcher_is_armed_only_while_a_fir_replica_needs_a_reload():
     assert node.mem.healthy("fir_1") and dpr.reloads == 1
     assert windows.watch_key is None
     # a dead DPR controller drops every request, so none arms the watcher
-    node.mem.flip_bit(*node.mem.layout.essential_bits("dpr_ctrl")[0])
+    node.mem.flip_bit(*essential_bits(node.mem.layout, "dpr_ctrl")[0])
     node.mem.flip_bit(*fir_1)
     node.log_change()
     assert not node.mem.healthy("fir_1") and windows.watch_key is None
@@ -927,7 +934,7 @@ def test_watchdog_resets_on_lost_heartbeat():
     eng = SimEngine()
     node = FpgaNode(eng, make_architecture("CMS+DPR+TMR+WD"))
     node.start()
-    for addr in node.mem.layout.essential_bits("cms_ctrl"):
+    for addr in essential_bits(node.mem.layout, "cms_ctrl"):
         node.mem.flip_bit(*addr)
     eng.run_until(node.arch.wd_timeout_us * 2)
     assert node.epoch == 1
@@ -948,7 +955,7 @@ def test_reset_invalidates_stale_events():
     node = FpgaNode(eng, make_architecture("CMS+DPR+TMR+WD"))
     node.start()
     scrubber, dpr = node.scrubber, node.dpr
-    frame, bit = node.mem.layout.essential_bits("fir_1")[0]
+    frame, bit = essential_bits(node.mem.layout, "fir_1")[0]
 
     def put_in_flight():
         """Damage fir_1; the scrubber's repair of it holds the ICAP and a

@@ -644,20 +644,19 @@ FTS = ["none", "imr", "dmr", "nmr"]
 @given(st.lists(st.tuples(st.sampled_from(KERNELS), st.sampled_from(FTS),
                           st.integers(0, 12), st.integers(0, 2)),
                 min_size=1, max_size=6))
-def test_vpu_trial_order_and_cache_state_do_not_matter(calls):
+def test_vpu_trial_order_does_not_matter(calls):
     """A trial's report and the output it scores (the digests of
     tests/test_vpu_lock.py) do not depend on the trials run before it:
-    each call of a sequence equals the same call after `cache_clear()`."""
+    each call of a sequence equals the same call made after the others."""
     seen = [trial_digests(*call) for call in calls]
     for call, digests in zip(calls, seen):
-        harness._seed_draw.cache_clear()
         assert trial_digests(*call) == digests
 
 
 def test_vpu_table_equals_kernel_major_trials(monkeypatch):
-    """The table gives the rows that per-trial calls in kernel-major
-    order give, each call from a cleared cache.  It runs seed by seed,
-    so it computes each seed's goldens once."""
+    """The table gives the rows that standalone per-trial calls in
+    kernel-major order give.  It runs seed by seed, so it computes each
+    seed's goldens once."""
     seeds = [0, 1, 2]
     want = []
     for kernel in KERNELS:
@@ -665,7 +664,6 @@ def test_vpu_table_equals_kernel_major_trials(monkeypatch):
             for count in (3, 6, 9, 12):
                 rates = []
                 for seed in seeds:
-                    harness._seed_draw.cache_clear()
                     rates.append(
                         run_vpu_trial(kernel, ft, count, seed).error_rate)
                 want.append(VpuTableRow(kernel, ft, count,
@@ -675,12 +673,13 @@ def test_vpu_table_equals_kernel_major_trials(monkeypatch):
     assert calls == KERNELS * len(seeds)
 
 
-def test_cached_vpu_inputs_are_read_only():
+def test_shared_vpu_inputs_are_read_only():
     """A write to a seed's shared image or golden raises instead of
     changing the input of the next trial at that seed."""
+    image, _state, goldens = harness.seed_input(0, KERNELS, 64)
+    assert list(goldens) == KERNELS
     for kernel in KERNELS:
-        image, _state, golden = harness._seed_input(0, 64, kernel)
-        for array in (image, golden):
+        for array in (image, goldens[kernel]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1
             with pytest.raises(ValueError, match="read-only"):
@@ -708,11 +707,11 @@ def play_vpu_rounds(seeds) -> None:
 
 
 def test_a_seed_played_again_runs_golden_output_again(monkeypatch):
-    """The cache keeps one seed.  `bench/run.py --trace 1` plays seeds
-    untraced, then the same seeds traced, in one process; if the cache
-    kept both seeds, the traced rounds would read every golden from it
-    and the benchmark's `vpu.golden` layer rows would read 0.  Within a
-    seed, each kernel's golden is computed once for all its cells."""
+    """`bench/run.py --trace 1` plays seeds untraced, then the same seeds
+    traced, in one process; the traced rounds must compute their goldens
+    again, or the benchmark's `vpu.golden` layer rows would read 0.
+    Within a seed, each kernel's golden is computed once for all its
+    cells."""
     calls = counting_golden(monkeypatch)
     play_vpu_rounds([0, 1])
     assert calls == KERNELS * 2
@@ -723,7 +722,8 @@ def test_a_seed_played_again_runs_golden_output_again(monkeypatch):
 
 def test_a_patched_golden_output_gets_goldens_of_its_own(monkeypatch):
     """The benchmark's fixture plays round 0 untraced, then round 0 again
-    with the tracer's wrapper installed: the wrapper must run."""
+    with the tracer's wrapper installed: the wrapper must run, because
+    the table looks `golden_output` up in `cotsim.harness`."""
     play_vpu_rounds([0])
     calls = counting_golden(monkeypatch)
     play_vpu_rounds([0])

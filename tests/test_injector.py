@@ -14,6 +14,7 @@ from cotsim.harness import run_fpga
 from cotsim.injector import (CampaignError, build_fpga_campaign,
                              derive_stream_seed, inject_config_bit,
                              mutation_log)
+from test_fpga import essential_bits
 
 
 def rng(seed):
@@ -63,7 +64,7 @@ def test_components_mode_targets_essential_bits_only():
     mem = memory()
     campaign = build_fpga_campaign(cfg, mem, rng(1))
     drawn = addresses(campaign)
-    assert set(drawn) <= set(mem.layout.essential_bits("ctrl"))
+    assert set(drawn) <= set(essential_bits(mem.layout, "ctrl"))
     assert as_lists(campaign)[2] == [True] * len(drawn)
 
 
@@ -86,11 +87,11 @@ def test_bad_campaigns_rejected():
 
 def test_inject_config_bit_records_effect():
     mem = memory()
-    frame, bit = mem.layout.essential_bits("app")[0]
+    frame, bit = essential_bits(mem.layout, "app")[0]
     inject_config_bit(mem, (frame, bit))
     assert not mem.healthy("app")
     non_essential = next(b for b in range(FRAME_BITS)
-                         if (0, b) not in mem.layout.essential_bits("app"))
+                         if (0, b) not in essential_bits(mem.layout, "app"))
     inject_config_bit(mem, (0, non_essential))
     assert mem.dirty == 1 | 1 << frame
     log = mutation_log(CampaignConfig(duration_us=8_000, period_us=4_000),
@@ -112,7 +113,7 @@ def test_inject_config_bit_records_effect():
 def scalar_campaign(cfg, mem, rng):
     """The campaign as one scalar draw per injection."""
     pool = [addr for name in cfg.target_components
-            for addr in mem.layout.essential_bits(name)]
+            for addr in essential_bits(mem.layout, name)]
     addresses = []
     for _ in range(cfg.n_events()):
         if cfg.target_mode == "components":

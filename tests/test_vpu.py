@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from cotsim import vpu
 from cotsim.crc import crc16_ccitt
-from cotsim.harness import _random_image
 from cotsim.vpu import (KERNELS, N_WORKERS, Tile, VpuNode, WorkloadError,
                         binning2d, conv2d, error_rate, golden_output,
                         partition_workload)
@@ -318,44 +317,6 @@ def test_nonzero_bytes_draw_again_when_a_zero_byte_falls_short():
     want = np.random.Generator(np.random.PCG64(tag)).integers(
         1, 256, size=8, dtype=np.uint8)
     assert got.tobytes() == want.tobytes() == nonzero_le_bytes(tag, 8)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**63 - 1),
-       st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(1, 70)))
-def test_random_image_equals_numpys_draw_and_keeps_the_stream(seed, size):
-    """The trial image, pinned to numpy's bounded int64 draw and to the
-    top 10 bits of the raw stream's little-endian 32-bit halves; the
-    trial's later draws (`rng.choice`, `rng.integers`) are unchanged."""
-    numpy_rng = np.random.default_rng(seed)
-    want = numpy_rng.integers(0, 1024, size=(size, size)).astype(np.uint16)
-    rng = np.random.default_rng(seed)
-    got = _random_image(rng, size)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-    words = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(
-        -(-size * size // 2))
-    halves = b"".join(int(w).to_bytes(8, "little") for w in words)
-    tops = [int.from_bytes(halves[4 * i:4 * i + 4], "little") >> 22
-            for i in range(size * size)]
-    assert got.reshape(-1).tolist() == tops
-    assert live_state(rng) == live_state(numpy_rng)
-    assert next_trial_draws(rng) == next_trial_draws(numpy_rng)
-
-
-def live_state(rng):
-    """The generator state later draws read: a buffered 32-bit half only
-    counts while it is flagged."""
-    state = rng.bit_generator.state
-    return (state["state"], state["has_uint32"],
-            state["uinteger"] if state["has_uint32"] else None)
-
-
-def next_trial_draws(rng):
-    """The kinds of draw run_vpu_trial makes after the image."""
-    return (rng.choice(np.arange(N_WORKERS), size=3, replace=False).tolist(),
-            rng.integers(0, 2, size=5).tolist(),
-            rng.integers(1, 256, size=5).tolist())
 
 
 # -- plain execution --------------------------------------------------------
