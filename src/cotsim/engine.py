@@ -43,6 +43,7 @@ watch key or an `asleep` flag), so the caller reads it again after
 either.  An input read only by events and by awake watchers may be
 buffered by the caller until just before its next `run_until`: that run
 calls no event and no awake watcher that sorts before a buffered input.
+An input that nothing reads need not be applied at all.
 
 An input schedules nothing and reserves no order slot, so a watcher
 that is `asleep` (its pending ticks schedule nothing and read nothing

@@ -95,11 +95,14 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
              seed: int) -> tuple[RunReport, bytes]:
     """One architecture under one campaign; deterministic given (config, seed).
 
-    One loop applies the injections in time order, as inputs (see
-    `cotsim.engine`).  It runs the engine before an injection only when
-    an event or a watcher is due before it (`SimEngine.due`), and once
-    to the end.  An essential flip lands at its time; a non-essential
-    flip changes only its frame, which only engine work reads, so it is
+    One loop applies the injections that the node can observe in time
+    order, as inputs (see `cotsim.engine`).  It runs the engine before an
+    injection only when an event or a watcher is due before it
+    (`SimEngine.due`), and once to the end.  An essential flip lands at
+    its time.  A non-essential flip changes only its frame, and only the
+    scrubber reads that: a restore XORs in frame ^ golden, whose
+    essential part is the same with or without it.  So without CMS a
+    non-essential injection is logged but not applied; with CMS it is
     XORed into a per-frame mask that one `flip_bits` writes just before
     the next engine run.  What `due` reports moves only when the engine
     runs or an injection moves `mem.version`, and so reaches
@@ -122,6 +125,7 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
         frames, bits, essential = build_fpga_campaign(campaign, mem, rng)
         log = mutation_log(campaign, mem, frames, bits, essential)
         end, period = campaign.duration_us, campaign.period_us
+        kept = np.flatnonzero(essential | arch.cms)  # what the node reads
         pending: dict[int, int] = {}  # frame -> non-essential flips
 
         def run_engine(t, **kwargs):
@@ -132,9 +136,10 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
 
         version = mem.version
         awake, every = engine.due()
-        for t, frame, bit, hit in zip(range(period, end + 1, period),
-                                      frames.tolist(), bits.tolist(),
-                                      essential.tolist()):
+        for t, frame, bit, hit in zip(((kept + 1) * period).tolist(),
+                                      frames[kept].tolist(),
+                                      bits[kept].tolist(),
+                                      essential[kept].tolist()):
             wake = hit and frame in wakers
             ran = (every if wake else awake) < (t, 1)
             if ran:

@@ -5,9 +5,11 @@ A campaign flips configuration-memory bits of the FPGA node:
 arrays of frames, bits and essential flags in firing order, and
 injection i fires at (i + 1) * period_us.  A run draws its addresses
 from the PCG64 stream seeded with `derive_stream_seed(seed, "fpga-inj")`.
-`inject_config_bit` executes one.  Every injection executes, even while
-the node is in reset: an essential one at its time, a non-essential one
-before the next engine work (`cotsim.harness.run_fpga`).  The memory's
+`inject_config_bit` executes one.  An essential injection executes at
+its time, even while the node is in reset.  A non-essential one
+executes before the next engine work if the node has a scrubber, the
+one reader of non-essential bits, and is only logged otherwise
+(`cotsim.harness.run_fpga`).  The memory's
 `cotsim.fpga.Layout` fixes which bits are essential (`essential_flags`,
 where the campaign flags its essential injections) and each frame's log
 texts, so the mutation log is a function of the campaign: the bytes of
