@@ -67,6 +67,12 @@ def text_table(texts) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=8)  # campaign and window times, bit numbers
+def number_texts(start: int, stop: int, step: int) -> np.ndarray:
+    """The decimal texts of range(start, stop, step) as a `text_table`."""
+    return text_table(b"%d" % n for n in range(start, stop, step))
+
+
 def _set_bits(mask: int):
     """The positions of the bits set in `mask`, lowest first."""
     while mask:
@@ -85,7 +91,8 @@ class Layout:
     the memory at bit g % 8 of byte g // 8; `essential_addresses` unpacks
     each component's.  `wakers` are the frames whose essential bits, when
     flipped, change what an asleep scrubber tick reads (`Scrubber`);
-    `log_texts` are each frame's mutation-log texts."""
+    `log_texts` are each frame's mutation-log texts, and `sorted_names`
+    the component names in the order a fault state lists them."""
 
     def __init__(self, components: tuple[ComponentSpec, ...]):
         self.components = {c.name: c for c in components}
@@ -95,6 +102,7 @@ class Layout:
                             for c, lo, hi in zip(components, ends, ends[1:])}
         self.frame_owner = tuple(c.name for c in components
                                  for _ in range(c.frames))
+        self.sorted_names = tuple(sorted(self.components))
         # byte i of golden frame f is (f * 131 + i * 7) mod 256
         ramp = (np.arange(self.n_frames, dtype=np.int64)[:, None] * 131
                 + np.arange(FRAME_BYTES, dtype=np.int64) * 7)
@@ -151,8 +159,9 @@ class ConfigMemory:
     golden, and `flipped_essential`, each component's flipped essential
     bits as a sorted list of (frame, bit) marks, next to their `repr`
     texts so a tag never sorts or formats the whole set.  `version`
-    bumps whenever a component's marks change, and the change drops that
-    component's memoized corruption tag."""
+    bumps whenever a component's marks change.  One memo keeps each
+    unhealthy component's piece of `fault_state`, the text of its name
+    and corruption tag, and a change to its marks drops the piece."""
 
     def __init__(self, components: list[ComponentSpec]):
         self.layout = layout_of(tuple(components))
@@ -162,7 +171,7 @@ class ConfigMemory:
         self.flipped_essential = {n: [] for n in self.layout.components}
         self._mark_texts = {n: [] for n in self.layout.components}
         self.version = 0
-        self._tags: dict[str, int] = {}  # name -> corruption tag
+        self._pieces: dict[str, str] = {}  # name -> repr((name, tag))
 
     # -- mutation -----------------------------------------------------------
 
@@ -187,7 +196,7 @@ class ConfigMemory:
                     marks.insert(i, addr)
                     texts.insert(i, repr(addr))
             self.version += 1
-            self._tags.pop(comp, None)
+            self._pieces.pop(comp, None)
 
     def flip_bit(self, frame: int, bit: int) -> None:
         self.flip_bits(frame, 1 << bit)
@@ -219,14 +228,24 @@ class ConfigMemory:
 
     def corruption_tag(self, name: str) -> int:
         """Deterministic 63-bit tag of the component's flipped essential
-        bits (blake2b of `repr(sorted(marks))`), recomputed only after
-        its marks changed."""
-        tag = self._tags.get(name)
-        if tag is None:
-            text = "[" + ", ".join(self._mark_texts[name]) + "]"
-            digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
-            tag = self._tags[name] = int.from_bytes(digest, "big") >> 1
-        return tag
+        bits (blake2b of `repr(sorted(marks))`), computed on every call;
+        `fault_state` calls it only when its piece memo misses."""
+        text = "[" + ", ".join(self._mark_texts[name]) + "]"
+        digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+        return int.from_bytes(digest, "big") >> 1
+
+    def fault_state(self) -> str:
+        """`str(sorted((n, corruption_tag(n)) for each unhealthy n))`,
+        joined from the memoized pieces in `Layout.sorted_names` order."""
+        pieces = []
+        for name in self.layout.sorted_names:
+            if self.flipped_essential[name]:
+                piece = self._pieces.get(name)
+                if piece is None:
+                    piece = self._pieces[name] = repr(
+                        (name, self.corruption_tag(name)))
+                pieces.append(piece)
+        return "[" + ", ".join(pieces) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +657,7 @@ class FpgaNode:
     `health_log` holds one entry per change of `mem.version` or
     `in_reset`, checked after each event and, through `log_change`, after
     each injection: (time, scheduled_at, in_reset, output correct?,
-    unhealthy state as the text the window hash formats).  Its first
+    `mem.fault_state()` if not, the text the window hash formats).  Its first
     entry is the healthy node at construction.  Given `window_us`, the
     node classifies its measurement windows from the log after the run
     (`evaluate_window`); with DPR and TMR it also registers a
@@ -722,9 +741,7 @@ class FpgaNode:
             correct, requests, state = False, [], None
         else:
             correct, requests = self._datapath()
-            state = None if correct else str(sorted(
-                (n, mem.corruption_tag(n)) for n in mem.layout.components
-                if not mem.healthy(n)))
+            state = None if correct else mem.fault_state()
         now = self.engine.now
         self.health_log.append((now, scheduled_at, self.in_reset, correct,
                                 state))
@@ -782,13 +799,17 @@ class FpgaNode:
         (`first_window_after`).  In reset it is down.  A wrong output
         maps to "down" (hang) or "erroneous" (garbage) as a deterministic
         pseudo-random function of the window time and the entry's fault
-        state, calibrated by arch.app_down_fraction.
+        state, calibrated by arch.app_down_fraction: the blake2b of
+        f"{state_seed}:{time}:{state}", bit for bit, fed in pieces to a
+        copy of one state that has taken in f"{state_seed}:" (a copy
+        skips a state set-up per window).
         """
         w, log = self.window_us, self.health_log
         n = end_us // w
         # the index of the first window that reads each entry
         starts = [first_window_after(w, (t, s, 0)) // w for t, s, *_ in log]
-        seed = f"{state_seed}:".encode()
+        times = number_texts(w, n * w + 1, w)  # window k's is times[k - 1]
+        seeded = hashlib.blake2b(f"{state_seed}:".encode(), digest_size=8)
         down_below = _down_below(self.arch.app_down_fraction)
         classes: list[str] = []
         for (_t, _s, in_reset, correct, state), lo, hi in zip(
@@ -797,12 +818,13 @@ class FpgaNode:
             if in_reset or correct:
                 classes += ["down" if in_reset else "correct"] * (hi - lo)
                 continue
-            # the blake2b of f"{state_seed}:{time}:{state}"
             text = f":{state}".encode()
-            classes += [
-                "down" if hashlib.blake2b(b"%b%d%b" % (seed, k * w, text),
-                                          digest_size=8).digest() < down_below
-                else "erroneous" for k in range(lo, hi)]
+            for time in times[lo - 1:hi - 1].tolist():
+                h = seeded.copy()
+                h.update(time)
+                h.update(text)
+                classes.append("down" if h.digest() < down_below
+                               else "erroneous")
         return classes
 
 

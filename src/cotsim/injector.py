@@ -22,13 +22,12 @@ link (`tests/wire_bits.py`).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 
 import numpy as np
 
 from cotsim.config import CampaignConfig
-from cotsim.fpga import ConfigMemory, FRAME_BITS, text_table
+from cotsim.fpga import ConfigMemory, FRAME_BITS, number_texts
 
 
 class CampaignError(ValueError):
@@ -84,12 +83,6 @@ def build_fpga_campaign(cfg: CampaignConfig, mem: ConfigMemory,
 # mutation execution
 
 
-@functools.lru_cache(maxsize=8)  # a campaign's times, and the bit numbers
-def _number_texts(start: int, stop: int, step: int) -> np.ndarray:
-    """The decimal texts of range(start, stop, step) as a `text_table`."""
-    return text_table(b"%d" % n for n in range(start, stop, step))
-
-
 def mutation_log(cfg: CampaignConfig, mem: ConfigMemory, frames: np.ndarray,
                  bits: np.ndarray, essential: np.ndarray) -> bytes:
     """The log of the campaign's injections, as `build_fpga_campaign`
@@ -99,10 +92,10 @@ def mutation_log(cfg: CampaignConfig, mem: ConfigMemory, frames: np.ndarray,
     bytes drops the padding."""
     prefix, effect = mem.layout.log_texts
     columns = {
-        "time": _number_texts(cfg.period_us, cfg.duration_us + 1,
-                              cfg.period_us),
+        "time": number_texts(cfg.period_us, cfg.duration_us + 1,
+                             cfg.period_us),
         "prefix": prefix[frames],
-        "bit": _number_texts(0, FRAME_BITS, 1)[bits],
+        "bit": number_texts(0, FRAME_BITS, 1)[bits],
         "effect": effect[2 * frames + essential]}
     rows = np.empty(len(frames), [(name, column.dtype)
                                   for name, column in columns.items()])

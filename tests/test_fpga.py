@@ -270,7 +270,8 @@ MEMORY_OPS = st.lists(st.one_of(
 @given(MEMORY_OPS)
 def test_config_memory_tracking_and_tag_memo(ops):
     """After every op, the derived views equal views recomputed from the
-    frame bytes and golden alone."""
+    frame bytes and golden alone, and so does the fault state the health
+    log records."""
     mem = ConfigMemory(DENSE)
     essential = {name: set(essential_bits(mem.layout, name))
                  for name in mem.layout.components}
@@ -291,11 +292,15 @@ def test_config_memory_tracking_and_tag_memo(ops):
         flipped = set_bits([f ^ g for f, g in zip(mem.frames, mem.golden)],
                            mem.layout.n_frames)
         assert mem.dirty == sum({1 << f for f, _ in flipped})
+        unhealthy = []
         for name in mem.layout.components:
             marks = [addr for addr in flipped if addr in essential[name]]
             assert mem.flipped_essential[name] == marks  # sorted
             assert mem.corruption_tag(name) == fresh_tag(marks)
             assert mem.healthy(name) == (not marks)
+            if marks:
+                unhealthy.append((name, fresh_tag(marks)))
+        assert mem.fault_state() == str(sorted(unhealthy))
 
 
 # -- static layout ----------------------------------------------------------
@@ -723,6 +728,36 @@ def test_a_window_reads_the_last_log_entry_that_sorts_before_it():
 
     assert node.evaluate_window(3, 600) == [
         "correct", "down", wrong(300), wrong(400), wrong(500), "correct"]
+
+
+BLANK_STATE = hashlib.blake2b(digest_size=8)
+
+
+def message_and_cuts(size):
+    """A message of `size` bytes and up to two cuts that split it into
+    1-3 pieces."""
+    return st.tuples(st.binary(min_size=size, max_size=size),
+                     st.lists(st.integers(0, size), max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4_096).flatmap(message_and_cuts))
+@example((bytes(range(256)) * 8, [1, 2_047]))
+@example((bytes(range(256)) * 8, [128, 1_024]))
+@example((b"\xff" * 2_047, [2_047]))
+@example((b"\xff" * 2_047, [0, 1_920]))
+@example((b"", []))
+def test_a_copied_blank_state_hashes_pieces_as_one_message(message_cuts):
+    """`evaluate_window` feeds each window's message to a copy of one
+    state in pieces: the digest is that of the whole message."""
+    message, cuts = message_cuts
+    cuts = [0, *sorted(cuts), len(message)]
+    pieces = [message[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    h = BLANK_STATE.copy()
+    for piece in pieces:
+        h.update(piece)
+    assert h.digest() == hashlib.blake2b(b"".join(pieces),
+                                         digest_size=8).digest()
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, 0.92, 0.5, 1e-300,
