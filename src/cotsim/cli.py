@@ -217,7 +217,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # CampaignError is a ValueError
+    # CampaignError is a ValueError; a draw too large for numpy, a MemoryError
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InvariantViolation as exc:

@@ -86,13 +86,15 @@ class Layout:
     built once per process per list (`layout_of`, keyed by every field of
     every component) and shared by every `ConfigMemory` over an equal one.
     No run writes it: its sequences are tuples, its flags and log texts
-    read-only arrays.  `essential_mask` holds each frame's essential
-    bits, and `essential_flags` packs them for a campaign's draw, bit g of
-    the memory at bit g % 8 of byte g // 8; `essential_addresses` unpacks
-    each component's.  `wakers` are the frames whose essential bits, when
-    flipped, change what an asleep scrubber tick reads (`Scrubber`);
-    `log_texts` are each frame's mutation-log texts, and `sorted_names`
-    the component names in the order a fault state lists them."""
+    read-only arrays.  Only a word write and an enhanced repair's decode
+    read `golden`, each frame's golden contents.  `essential_mask` holds
+    each frame's essential bits, and `essential_flags` packs them for a
+    campaign's draw, bit g of the memory at bit g % 8 of byte g // 8;
+    `essential_addresses` unpacks each component's.  `wakers` are the
+    frames whose essential bits, when flipped, change what an asleep
+    scrubber tick reads (`Scrubber`); `log_texts` are each frame's
+    mutation-log texts, and `sorted_names` the component names in the
+    order a fault state lists them."""
 
     def __init__(self, components: tuple[ComponentSpec, ...]):
         self.components = {c.name: c for c in components}
@@ -150,24 +152,23 @@ layout_of = functools.lru_cache(maxsize=16)(Layout)  # 8 architectures, 8 more
 
 
 class ConfigMemory:
-    """The configuration frames a run changes, over the `Layout` of what
-    never changes; `golden` is the layout's.  Each frame is one
-    little-endian integer of FRAME_BITS bits.  The frames are the one
-    source of truth, and `flip_bits` is their one write, which every
-    flip, word write and restore goes through.  It keeps two derived
-    views in step: `dirty`, whose bit f is set iff frame f differs from
-    golden, and `flipped_essential`, each component's flipped essential
-    bits as a sorted list of (frame, bit) marks, next to their `repr`
-    texts so a tag never sorts or formats the whole set.  `version`
-    bumps whenever a component's marks change.  One memo keeps each
-    unhealthy component's piece of `fault_state`, the text of its name
-    and corruption tag, and a change to its marks drops the piece."""
+    """A run's configuration frames, over the `Layout` of what never changes,
+    held as their upset patterns: `errors[f]` is frame f XOR golden, one
+    little-endian integer of FRAME_BITS bits, all zero at construction.
+    The errors are the one source of truth, and `flip_bits` is their one
+    write, which every flip, word write and restore goes through.  It
+    keeps two derived views in step: `dirty`, whose bit f is set iff
+    errors[f] is nonzero, and `flipped_essential`, each component's
+    flipped essential bits as a sorted list of (frame, bit) marks, next to
+    their `repr` texts so a tag never sorts or formats the whole set.
+    `version` bumps whenever a component's marks change.  One memo keeps
+    each unhealthy component's piece of `fault_state`, the text of its
+    name and corruption tag, and a change to its marks drops the piece."""
 
     def __init__(self, components: list[ComponentSpec]):
         self.layout = layout_of(tuple(components))
-        self.golden = self.layout.golden  # read on every write
-        self.frames = list(self.golden)
-        self.dirty = 0  # bit f: frame f differs from golden
+        self.errors = [0] * self.layout.n_frames
+        self.dirty = 0  # bit f: errors[f] != 0
         self.flipped_essential = {n: [] for n in self.layout.components}
         self._mark_texts = {n: [] for n in self.layout.components}
         self.version = 0
@@ -177,11 +178,11 @@ class ConfigMemory:
 
     def flip_bits(self, frame: int, mask: int) -> None:
         """XOR `mask` into frame `frame`: the one write."""
-        value = self.frames[frame] = self.frames[frame] ^ mask
-        if value == self.golden[frame]:
-            self.dirty &= ~(1 << frame)
-        else:
+        error = self.errors[frame] = self.errors[frame] ^ mask
+        if error:
             self.dirty |= 1 << frame
+        else:
+            self.dirty &= ~(1 << frame)
         toggled = mask & self.layout.essential_mask[frame]
         if toggled:
             comp = self.layout.frame_owner[frame]
@@ -203,7 +204,7 @@ class ConfigMemory:
 
     def restore_frame(self, frame: int) -> None:
         if self.dirty >> frame & 1:
-            self.flip_bits(frame, self.frames[frame] ^ self.golden[frame])
+            self.flip_bits(frame, self.errors[frame])
 
     def restore_component(self, name: str) -> None:
         for f in self.layout.comp_frames[name]:
@@ -215,10 +216,10 @@ class ConfigMemory:
 
     # only tests write single words; the benchmark's tracer patches it
     def write_word(self, frame: int, word: int, value: int) -> None:
-        """Write a 32-bit word."""
+        """Write a 32-bit word: a value, so it reads the golden copy."""
         shift = word * WORD_BITS
-        self.flip_bits(frame, ((self.frames[frame] >> shift ^ value)
-                               & WORD_MASK) << shift)
+        current = (self.layout.golden[frame] ^ self.errors[frame]) >> shift
+        self.flip_bits(frame, ((current ^ value) & WORD_MASK) << shift)
 
     # -- queries ------------------------------------------------------------
 
@@ -339,13 +340,14 @@ class Scrubber:
 
     replace mode reloads the golden frame; enhanced_repair corrects up to
     one flipped bit per 32-bit word and reports (but does not fix)
-    multi-bit words, in one pass over the words of the frame XOR golden
-    and one frame write (`ConfigMemory.flip_bits`).  The stored parity is
-    the golden word's and SECDED is linear, so a word's verdict depends
-    only on its error e = word ^ golden: one bit is "corrected" to golden
-    (the fix is e), two are "double".  Only words with 3 or more flipped
-    bits, which the decoder may miscorrect, go through `secded_decode`,
-    with the parity encoded from the golden word there; none is cached.
+    multi-bit words, in one pass over the words of the frame's error
+    pattern (`ConfigMemory.errors`) and one frame write
+    (`ConfigMemory.flip_bits`).  The stored parity is the golden word's
+    and SECDED is linear, so a word's verdict depends only on its error e:
+    one bit is "corrected" to golden (the fix is e), two are "double".
+    Only words with 3 or more flipped bits, which the decoder may
+    miscorrect, go through `secded_decode`, as the word g ^ e against the
+    parity encoded from its golden word g there; none is cached.
 
     The scan ticks every scan_period_us from the start of its chain (node
     start, and the end of each reset), and no tick is an engine event.  As
@@ -384,7 +386,7 @@ class Scrubber:
         self.period = node.arch.scan_period_us
         self.pointer = 0
         self.repair_frame: int | None = None
-        # frame -> its contents when enhanced repair last left it dirty
+        # frame -> its error pattern when enhanced repair last left it dirty
         self.known_uncorrectable: dict[int, int] = {}
         self.detections = 0
         self.repairs = 0
@@ -412,14 +414,14 @@ class Scrubber:
 
     def _plan(self) -> int | None:
         """The next tick that will find damage: the first whose frame is
-        dirty with contents not already known to be uncorrectable, while
+        dirty with errors not already known to be uncorrectable, while
         the controller is functional and no repair is in progress (bit k
         of the candidates rotated right by the pointer: k ticks ahead)."""
         if self.asleep:
             return None
-        m, frames = self.mem.dirty, self.mem.frames
-        for f, contents in self.known_uncorrectable.items():
-            if frames[f] == contents:
+        m, errors = self.mem.dirty, self.mem.errors
+        for f, error in self.known_uncorrectable.items():
+            if errors[f] == error:
                 m &= ~(1 << f)
         n, p = self.mem.layout.n_frames, self.pointer
         r = m >> p | m << (n - p) & ((1 << n) - 1)
@@ -480,8 +482,7 @@ class Scrubber:
         self.node.icap.release("cms")
 
     def _enhanced_repair(self, frame: int) -> None:
-        current, golden = self.mem.frames[frame], self.mem.golden[frame]
-        damaged = current ^ golden
+        damaged = self.mem.errors[frame]
         fix = 0  # every bit the repair flips, over the whole frame
         while damaged:  # highest damaged word first
             shift = (damaged.bit_length() - 1) // WORD_BITS * WORD_BITS
@@ -491,9 +492,9 @@ class Scrubber:
             if weight == 1:  # decodes "corrected", to golden
                 fix ^= error << shift
             elif weight > 2:  # weight 2 decodes "double": no fix
-                word = current >> shift & WORD_MASK
-                value, status = secded_decode(
-                    word, secded_encode(golden >> shift & WORD_MASK))
+                golden = self.mem.layout.golden[frame] >> shift & WORD_MASK
+                word = golden ^ error
+                value, status = secded_decode(word, secded_encode(golden))
                 if status == "corrected":
                     fix ^= (value ^ word) << shift
         if fix:
@@ -501,7 +502,7 @@ class Scrubber:
         if self.mem.dirty >> frame & 1:
             # still differs from golden: some word had 2+ flipped bits
             self.uncorrectable += 1
-            self.known_uncorrectable[frame] = self.mem.frames[frame]
+            self.known_uncorrectable[frame] = self.mem.errors[frame]
         else:
             self.repairs += 1
             self.known_uncorrectable.pop(frame, None)

@@ -76,6 +76,18 @@ def test_config_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_an_oversized_campaign_is_an_error_line(tmp_path, capsys):
+    """2.5e14 injections: numpy refuses to allocate the draw's arrays
+    (1.78 PiB) before anything is simulated, and the run ends with one
+    error line and exit code 1, not a traceback."""
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"duration_us": 1000000000000000000}))
+    assert main(["run", "--arch", "CMS", "--campaign", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_report_on_a_file_is_an_error_line(tmp_path, capsys):
     not_a_dir = tmp_path / "file.txt"
     not_a_dir.write_text("x")

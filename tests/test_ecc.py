@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cotsim import ecc
 from cotsim.ecc import secded_encode, secded_decode
@@ -84,6 +84,23 @@ def test_three_flipped_bits_need_the_decoder(golden):
         assert value != golden
         verdicts[status] += 1
     assert verdicts == {"corrected": 3396, "double": 1564}
+
+
+@given(st.integers(0, (1 << 32) - 1),
+       st.sets(st.integers(0, 31), max_size=8))
+@example(0xDEADBEEF, set())
+@example(0xA5A5A5A5, {0, 1, 2})  # aliases: code positions 3, 5 and 6
+@example(0xFFFFFFFF, set(range(8)))
+def test_decoding_against_the_golden_parity_is_linear(golden, bits):
+    """The code is linear and encodes the zero word as zero parity, so a
+    word g ^ e decoded against g's parity gives e's verdict against zero
+    parity, with the value moved by g: an enhanced repair can decide any
+    word from its error pattern alone."""
+    assert secded_encode(0) == 0
+    e = sum(1 << b for b in bits)
+    value, status = secded_decode(e, 0)
+    assert secded_decode(golden ^ e, secded_encode(golden)) == \
+        (golden ^ value, status)
 
 
 def test_random_words_single_flip_roundtrip():

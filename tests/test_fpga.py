@@ -34,6 +34,11 @@ def essential_bits(layout, name) -> list[tuple[int, int]]:
     return list(zip(frames.tolist(), bits.tolist()))
 
 
+def contents(mem, frame) -> int:
+    """Frame `frame`'s contents: its golden copy XOR its upset pattern."""
+    return mem.layout.golden[frame] ^ mem.errors[frame]
+
+
 def small_memory():
     return ConfigMemory([
         ComponentSpec("app", frames=2, essential_bits=16, reloadable=True),
@@ -125,12 +130,12 @@ def test_flip_tracking_and_health():
     assert mem.layout.frame_owner[frame] == "app"
     assert not mem.healthy("app")
     assert mem.dirty >> frame & 1
-    assert mem.frames[frame] != mem.golden[frame]
+    assert contents(mem, frame) != mem.layout.golden[frame]
     # flipping the same bit back heals the component
     mem.flip_bit(frame, bit)
     assert mem.healthy("app")
     assert not mem.dirty >> frame & 1
-    assert mem.frames[frame] == mem.golden[frame]
+    assert contents(mem, frame) == mem.layout.golden[frame]
 
 
 def test_non_essential_flip_dirties_without_breaking():
@@ -151,7 +156,7 @@ def test_restore_component_heals_all_frames():
     mem.restore_component("app")
     assert mem.healthy("app")
     assert all(not mem.dirty >> f & 1 for f in mem.layout.comp_frames["app"])
-    assert mem.frames[0] == mem.golden[0]
+    assert contents(mem, 0) == mem.layout.golden[0]
 
 
 def test_corruption_tag_tracks_flip_set():
@@ -167,11 +172,11 @@ def test_corruption_tag_tracks_flip_set():
 
 
 def golden_word(mem, frame, word):
-    return mem.golden[frame] >> 32 * word & 0xFFFFFFFF
+    return mem.layout.golden[frame] >> 32 * word & 0xFFFFFFFF
 
 
 def read_word(mem, frame, word):
-    return mem.frames[frame] >> 32 * word & 0xFFFFFFFF
+    return contents(mem, frame) >> 32 * word & 0xFFFFFFFF
 
 
 def test_write_word_keeps_flip_tracking_exact():
@@ -179,7 +184,7 @@ def test_write_word_keeps_flip_tracking_exact():
     mem.flip_bit(0, 37)  # inside word 1
     mem.write_word(0, 1, golden_word(mem, 0, 1))
     assert not mem.dirty & 1
-    assert mem.frames[0] == mem.golden[0]
+    assert contents(mem, 0) == mem.layout.golden[0]
 
 
 def old_essential(components):
@@ -199,12 +204,14 @@ def old_essential(components):
 def test_golden_frames_and_essential_bits_match_the_old_generators(arch):
     components = make_architecture(arch).components
     mem = ConfigMemory(components)
-    assert [g.to_bytes(FRAME_BYTES, "little") for g in mem.golden] == [
+    golden, n = mem.layout.golden, mem.layout.n_frames
+    assert [g.to_bytes(FRAME_BYTES, "little") for g in golden] == [
         bytes((index * 131 + i * 7) & 0xFF for i in range(FRAME_BYTES))
-        for index in range(mem.layout.n_frames)]
-    assert type(mem.golden) is tuple
-    assert all(type(g) is int for g in mem.golden)
-    assert mem.frames == list(mem.golden)
+        for index in range(n)]
+    assert type(golden) is tuple
+    assert all(type(g) is int for g in golden)
+    assert mem.errors == [0] * n
+    assert [contents(mem, f) for f in range(n)] == list(golden)
     assert_essential_bits_match(mem.layout, components)
 
 
@@ -269,29 +276,42 @@ MEMORY_OPS = st.lists(st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(MEMORY_OPS)
 def test_config_memory_tracking_and_tag_memo(ops):
-    """After every op, the derived views equal views recomputed from the
-    frame bytes and golden alone, and so does the fault state the health
-    log records."""
+    """After every op, the memory's contents equal a test-side model of
+    the frame contents, which applies each op by value, and the derived
+    views equal views recomputed from the model and golden alone, and so
+    does the fault state the health log records."""
     mem = ConfigMemory(DENSE)
-    essential = {name: set(essential_bits(mem.layout, name))
-                 for name in mem.layout.components}
+    layout = mem.layout
+    golden, n = layout.golden, layout.n_frames
+    model = list(golden)  # the frame contents, op by op
+    essential = {name: set(essential_bits(layout, name))
+                 for name in layout.components}
     for op, *args in ops:
         if op == "write":
             frame, word, mask, from_golden = args
-            base = golden_word(mem, frame, word) if from_golden \
-                else read_word(mem, frame, word)
-            mem.write_word(frame, word, base ^ mask)
+            base = golden if from_golden else model
+            value = (base[frame] >> 32 * word & 0xFFFFFFFF) ^ mask
+            mem.write_word(frame, word, value)
+            model[frame] &= ~(0xFFFFFFFF << 32 * word)
+            model[frame] |= value << 32 * word
         elif op == "flip_bit":
             frame, bit = args
             before = mem.version
             mem.flip_bit(frame, bit)
+            model[frame] ^= 1 << bit
             assert (mem.version != before) == any(
                 (frame, bit) in addrs for addrs in essential.values())
-        else:
+        elif op == "restore_frame":
+            mem.restore_frame(*args)
+            model[args[0]] = golden[args[0]]
+        else:  # restore_component(name) or restore_all()
             getattr(mem, op)(*args)
-        flipped = set_bits([f ^ g for f, g in zip(mem.frames, mem.golden)],
-                           mem.layout.n_frames)
-        assert mem.dirty == sum({1 << f for f, _ in flipped})
+            for f in layout.comp_frames[args[0]] if args else range(n):
+                model[f] = golden[f]
+        assert [contents(mem, f) for f in range(n)] == model
+        assert mem.dirty == sum(1 << f for f in range(n)
+                                if model[f] != golden[f])
+        flipped = set_bits([m ^ g for m, g in zip(model, golden)], n)
         unhealthy = []
         for name in mem.layout.components:
             marks = [addr for addr in flipped if addr in essential[name]]
@@ -313,11 +333,11 @@ def test_equal_component_lists_share_one_layout():
     one = ConfigMemory(make_architecture("CMS+DPR+TMR+WD").components)
     two = ConfigMemory(make_architecture("CMS+DPR+TMR+WD").components)
     assert one.layout is two.layout
-    assert one.golden is one.layout.golden
     frame, bit = essential_bits(one.layout, "fir_0")[0]
     one.flip_bit(frame, bit)
-    assert two.frames == list(two.layout.golden) and two.healthy("fir_0")
-    assert one.layout.golden[frame] == two.frames[frame] != one.frames[frame]
+    assert two.errors == [0] * two.layout.n_frames and two.healthy("fir_0")
+    assert one.layout.golden[frame] == contents(two, frame) != \
+        contents(one, frame)
 
 
 def changed(spec: ComponentSpec, field: str) -> ComponentSpec:
@@ -817,8 +837,8 @@ def reference_enhanced_repair(scrubber, frame):
     def words(value):
         return np.frombuffer(value.to_bytes(FRAME_BYTES, "little"), "<u4")
 
-    damaged_words = np.flatnonzero(
-        words(mem.frames[frame]) != words(mem.golden[frame])).tolist()
+    damaged_words = np.flatnonzero(words(contents(mem, frame))
+                                   != words(mem.layout.golden[frame])).tolist()
     for w in damaged_words:
         parity = secded_encode(golden_word(mem, frame, w))
         value, status = secded_decode(read_word(mem, frame, w), parity)
@@ -826,7 +846,8 @@ def reference_enhanced_repair(scrubber, frame):
             mem.write_word(frame, w, value)
     if mem.dirty >> frame & 1:
         scrubber.uncorrectable += 1
-        scrubber.known_uncorrectable[frame] = mem.frames[frame]
+        scrubber.known_uncorrectable[frame] = \
+            contents(mem, frame) ^ mem.layout.golden[frame]
     else:
         scrubber.repairs += 1
         scrubber.known_uncorrectable.pop(frame, None)
@@ -834,7 +855,7 @@ def reference_enhanced_repair(scrubber, frame):
 
 def repair_state(node, frame):
     mem, scrubber = node.mem, node.scrubber
-    return (mem.frames[frame], mem.dirty, mem.flipped_essential,
+    return (contents(mem, frame), mem.dirty, mem.flipped_essential,
             scrubber.detections, scrubber.repairs, scrubber.uncorrectable,
             scrubber.known_uncorrectable)
 
@@ -891,14 +912,15 @@ def test_enhanced_repair_decodes_only_words_of_three_or_more_bits(
     # word 0 has one flipped bit, word 1 two, word 2 three
     mem.flip_bits(3, 1 << 5 | 0b11 << 32 | 0b10101 << 64)
     node.scrubber._enhanced_repair(3)
-    assert decoded == [(mem.golden[3] >> 64 & 0xFFFFFFFF) ^ 0b10101]
+    assert decoded == [(mem.layout.golden[3] >> 64 & 0xFFFFFFFF) ^ 0b10101]
     assert encoded == [golden_word(mem, 3, 2)]
     # the single is fixed, the double left as it is
-    assert (mem.frames[3] ^ mem.golden[3]) & (1 << 64) - 1 == 0b11 << 32
+    assert (contents(mem, 3) ^ mem.layout.golden[3]) & (1 << 64) - 1 == \
+        0b11 << 32
     mem.flip_bits(7, 1 << 100 | 0b11 << 200)
     node.scrubber._enhanced_repair(7)
     assert len(decoded) == len(encoded) == 1
-    assert mem.frames[7] ^ mem.golden[7] == 0b11 << 200
+    assert contents(mem, 7) ^ mem.layout.golden[7] == 0b11 << 200
 
 
 # -- scan plan oracle -------------------------------------------------------
@@ -910,10 +932,11 @@ def reference_plan(scrubber):
     if scrubber.asleep:
         return None
     mem, n = scrubber.mem, scrubber.mem.layout.n_frames
-    dirty = {f for f in range(n) if mem.frames[f] != mem.golden[f]}
+    golden = mem.layout.golden
+    dirty = {f for f in range(n) if contents(mem, f) != golden[f]}
     ahead = min(((f - scrubber.pointer) % n for f in dirty
-                 if scrubber.known_uncorrectable.get(f) != mem.frames[f]),
-                default=None)
+                 if scrubber.known_uncorrectable.get(f)
+                 != contents(mem, f) ^ golden[f]), default=None)
     return None if ahead is None else scrubber.ticks_done + 1 + ahead
 
 
@@ -921,8 +944,8 @@ WD_FRAMES = 19  # CMS+DPR+TMR+WD; fir_0 holds frames 0 and 1
 FRAMES = st.integers(0, 1) | st.integers(0, WD_FRAMES - 1)
 POINTERS = st.sampled_from([0, WD_FRAMES - 1]) | st.integers(0, WD_FRAMES - 1)
 # a damage round, then maybe a repair, which leaves a frame with a double
-# error known uncorrectable; a later equal round flips it back to those
-# contents, a reload to golden
+# error known uncorrectable; a later equal round flips it back to that
+# error pattern, a reload to golden
 PLAN_OPS = st.lists(st.one_of(
     st.tuples(st.just("damage"), FRAMES, DAMAGE, st.booleans()),
     st.tuples(st.just("reload"), st.sampled_from(
@@ -934,7 +957,7 @@ DOUBLE = [(0, {0, 1})]
 @settings(max_examples=200, deadline=None)
 @given(POINTERS, st.integers(0, 10**6), PLAN_OPS)
 # known uncorrectable, then changed (a candidate again), then flipped back
-# to the recorded contents (excluded again)
+# to the recorded error pattern (excluded again)
 @example(WD_FRAMES - 1, 0, [("damage", 1, DOUBLE, True),
                             ("damage", 1, [(3, {7})], False), ("pointer", 0),
                             ("damage", 1, [(3, {7})], False)])

@@ -14,7 +14,7 @@ from cotsim.harness import run_fpga
 from cotsim.injector import (CampaignError, build_fpga_campaign,
                              derive_stream_seed, inject_config_bit,
                              mutation_log)
-from test_fpga import essential_bits
+from test_fpga import contents, essential_bits
 
 
 def rng(seed):
@@ -101,13 +101,13 @@ def test_inject_config_bit_records_effect():
                           f"8000 fpga_config_bit 0:{non_essential} "
                           "non_essential\n")
     # an integer frame would silently widen where a byte array raised
-    frames = list(mem.frames)
+    frames = [contents(mem, f) for f in range(mem.layout.n_frames)]
     for address in ((99, 0), (mem.layout.n_frames, 0), (-1, 0),
                     (0, FRAME_BITS), (0, -1)):
         with pytest.raises(CampaignError, match="outside configuration"):
             inject_config_bit(mem, address)
-    assert mem.frames == frames
-    assert all(f < 1 << FRAME_BITS for f in mem.frames)
+    assert [contents(mem, f) for f in range(mem.layout.n_frames)] == frames
+    assert all(f < 1 << FRAME_BITS for f in frames)
 
 
 def scalar_campaign(cfg, mem, rng):
