@@ -215,6 +215,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)  # run and matrix make it before running
+    made = out is not None and not os.path.isdir(out)
     try:
         return args.func(args)
     # CampaignError is a ValueError; a draw too large for numpy, a MemoryError
@@ -224,6 +226,9 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    finally:  # a command that wrote nothing leaves no --out it made
+        if made and os.path.isdir(out) and not os.listdir(out):
+            os.rmdir(out)
 
 
 if __name__ == "__main__":

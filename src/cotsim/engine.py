@@ -35,28 +35,28 @@ after all the events then scheduled: after those that fire at t and were
 scheduled at time 0, before every event scheduled later.  A watcher
 tick keyed (t, 1, -1) sorts there too, after such an input; the
 measurement windows' watcher uses it (`cotsim.fpga.WindowWatcher`).
-While `due` reports no key below (t, 1), that call would only set the
-clock, so the caller may set `now` to t itself: inputs between two
-pieces of engine work then cost no engine call.  `due` moves only when
-the engine runs or an input acts on it (schedules an event, moves a
-watch key or an `asleep` flag), so the caller reads it again after
-either.  An input read only by events and by awake watchers may be
-buffered by the caller until just before its next `run_until`: that run
-calls no event and no awake watcher that sorts before a buffered input.
-An input that nothing reads need not be applied at all.
 
-An input schedules nothing and reserves no order slot, so a watcher
-that is `asleep` (its pending ticks schedule nothing and read nothing
-such an input changes) can be called after it instead: with wake=False,
-`run_until` leaves it uncalled unless an event or an awake watcher is
-due before the bound.  Its next call, before the next event, accounts
-for the ticks it passed and reserves the slot the skipped call would
-have.  That call moves the clock to its tick's time, which can be
-earlier than the last input applied; an asleep tick reads no clock.  An
-input that changes what an asleep tick reads needs wake=True, the
-default (an essential flip in a `cotsim.fpga.Layout.wakers` frame).  So
-an input that needs wake=True checks `due`'s second key, and any other
-input its first, which leaves asleep watchers out.
+Three shortcuts let inputs between two pieces of engine work cost no
+engine call.  An input that nothing reads need not be applied at all.
+One read only by events and by awake watchers may be buffered until just
+before the next `run_until`, which calls no event and no awake watcher
+that sorts before it.  And while `due` reports no key below (t, 1), that
+call would only set the clock, so the caller may set `now` to t itself.
+`due` moves only when the engine runs or an input acts on it (schedules
+an event, moves a watch key or an `asleep` flag), so the caller reads it
+again after either.
+
+`due` leaves out a watcher that is `asleep`: its pending ticks schedule
+nothing and read nothing that an input passing it changes.  An input
+schedules nothing and reserves no order slot, so such a watcher can be
+called after it: with wake=False, `run_until` leaves it uncalled unless
+an event or an awake watcher is due before the bound.  Its next call,
+before the next event, accounts for the ticks it passed and reserves the
+slot the skipped call would have, with the clock at its tick's time,
+which can be earlier than the last input (an asleep tick reads no
+clock).  An input that changes what an asleep tick reads is applied
+after `run_until` with wake=True, the default, whatever `due` reports.
+`cotsim.harness.run_fpga` says which of its injections are which.
 """
 
 from __future__ import annotations
@@ -113,27 +113,24 @@ class SimEngine:
         that key and every other watcher's.  During the call the clock
         reads the watch key's time, which lies between the last event's
         time and bound's.  advance may schedule events, and must move
-        watch_key up or to None.  `watcher.asleep` is read by a run
-        with wake=False (see the module docstring)."""
+        watch_key up or to None.  `watcher.asleep` is read by `due` and
+        by a run with wake=False (see the module docstring)."""
         self._watchers.append(watcher)
 
     # -- execution ----------------------------------------------------------
 
-    def due(self) -> tuple[tuple, tuple]:
-        """(awake_key, every_key): the smallest key among the next event
-        and the watchers that are not `asleep`, and among the next event
-        and every watcher; (inf,) when there is none.  Before an input at
-        t, `run_until(t, scheduled_before=1)` has work iff every_key <
-        (t, 1), and with wake=False work that cannot wait iff awake_key <
-        (t, 1) (see the module docstring)."""
-        awake = every = self._heap[0][:3] if self._heap else (math.inf,)
+    def due(self) -> tuple:
+        """The smallest key among the next event and the watchers that
+        are not `asleep`; (inf,) when there is none.  Before an input at
+        t, `run_until(t, scheduled_before=1, wake=False)` has work that
+        cannot wait iff it sorts before (t, 1) (see the module
+        docstring)."""
+        due = self._heap[0][:3] if self._heap else (math.inf,)
         for watcher in self._watchers:
             key = watcher.watch_key
-            if key is not None:
-                every = min(every, key)
-                if not watcher.asleep:
-                    awake = min(awake, key)
-        return awake, every
+            if key is not None and not watcher.asleep:
+                due = min(due, key)
+        return due
 
     def run_until(self, t_end: int, scheduled_before: float = math.inf,
                   wake: bool = True) -> int:

@@ -41,6 +41,7 @@ from cotsim.ecc import secded_encode, secded_decode
 from cotsim.engine import SimEngine
 
 FRAME_BITS = FRAME_BYTES * 8
+FIR_REPLICAS = ("fir_0", "fir_1", "fir_2")  # TMR's datapath replicas
 WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
 
@@ -203,7 +204,7 @@ class ConfigMemory:
         self.flip_bits(frame, 1 << bit)
 
     def restore_frame(self, frame: int) -> None:
-        if self.dirty >> frame & 1:
+        if self.errors[frame]:
             self.flip_bits(frame, self.errors[frame])
 
     def restore_component(self, name: str) -> None:
@@ -372,11 +373,8 @@ class Scrubber:
     While a repair is in progress or the controller is dead, the
     scrubber is `asleep`: no tick finds damage or moves the pointer, and
     a tick reads only the health of cms_ctrl and wd_link, to stamp a
-    heartbeat with its own time.  So an injection that flips neither's
-    essential bits (none in a `Layout.wakers` frame) may pass it uncalled
-    (`SimEngine.run_until`): its next call, still before the next
-    event, accounts for those ticks by the same arithmetic, and stamps
-    the same heartbeat and reserves the same slot as the skipped call.
+    heartbeat with its own time.  An input that passes it uncalled
+    (`cotsim.engine`) is accounted for by the same arithmetic.
     """
 
     def __init__(self, node: "FpgaNode"):
@@ -499,10 +497,10 @@ class Scrubber:
                     fix ^= (value ^ word) << shift
         if fix:
             self.mem.flip_bits(frame, fix)
-        if self.mem.dirty >> frame & 1:
-            # still differs from golden: some word had 2+ flipped bits
+        left = self.mem.errors[frame]
+        if left:  # still differs from golden: some word had 2+ flipped bits
             self.uncorrectable += 1
-            self.known_uncorrectable[frame] = self.mem.errors[frame]
+            self.known_uncorrectable[frame] = left
         else:
             self.repairs += 1
             self.known_uncorrectable.pop(frame, None)
@@ -786,9 +784,9 @@ class FpgaNode:
             return healthy("fir_0"), []
         correct = healthy("voter_in") and healthy("voter_out") and (
             healthy("fir_0") or healthy("fir_1") and healthy("fir_2"))
-        faulty = [f"fir_{i}" for i in range(3) if not healthy(f"fir_{i}")]
+        faulty = [name for name in FIR_REPLICAS if not healthy(name)]
         if len(faulty) > 1:  # every sample's vote is uncorrectable
-            faulty = ["fir_0", "fir_1", "fir_2"]
+            faulty = list(FIR_REPLICAS)
         return correct, faulty
 
     def evaluate_window(self, state_seed: int, end_us: int) -> list[str]:

@@ -95,24 +95,25 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
              seed: int) -> tuple[RunReport, bytes]:
     """One architecture under one campaign; deterministic given (config, seed).
 
-    One loop applies the injections that the node can observe in time
-    order, as inputs (see `cotsim.engine`).  It runs the engine before an
-    injection only when an event or a watcher is due before it
-    (`SimEngine.due`), and once to the end.  An essential flip lands at
-    its time.  A non-essential flip changes only its frame, and only the
+    One loop applies the injections that the node can observe, in time
+    order, as the engine's inputs (`cotsim.engine` states the protocol).
+    An essential flip lands at its time, even while the node is in
+    reset.  One in a `Layout.wakers` frame changes what an asleep
+    scrubber tick reads, so the engine runs, with wake=True, before it;
+    before any other injection it runs only when `SimEngine.due` reports
+    work.  A non-essential flip changes only its frame, and only the
     scrubber reads that: a restore XORs in the frame's error pattern,
-    whose essential part is the same with or without it.  So without CMS a
-    non-essential injection is logged but not applied; with CMS it is
-    XORed into a per-frame mask that one `flip_bits` writes just before
-    the next engine run.  What `due` reports moves only when the engine
-    runs or an injection moves `mem.version`, and so reaches
-    `log_change`, which can arm the window watcher; an injection that
-    wakes the scrubber always moves it.  The node classifies the windows
-    from its health log after the run (`FpgaNode.evaluate_window`).  The
-    loop reads the campaign's arrays as ints; wakers are frames, and an
-    injection wakes the scrubber only if it is essential and in one.  The
-    mutation log follows from the campaign (`mutation_log`): its bytes
-    are what the report's digest hashes and what `cotsim run` writes."""
+    whose essential part is the same with or without it.  So without
+    CMS a non-essential injection is logged but not applied; with CMS it
+    is XORed into a per-frame mask that one `flip_bits` writes just
+    before the next engine run.  After an engine run or an essential
+    flip the loop logs the node's health (`log_change`, which can arm
+    the window watcher) and reads `due` again; no other injection moves
+    either.  The node classifies the windows from its health log after
+    the run (`FpgaNode.evaluate_window`).  The loop reads the campaign's
+    arrays as ints.  The mutation log follows from the campaign
+    (`mutation_log`): its bytes are what the report's digest hashes and
+    what `cotsim run` writes."""
     if isinstance(arch, str):
         arch = make_architecture(arch)
     engine = SimEngine()
@@ -134,14 +135,13 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
             pending.clear()
             engine.run_until(t, **kwargs)
 
-        version = mem.version
-        awake, every = engine.due()
+        due = engine.due()
         for t, frame, bit, hit in zip(((kept + 1) * period).tolist(),
                                       frames[kept].tolist(),
                                       bits[kept].tolist(),
                                       essential[kept].tolist()):
             wake = hit and frame in wakers
-            ran = (every if wake else awake) < (t, 1)
+            ran = wake or due < (t, 1)
             if ran:
                 run_engine(t, scheduled_before=1, wake=wake)
             if hit:
@@ -149,10 +149,9 @@ def run_fpga(arch: str | ArchConfig, campaign: CampaignConfig,
                 inject_config_bit(mem, (frame, bit))
             else:
                 pending[frame] = pending.get(frame, 0) ^ 1 << bit
-            if ran or mem.version != version:
+            if ran or hit:
                 node.log_change()  # may arm the window watcher
-                version = mem.version
-                awake, every = engine.due()
+                due = engine.due()
         run_engine(end)
     finally:
         node.close()

@@ -5,19 +5,16 @@ A campaign flips configuration-memory bits of the FPGA node:
 arrays of frames, bits and essential flags in firing order, and
 injection i fires at (i + 1) * period_us.  A run draws its addresses
 from the PCG64 stream seeded with `derive_stream_seed(seed, "fpga-inj")`.
-`inject_config_bit` executes one.  An essential injection executes at
-its time, even while the node is in reset.  A non-essential one
-executes before the next engine work if the node has a scrubber, the
-one reader of non-essential bits, and is only logged otherwise
-(`cotsim.harness.run_fpga`).  The memory's
-`cotsim.fpga.Layout` fixes which bits are essential (`essential_flags`,
-where the campaign flags its essential injections) and each frame's log
-texts, so the mutation log is a function of the campaign: the bytes of
-one line per injection, "<time_us> fpga_config_bit <frame>:<bit>
-<effect>", the effect being the owning component if the bit is
-essential, else "non_essential".  VPU trials corrupt their node directly
-(`cotsim.harness.run_vpu_trial`); only the tests corrupt a frame on the
-link (`tests/wire_bits.py`).
+`inject_config_bit` executes one; `cotsim.harness.run_fpga` says which
+injections execute and when, as the engine's inputs (`cotsim.engine`).
+The memory's `cotsim.fpga.Layout` fixes which bits are essential
+(`essential_flags`, where the campaign flags its essential injections)
+and each frame's log texts, so the mutation log is a function of the
+campaign: the bytes of one line per injection, "<time_us>
+fpga_config_bit <frame>:<bit> <effect>", the effect being the owning
+component if the bit is essential, else "non_essential".  VPU trials
+corrupt their node directly (`cotsim.harness.run_vpu_trial`); only the
+tests corrupt a frame on the link (`tests/wire_bits.py`).
 """
 
 from __future__ import annotations

@@ -230,8 +230,12 @@ def test_criterion_7_repair_timing():
         node.start()
         frame = node.mem.layout.comp_frames["fir_0"].start
         node.mem.flip_bit(frame, 11)
-        while node.scrubber.repair_frame is None:
+        # one scan cycle visits every frame
+        for _ in range(node.mem.layout.n_frames):
+            if node.scrubber.repair_frame is not None:
+                break
             eng.run_until(eng.now + node.arch.scan_period_us)
+        assert node.scrubber.repair_frame == frame, "not detected in a scan"
         detected_at = eng.now
         eng.run_until(detected_at + 18_000 - 1)
         assert node.mem.dirty >> frame & 1

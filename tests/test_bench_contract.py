@@ -59,6 +59,15 @@ def test_round_matches_its_pinned_digest(tmp_path, name, seed):
     assert digest == REFERENCE[name][seed]
 
 
+def test_vpu_table_rounds_played_back_to_back_match_their_pins(tmp_path):
+    """Every pinned `vpu-table` round, in seed order in one process, as
+    `bench/run.py` plays them: what a round leaves behind in the process
+    must not change a later round's output."""
+    for seed, pinned in enumerate(REFERENCE["vpu-table"]):
+        ok, digest = play("vpu-table", seed, tmp_path / f"round-{seed}")
+        assert all(ok) and digest == pinned, seed
+
+
 @pytest.mark.parametrize("name, seed", UNPINNED)
 def test_round_passes_its_item_checks(tmp_path, name, seed):
     """Percentages sum to 100 and every window is classified (FPGA);

@@ -88,6 +88,25 @@ def test_an_oversized_campaign_is_an_error_line(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["run", "--arch", "CMS"],
+                                     ["matrix", "--archs", "CMS",
+                                      "--seeds", "0"]])
+def test_a_failed_command_removes_the_out_it_made(tmp_path, capsys,
+                                                  command):
+    """`--out` is made before the run; when the run then fails (here the
+    oversized campaign), the empty directory the command made goes, and
+    one that was there before stays."""
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"duration_us": 1000000000000000000}))
+    out = tmp_path / "new" / "out"
+    assert main(command + ["--campaign", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    out.mkdir()
+    assert main(command + ["--campaign", str(path), "--out", str(out)]) == 1
+    assert out.is_dir() and not list(out.iterdir())
+
+
 def test_report_on_a_file_is_an_error_line(tmp_path, capsys):
     not_a_dir = tmp_path / "file.txt"
     not_a_dir.write_text("x")

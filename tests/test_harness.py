@@ -449,8 +449,9 @@ def test_injections_into_what_an_asleep_scrubber_reads_wake_it(target):
 def test_run_fpga_runs_the_engine_only_when_something_is_due(monkeypatch,
                                                              arch):
     """The loop holds only the injections: it runs the engine before an
-    injection only when an event or a watcher is due before it, and once
-    to the end; the windows are classified in one call."""
+    injection only when an event or an awake watcher is due before it or
+    the injection wakes the scrubber, and once to the end; the windows
+    are classified in one call."""
     calls = {"run_until": 0, "evaluate_window": 0}
 
     def counted(cls, name):
