@@ -136,8 +136,8 @@ class SimEngine:
                   wake: bool = True) -> int:
         """Run every event keyed before (t_end, scheduled_before), by
         default every event with fire_at <= t_end; the clock ends at t_end.
-        wake=False leaves asleep watchers due only before the bound
-        uncalled (see the module docstring)."""
+        wake=False calls no asleep watcher unless an event or an awake
+        watcher is due before the bound (see the module docstring)."""
         if t_end < self.now:
             raise SchedulingError(
                 f"run_until({t_end}) is in the past (clock is {self.now})")
@@ -147,6 +147,7 @@ class SimEngine:
         end = (t_end, scheduled_before, -math.inf)
         while True:
             bound = heap[0][:3] if heap and heap[0] < end else end
+            idle = bound is end  # no event is due before the bound
             first = None  # the watcher with the smallest key below bound
             for watcher in watchers:
                 key = watcher.watch_key
@@ -158,7 +159,9 @@ class SimEngine:
                     else:
                         bound = key
             if first is not None:
-                if bound is end and not wake and first.asleep:
+                # asleep first: stop unless an awake watcher is due too
+                if (idle and not wake and first.asleep
+                        and (bound is end or not self.due() < end)):
                     break
                 self.now = first_key[0]
                 first.advance(bound)  # it may schedule an event before bound

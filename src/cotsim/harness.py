@@ -242,16 +242,18 @@ class VpuTrialReport:
 def seed_input(seed: int, kernels: list[str], size: int = 256) -> tuple:
     """What every trial at `seed` shares: the image drawn first from
     `np.random.default_rng(seed)`, the bit generator's state after that
-    draw, and a kernel -> golden output dict for `kernels`.  The arrays
-    are read-only; the node works on a copy of the image."""
+    draw, and kernel -> golden output and kernel -> sealed verified
+    partition (`vpu.sealed_partition`) dicts for `kernels`.  The arrays
+    are read-only; the node's working copies are its own."""
     rng = np.random.default_rng(seed)
     image = rng.integers(0, 1024, size=(size, size)).astype(np.uint16)
     image.flags.writeable = False
-    goldens = {}
+    goldens, partitions = {}, {}
     for kernel in kernels:
         golden = goldens[kernel] = golden_output(image, kernel)
         golden.flags.writeable = False
-    return image, rng.bit_generator.state, goldens
+        partitions[kernel] = vpu_mod.sealed_partition(image, kernel)
+    return image, rng.bit_generator.state, goldens, partitions
 
 
 def _impair_data(tiles, worker: int, rng: np.random.Generator) -> None:
@@ -280,11 +282,12 @@ def run_vpu_trial(kernel: str, ft: str, n_impaired: int, seed: int,
     it the trial builds its own, of `size`."""
     if ft not in ("none", "imr", "dmr", "nmr"):
         raise ValueError(f"unknown FT technique {ft!r}")
-    image, state, goldens = shared or seed_input(seed, [kernel], size)
+    image, state, goldens, partitions = (shared
+                                         or seed_input(seed, [kernel], size))
     golden = goldens[kernel]
     rng = np.random.default_rng(seed)
     rng.bit_generator.state = state
-    node = VpuNode(image, kernel, golden)
+    node = VpuNode(image, kernel, golden, partitions[kernel])
     impaired = sorted(int(w) for w in rng.choice(
         np.arange(vpu_mod.N_WORKERS), size=n_impaired, replace=False))
 
@@ -324,8 +327,9 @@ def run_vpu_table(kernels: list[str], fts: list[str],
                   impaired_counts: list[int],
                   seeds: list[int]) -> list[VpuTableRow]:
     """Error-rate min/max per (kernel, technique, impaired-core count),
-    in that order.  The trials run seed by seed, and each seed's image
-    and goldens are built once for all its cells (`seed_input`)."""
+    in that order.  The trials run seed by seed, and each seed's image,
+    goldens and partitions are built once for all its cells
+    (`seed_input`)."""
     cells = [(kernel, ft, count) for kernel in kernels for ft in fts
              for count in impaired_counts]
     rates = [[] for _ in cells]

@@ -7,16 +7,21 @@ order, so runs are deterministic.  Timing is synthetic: reports carry
 latencies derived from configured per-task constants, not measurements.
 
 Each kernel output is computed once per node.  The node holds the
-whole-image reference output (`golden_output`) and a private copy of the
-input it was computed from.  A worker whose tile holds exactly those
-input rows (one array compare) takes the reference's rows for the tile;
-only a tile whose data differs is run through the kernel.  This is
-exact, bit for bit: both kernels are row-local (an output row reads only
-its own input rows and their halo, zero padded only at the image edges)
-and exact integer arithmetic, so an output pixel does not depend on the
-tiling.  A checksum is sealed only where a check reads it, once, and is
-computed only where bytes differ from the copy it is of (equal bytes,
-equal CRC).
+whole-image reference output (`golden_output`) and the read-only input
+it was computed from.  A worker whose tile holds exactly those input
+rows (one array compare) takes the reference's rows for the tile; only
+a tile whose data differs is run through the kernel.  This is exact,
+bit for bit: both kernels are row-local (an output row reads only its
+own input rows and their halo, zero padded only at the image edges) and
+exact integer arithmetic, so an output pixel does not depend on the
+tiling.  An NMR group with more than n // 2 unimpaired members emits
+that output with no vote, since those members agree on every pixel.
+
+A checksum is computed only where bytes differ from the copy it is of
+(equal bytes, equal CRC).  Trials that share one image share its
+verified partition (`sealed_partition`), cut and sealed once and
+read-only; a node without one cuts its retained copy at the DMA and
+seals a tile only where a check reads it.
 """
 
 from __future__ import annotations
@@ -132,7 +137,7 @@ class Tile:
     halo: int
     data: np.ndarray  # input stripe including available halo rows
     verified: Tile | None = None  # the copy whose checksum it carries
-    crc: int | None = None  # sealed when a check first reads it
+    crc: int | None = None  # sealed when cut or when a check first reads it
 
     def payload(self) -> bytes:
         return np.ascontiguousarray(self.data, dtype=">u2").tobytes()
@@ -173,6 +178,18 @@ def partition_workload(image: np.ndarray, workers: int, halo: int = 0,
         tiles.append(tile)
         row = r1
     return tiles
+
+
+def sealed_partition(image: np.ndarray, kernel_name: str) -> tuple[Tile, ...]:
+    """The kernel's 12-way DMA partition of `image`, cut once for every
+    node that computes on it: each tile's data is read-only and its
+    checksum is sealed now."""
+    halo, unit = KERNELS[kernel_name]
+    tiles = partition_workload(image, N_WORKERS, halo, unit)
+    for tile in tiles:
+        tile.data.flags.writeable = False
+        tile.crc = crc16_ccitt(tile.payload())
+    return tuple(tiles)
 
 
 # ---------------------------------------------------------------------------
@@ -253,31 +270,42 @@ class VpuNode:
 
     The golden worker code is the immutable, module-wide `GOLDEN_INSTR`;
     each node's workers run from fresh mutable copies of it.
-    `golden_input` is the CRC-verified copy retained at reception; tile
-    checksums are of its tiles cut at the DMA, so corruption of the working
-    DDR copy or of a CMX tile is caught by the per-tile check.
+    `golden_input` is the CRC-verified copy retained at reception, and
+    DMR restores damaged tiles from it.  Tile checksums are of the
+    verified partition: `partition`, the image's `sealed_partition`, if
+    the caller has it, else `golden_input` cut at the DMA.  So
+    corruption of the working DDR copy or of a CMX tile is caught by the
+    per-tile check.
 
     `reference` is `golden_output` of the image as uint16, if the caller
     already has it; otherwise the node computes it.  Workers reuse its
-    rows (see the module docstring), so it must not be changed later.
+    rows (see the module docstring), so it must not be changed later,
+    nor must a read-only `image`, which the node keeps, uncopied, as
+    the input the reference is of.
     """
 
     def __init__(self, image: np.ndarray, kernel_name: str,
-                 reference: np.ndarray | None = None):
+                 reference: np.ndarray | None = None,
+                 partition: tuple[Tile, ...] | None = None):
         if kernel_name not in KERNELS:
             raise WorkloadError(f"unknown kernel {kernel_name!r}")
         self.kernel_name = kernel_name
         self.halo, self.row_unit = KERNELS[kernel_name]
         self.workers = [WorkerCore(i, bytearray(g))
                         for i, g in enumerate(GOLDEN_INSTR)]
-        self.ddr_input = np.asarray(image, dtype=np.uint16).copy()
-        self.golden_input = self.ddr_input.copy()
-        if 2 * self.ddr_input.nbytes > CMX_BYTES:
+        image = np.asarray(image, dtype=np.uint16)
+        if 2 * image.nbytes > CMX_BYTES:
             raise VpuError("workload does not fit the 2 MB scratchpad")
+        self.ddr_input = image.copy()
+        self.golden_input = image.copy()
+        self._verified = partition
         # the input the reference is of, out of reach of any fault
-        self._ref_input = self.ddr_input.copy()
+        if image.flags.writeable:
+            image = image.copy()
+            image.flags.writeable = False
+        self._ref_input = image
         if reference is None:
-            reference = golden_output(self._ref_input, kernel_name)
+            reference = golden_output(image, kernel_name)
         self._ref_output = reference.view()
         self._ref_output.flags.writeable = False
 
@@ -300,11 +328,11 @@ class VpuNode:
 
     def dma_tiles(self) -> list[Tile]:
         """Partition the working DDR copy; each tile carries the checksum of
-        the verified copy's tile, cut now, so pre-DMA corruption is
-        detectable downstream."""
+        its verified tile, so pre-DMA corruption is detectable downstream."""
         tiles = self._partition(self.ddr_input, N_WORKERS)
-        for tile, ref in zip(tiles, self._partition(self.golden_input,
-                                                    N_WORKERS)):
+        verified = (self._verified
+                    or self._partition(self.golden_input, N_WORKERS))
+        for tile, ref in zip(tiles, verified):
             tile.verified = ref
         return tiles
 
@@ -331,7 +359,10 @@ class VpuNode:
         deterministic mask; corrupted tile data is processed faithfully
         (garbage in, garbage out).
         """
-        correct = self._compute_tile(tile)
+        return self._emit(worker_id, self._compute_tile(tile))
+
+    def _emit(self, worker_id: int, correct: np.ndarray) -> np.ndarray:
+        """What the worker emits for a tile whose output is `correct`."""
         if not self.worker_impaired(worker_id):
             return correct
         tag = _corruption_tag(bytes(self.workers[worker_id].instr_mem))
@@ -400,22 +431,24 @@ class VpuNode:
     def dmr_run(self, tiles: list[Tile]) -> tuple[np.ndarray, RecoveryReport]:
         """Each worker checks its tile CRC before computing; corrupted
         tiles are restored from the retained verified input and
-        rescheduled on the workers whose data passed.  A tile whose
-        restored data fails the check too runs as it is on its own worker,
-        and keeps its place in the stand-in rotation."""
+        rescheduled on the workers whose data passed; a restored tile is
+        cut only for a corrupted one.  A tile whose restored data fails
+        the check too runs as it is on its own worker, and keeps its
+        place in the stand-in rotation."""
         report = RecoveryReport()
         bad = report.impaired = [t.worker for t in tiles if not t.crc_ok()]
         outputs = {t.worker: self.worker_execute(t.worker, t)
                    for t in tiles if t.worker not in bad}
         functional = [t.worker for t in tiles if t.worker not in bad] \
             or list(range(N_WORKERS))
-        fresh = self._partition(self.golden_input, N_WORKERS) if bad else []
         redo = []
         for wid in bad:
-            tile = fresh[wid]
+            ref = tiles[wid].verified
+            tile = Tile(wid, ref.row_start, ref.row_end, ref.halo,
+                        self.golden_input[max(0, ref.row_start - ref.halo):
+                                          ref.row_end + ref.halo], ref)
             # restored data must match the checksum sealed at reception,
             # otherwise the retained copy itself has been corrupted
-            tile.verified = tiles[wid].verified
             if tile.crc_ok():
                 redo.append(tile)
             else:
@@ -438,15 +471,23 @@ class VpuNode:
 
     def nmr_run(self, n: int) -> tuple[np.ndarray, VoteReport]:
         """Groups of n workers compute the same stripe; the supervisor
-        votes per pixel on the outputs.  No rescheduling, no repair."""
+        votes per pixel on the outputs.  No rescheduling, no repair.
+
+        A group with more than n // 2 unimpaired members emits the
+        stripe's output unvoted: those members agree on every pixel, so
+        the vote would return it with no pixel flagged."""
         groups, unused = self.nmr_groups(n)
         report = VoteReport(n=n, groups=groups, unused=unused)
         stripes = self._partition(self.ddr_input, len(groups))
         pieces = []
         flagged = 0
         for group, stripe in zip(groups, stripes):
-            outs = [self.worker_execute(wid, stripe) for wid in group]
-            voted, nflag = _pixel_majority(outs)
+            correct = self._compute_tile(stripe)
+            if sum(not self.worker_impaired(w) for w in group) > n // 2:
+                pieces.append(correct)
+                continue
+            voted, nflag = _pixel_majority(
+                [self._emit(wid, correct) for wid in group])
             flagged += nflag
             pieces.append(voted)
         report.flagged_pixels = flagged

@@ -153,6 +153,9 @@ def test_criterion_3_voter_truth_table():
 def test_criterion_4_imr_dmr_zero_error():
     with criterion(4, "IMR and DMR recover to zero error; bare runs err "
                       "within stripe-fraction bounds", limit_s=120.0):
+        # zero error holds on these seeds, not on every seed: DMR's
+        # CRC-16 lets a damaged tile whose CRC equals its seal through
+        # (test_a_crc16_collision_lets_a_damaged_dmr_tile_through)
         for ft in ("imr", "dmr"):
             for count in (3, 6, 9, 12):
                 for seed in range(20):

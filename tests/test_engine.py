@@ -121,6 +121,23 @@ def test_an_input_that_does_not_wake_passes_an_asleep_watcher():
     assert eng.now == 35
 
 
+def test_an_input_that_does_not_wake_passes_every_asleep_watcher():
+    """However many asleep watchers are due before the bound, wake=False
+    calls none of them while nothing else is due; a later run with
+    wake=True accounts for every tick they passed."""
+    eng = SimEngine()
+    first, second = Ticker(eng), Ticker(eng)
+    for sleeper in (first, second):
+        sleeper.asleep = True
+        eng.add_watcher(sleeper)
+    assert eng.due() == (math.inf,)
+    eng.run_until(35, scheduled_before=1, wake=False)
+    assert first.clock == second.clock == [] and eng.now == 35
+    eng.run_until(35, scheduled_before=1)
+    assert first.clock == second.clock == [(10, 10), (20, 20), (30, 30)]
+    assert eng.now == 35
+
+
 def test_an_asleep_watcher_runs_before_an_awake_one_due_first():
     eng = SimEngine()
     sleeper, awake = Ticker(eng), Ticker(eng)

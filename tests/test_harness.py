@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cotsim import harness
+from cotsim import harness, vpu
 from cotsim.config import ARCHITECTURES, CampaignConfig, make_architecture
 from cotsim.ecc import secded_decode, secded_encode
 from cotsim.engine import SimEngine
@@ -773,16 +773,69 @@ def test_vpu_table_equals_kernel_major_trials(monkeypatch):
 
 
 def test_shared_vpu_inputs_are_read_only():
-    """A write to a seed's shared image or golden raises instead of
-    changing the input of the next trial at that seed."""
-    image, _state, goldens = harness.seed_input(0, KERNELS, 64)
-    assert list(goldens) == KERNELS
+    """A write to a seed's shared image, golden or verified tile raises
+    instead of changing the input of the next trial at that seed."""
+    image, _state, goldens, partitions = harness.seed_input(0, KERNELS, 64)
+    assert list(goldens) == list(partitions) == KERNELS
     for kernel in KERNELS:
-        for array in (image, goldens[kernel]):
+        assert len(partitions[kernel]) == vpu.N_WORKERS
+        for array in (image, goldens[kernel],
+                      *(tile.data for tile in partitions[kernel])):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1
             with pytest.raises(ValueError, match="read-only"):
                 array += 1
+
+
+def test_a_table_seed_seals_each_kernels_tiles_once(monkeypatch):
+    """`seed_input` seals each kernel's 12 verified tiles once, 24 tile
+    CRCs for the seed's 32 trials.  After that a trial computes a tile CRC
+    only for a damaged DMR tile, one each (its restored copy holds the
+    sealed bytes), and no seal again."""
+    image = harness.seed_input(0, [])[0]
+    seals = [tile.payload() for kernel in KERNELS
+             for tile in vpu.partition_workload(image, vpu.N_WORKERS,
+                                                *vpu.KERNELS[kernel])]
+    payloads = []
+    real = vpu.crc16_ccitt
+
+    def counted(data):
+        payloads.append(bytes(data))
+        return real(data)
+
+    monkeypatch.setattr(vpu, "crc16_ccitt", counted)
+    counts = [3, 6, 9, 12]
+    run_vpu_table(KERNELS, FTS, counts, [0])
+    tiles = [p for p in payloads if len(p) != vpu.INSTR_BYTES]
+    assert tiles[:len(seals)] == seals
+    damaged = tiles[len(seals):]
+    assert len(damaged) == len(KERNELS) * sum(counts)
+    assert not set(damaged) & set(seals)
+
+
+def test_a_crc16_collision_lets_a_damaged_dmr_tile_through(monkeypatch):
+    """Criterion 4's limit: DMR finds a damaged tile by its CRC-16, so a
+    damage whose CRC equals the tile's seal passes the check, and its
+    worker computes on the wrong data.  At seed 3,266 this happens to
+    tile 11 of conv2d DMR with 3 impaired cores.  A check that compared
+    the tile's bytes with its verified tile would catch it, and the
+    trial would score 0."""
+    passed = []
+    real = vpu.Tile.crc_ok
+
+    def crc_ok(tile):
+        ok = real(tile)
+        if ok and not np.array_equal(tile.data, tile.verified.data):
+            passed.append(tile.worker)
+        return ok
+
+    monkeypatch.setattr(vpu.Tile, "crc_ok", crc_ok)
+    report = run_vpu_trial("conv2d", "dmr", 3, 3266)
+    assert report.impaired == [0, 1, 11] and passed == [11]
+    assert report.error_rate == 0.063018798828125
+    passed.clear()
+    [row] = run_vpu_table(["conv2d"], ["dmr"], [3], [3266])
+    assert row.max_error == report.error_rate and passed == [11]
 
 
 def counting_golden(monkeypatch) -> list[str]:

@@ -521,6 +521,62 @@ def test_dmr_stand_in_rotation_counts_unrecoverable_tiles():
         restored.row_start:restored.row_end].tobytes()
 
 
+@pytest.mark.parametrize("damaged", [(), (3,), (0, 5, 11)])
+def test_dmr_cuts_a_restored_tile_only_for_each_damaged_worker(monkeypatch,
+                                                               damaged):
+    node = make_node("conv2d")
+    tiles = node.dma_tiles()
+    for w in damaged:
+        tiles[w].data[0, 0] ^= 1
+    cut = []
+    real_tile, real_partition = vpu.Tile, vpu.partition_workload
+
+    def tile(worker, *rest):
+        cut.append(worker)
+        return real_tile(worker, *rest)
+
+    def partition(*args, **kwargs):
+        cut.append("partition")
+        return real_partition(*args, **kwargs)
+
+    monkeypatch.setattr(vpu, "Tile", tile)
+    monkeypatch.setattr(vpu, "partition_workload", partition)
+    out, report = node.dmr_run(tiles)
+    assert cut == list(damaged) and report.redispatched == list(damaged)
+    assert error_rate(out, golden_output(node.golden_input, "conv2d")) == 0.0
+
+
+def test_a_node_on_a_sealed_partition_cuts_only_its_working_copy(
+        monkeypatch):
+    """A node given its read-only image's sealed partition keeps the image,
+    uncopied, as its reference input, and its DMA cuts only the working
+    DDR copy.  The tiles carry the seals, so a DMR run computes just the
+    damaged tile's own CRC.  A writable image is copied."""
+    image = make_node().golden_input
+    node = VpuNode(image, "conv2d")
+    assert not np.shares_memory(node._ref_input, image)
+    image.flags.writeable = False
+    partition = vpu.sealed_partition(image, "conv2d")
+    for tile in partition:
+        assert not tile.data.flags.writeable
+        assert tile.crc == crc16_ccitt(tile.payload())
+    node = VpuNode(image, "conv2d", partition=partition)
+    assert node._ref_input is image
+    cuts = []
+    real = vpu.partition_workload
+    monkeypatch.setattr(vpu, "partition_workload",
+                        lambda *args, **kw: cuts.append(args[0]) or
+                        real(*args, **kw))
+    calls = count_crcs(monkeypatch)
+    tiles = node.dma_tiles()
+    assert len(cuts) == 1 and cuts[0] is node.ddr_input
+    assert all(t.verified is ref for t, ref in zip(tiles, partition))
+    tiles[4].data[0, 0] ^= 1
+    out, report = node.dmr_run(tiles)
+    assert calls == [len(tiles[4].payload())] and report.impaired == [4]
+    assert error_rate(out, golden_output(image, "conv2d")) == 0.0
+
+
 # -- N modular redundancy ---------------------------------------------------
 
 
@@ -566,6 +622,54 @@ def test_nmr_n5_masks_two_impairments_per_group():
     out, report = node.nmr_run(5)
     assert error_rate(out, golden_output(node.golden_input, "binning2d")) == 0
     assert report.unused == [10, 11]
+
+
+def every_member_vote(node, n):
+    """NMR as each member computing and the supervisor voting on every
+    group: `_pixel_majority` over each member's `worker_execute`."""
+    groups, _unused = node.nmr_groups(n)
+    stripes = partition_workload(node.ddr_input, len(groups),
+                                 halo=node.halo, row_unit=node.row_unit)
+    votes = [vpu._pixel_majority([node.worker_execute(w, stripe)
+                                  for w in group])
+             for group, stripe in zip(groups, stripes)]
+    return (np.vstack([voted for voted, _ in votes]),
+            sum(flagged for _, flagged in votes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["conv2d", "binning2d"]), st.sampled_from([1, 3, 5]),
+       st.frozensets(st.integers(0, N_WORKERS - 1)))
+# every count of impaired members per group, 0..n, for each n
+@example("conv2d", 1, frozenset(range(0, N_WORKERS, 2)))
+@example("binning2d", 3, frozenset({3, 6, 7, 9, 10, 11}))
+@example("conv2d", 5, frozenset({5, 6, 7, 8, 9}))
+@example("binning2d", 5, frozenset({0, 5, 6, 7, 8, 10}))
+@example("conv2d", 5, frozenset({0, 1, 5, 6, 7, 11}))
+def test_nmr_votes_only_where_a_vote_can_change_a_pixel(kernel, n, impaired):
+    """`nmr_run` gives the output and flagged count of the every-member
+    vote, and garbles and votes only in groups with at most n // 2
+    unimpaired members."""
+    node = make_node(kernel, size=48)
+    for w in impaired:
+        node.corrupt_instr(w, [(41 * w, 0xA5)])
+    want, want_flagged = every_member_vote(node, n)
+    groups, _unused = node.nmr_groups(n)
+    outvoted = [g for g in groups
+                if len(set(g) - impaired) <= n // 2]
+    garbles, votes = [], []
+    real_garble, real_vote = vpu.corrupt_stripe, vpu._pixel_majority
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vpu, "corrupt_stripe",
+                   lambda *a: garbles.append(1) or real_garble(*a))
+        mp.setattr(vpu, "_pixel_majority",
+                   lambda outs: votes.append(1) or real_vote(outs))
+        out, report = node.nmr_run(n)
+    assert out.dtype == want.dtype and out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+    assert report.flagged_pixels == want_flagged
+    assert len(votes) == len(outvoted)
+    assert len(garbles) == sum(len(impaired & set(g)) for g in outvoted)
 
 
 def sort_vote(outputs):
